@@ -2,8 +2,10 @@
 
 Expected improvement, probability of feasibility, their product (constrained
 expected improvement over the best feasible observation), the analytic
-gradient of that product, and a quasi-Monte Carlo estimator of the batch
-version. Constraints whose observations are all identical and feasible are
+gradient of that product, a quasi-Monte Carlo estimator of the batch
+version, and the projected backtracking ascent that every maximizer in the
+package uses. ei_pf is the one implementation of EI times PF with the sigma
+floor and its gradient; the two-step engine calls it at stage-1 moments. Constraints whose observations are all identical and feasible are
 treated as certainly feasible and contribute a factor of exactly one, which
 keeps the remaining computation byte-identical to the unconstrained case.
 """
@@ -134,6 +136,62 @@ def eic_many(bundle: PosteriorBundle, X: np.ndarray) -> np.ndarray:
     return np.atleast_1d(value)
 
 
+def ei_pf(improvement, constraints=(), derivs=None):
+    """EI(m, s^2) times the product of PF(mc, sc^2) over the constraints.
+
+    improvement is the pair (m, s): the mean improvement and its posterior
+    standard deviation. constraints holds one (mean, sd) pair per constraint,
+    each array shaped like m. A factor whose sd is at or below SIGMA_FLOOR
+    takes its zero-variance limit, max(m, 0) or 1{mean <= 0}, and contributes
+    no sd term to the gradient.
+
+    derivs, when given, holds the derivative pairs in the same order: (dm, ds)
+    for the improvement, then (dmean, dsd) per constraint, each shaped like m
+    plus any trailing axes. Returns the values, or (values, gradient,
+    degenerate) with the product-rule gradient of those trailing shapes and a
+    mask of rows where some factor sits at the floor.
+    """
+    m, s = improvement
+    ok = s > SIGMA_FLOOR
+    u = np.where(ok, m / np.where(ok, s, 1.0), 0.0)
+    factors = [np.where(ok, m * _Phi(u) + s * _phi(u), np.maximum(m, 0.0))]
+    above_floor = [ok]
+    for mc, sc in constraints:
+        okc = sc > SIGMA_FLOOR
+        uc = np.where(okc, -mc / np.where(okc, sc, 1.0), 0.0)
+        factors.append(np.where(okc, _Phi(uc), mc <= 0))
+        above_floor.append(okc)
+    prod_pf = np.ones(np.shape(m))
+    for f in factors[1:]:
+        prod_pf = prod_pf * f
+    values = factors[0] * prod_pf
+    if derivs is None:
+        return values
+    (dm, ds), *dcons = derivs
+    tail = np.ndim(dm) - np.ndim(m)
+
+    def rows(a):
+        return np.reshape(a, np.shape(a) + (1,) * tail)
+
+    terms = [
+        rows(np.where(ok, _Phi(u), m > 0)) * dm
+        + rows(np.where(ok, _phi(u), 0.0)) * ds
+    ]
+    for (mc, sc), (dmc, dsc), okc in zip(constraints, dcons, above_floor[1:]):
+        scs = np.where(okc, sc, 1.0)
+        uc = np.where(okc, -mc / scs, 0.0)
+        dpf = rows(_phi(uc)) * (-dmc / rows(scs) + rows(mc / scs**2) * dsc)
+        terms.append(np.where(rows(okc), dpf, 0.0))
+    grad = np.zeros(np.shape(dm))
+    for k, term in enumerate(terms):
+        rest = np.ones(np.shape(m))
+        for j, f in enumerate(factors):
+            if j != k:
+                rest = rest * f
+        grad += term * rows(rest)
+    return values, grad, ~np.logical_and.reduce(above_floor)
+
+
 def eic_grad(bundle: PosteriorBundle, x: np.ndarray) -> tuple[np.ndarray, bool]:
     """Gradient of eic at a point; degenerate flag set when any posterior
     standard deviation sits below the floor (those factors contribute zero)."""
@@ -141,35 +199,15 @@ def eic_grad(bundle: PosteriorBundle, x: np.ndarray) -> tuple[np.ndarray, bool]:
     x = np.atleast_1d(np.asarray(x, dtype=float))
     mu, var = bundle.objective.posterior(x)
     dmu, dsig, degen = bundle.objective.posterior_grads(x)
-    sig = np.sqrt(var)
-    m = best - mu
-    if sig > SIGMA_FLOOR:
-        u = m / sig
-        ei_val = m * _Phi(u) + sig * _phi(u)
-        dei = -_Phi(u) * dmu + _phi(u) * dsig
-    else:
-        degen = True
-        ei_val = max(m, 0.0)
-        dei = -float(m > 0) * dmu
-    factors, dfactors = [ei_val], [dei]
+    cons, dcons = [], []
     for c in bundle.active_constraints:
         mc, vc = c.posterior(x)
         dmc, dsc, cdegen = c.posterior_grads(x)
-        sc = np.sqrt(vc)
-        if sc > SIGMA_FLOOR:
-            uc = -mc / sc
-            factors.append(_Phi(uc))
-            dfactors.append(_phi(uc) * (-dmc / sc + mc * dsc / (sc * sc)))
-        else:
-            degen = True
-            factors.append(float(mc <= 0))
-            dfactors.append(np.zeros_like(dmu))
+        cons.append((mc, np.sqrt(vc)))
+        dcons.append((dmc, dsc))
         degen = degen or cdegen
-    grad = np.zeros_like(dmu)
-    for k, dfk in enumerate(dfactors):
-        rest = np.prod([f for j, f in enumerate(factors) if j != k])
-        grad += dfk * rest
-    return grad, degen
+    _, grad, at_floor = ei_pf((best - mu, np.sqrt(var)), cons, [(-dmu, dsig), *dcons])
+    return grad, bool(degen or at_floor)
 
 
 def batch_eic_mc(
@@ -203,30 +241,45 @@ def batch_eic_mc(
     return est, se
 
 
-def _ascent(value_fn, grad_fn, starts: np.ndarray, bounds: np.ndarray, steps: int = 60):
-    """Projected backtracking gradient ascent from several starts; best point wins."""
+def projected_ascent(evaluate, P, bounds, first_move, steps, project=None):
+    """Projected backtracking gradient ascent, all rows of P in lock step.
+
+    evaluate(X, rows, grads) returns the values at the rows of X, which are
+    the rows `rows` of P, or (values, gradients) when grads is True. Steps are
+    taken in box-width units: the first moves first_move of the box along the
+    largest gradient component, an accepted step grows by 1.6 and a rejected
+    one halves, and a row retires once its proposed move falls below 1e-8 of
+    the box. Both rules are free of the scale of the values, so the ascent
+    reaches the same points whatever their units. Candidates are clipped to
+    the box and passed through project(X), when given. Candidates get a
+    value-only evaluation; accepted ones get values and gradients. Returns
+    the final points and their values.
+    """
     lo, wid = bounds[:, 0], bounds[:, 1] - bounds[:, 0]
-    U = (starts - lo) / wid
-    vals = value_fn(starts)
-    grads = np.stack([grad_fn(x) for x in starts]) * wid
-    g_inf = np.max(np.abs(grads), axis=1)
-    step = np.clip(0.15 / (g_inf + 1e-12), 1e-4, 1e4)
+    U = (P - lo) / wid
+    vals, grads = evaluate(P, np.arange(len(P)), True)
+    gU = grads * wid
+    step = first_move / (np.max(np.abs(gU), axis=1) + 1e-12)
+    active = np.arange(len(P))
     for _ in range(steps):
-        cand_U = np.clip(U + step[:, None] * grads, 0.0, 1.0)
-        cand = lo + cand_U * wid
-        cvals = value_fn(cand)
-        acc = cvals > vals
-        U[acc] = cand_U[acc]
-        vals[acc] = cvals[acc]
-        if np.any(acc):
-            for i in np.flatnonzero(acc):
-                grads[i] = grad_fn(lo + U[i] * wid) * wid
-        step[acc] *= 1.6
-        step[~acc] *= 0.5
-        if np.all(step < 1e-8):
+        if active.size == 0:
             break
-    best = int(np.argmax(vals))
-    return lo + U[best] * wid, float(vals[best])
+        cand_U = np.clip(U[active] + step[active, None] * gU[active], 0.0, 1.0)
+        cand = lo + cand_U * wid
+        if project is not None:
+            cand_U = np.clip((project(cand) - lo) / wid, 0.0, 1.0)
+            cand = lo + cand_U * wid
+        hit = evaluate(cand, active, False) > vals[active]
+        acc = active[hit]
+        if acc.size:
+            vals[acc], agrads = evaluate(cand[hit], acc, True)
+            U[acc] = cand_U[hit]
+            gU[acc] = agrads * wid
+        step[acc] *= 1.6
+        step[active[~hit]] *= 0.5
+        move = step[active] * np.max(np.abs(gU[active]), axis=1)
+        active = active[move >= 1e-8]
+    return lo + U * wid, vals
 
 
 def maximize_eic(bundle: PosteriorBundle, bounds: np.ndarray, seed: int) -> np.ndarray:
@@ -234,13 +287,15 @@ def maximize_eic(bundle: PosteriorBundle, bounds: np.ndarray, seed: int) -> np.n
     starts = latin_hypercube(20, bounds, np.random.SeedSequence((seed, 19)))
     if bundle.incumbent_point is not None:
         starts = np.vstack([starts, bundle.incumbent_point])
-    x, _ = _ascent(
-        lambda X: eic_many(bundle, X),
-        lambda x: eic_grad(bundle, x)[0],
-        starts,
-        bounds,
-    )
-    return x
+
+    def evaluate(X, rows, grads):
+        values = eic_many(bundle, X)
+        if not grads:
+            return values
+        return values, np.stack([eic_grad(bundle, x)[0] for x in X])
+
+    X, vals = projected_ascent(evaluate, starts, bounds, first_move=0.15, steps=60)
+    return X[int(np.argmax(vals))]
 
 
 def greedy_batch_eic(bundle: PosteriorBundle, bounds: np.ndarray, q: int, seed: int) -> np.ndarray:

@@ -109,20 +109,7 @@ class GPModel:
             return cls(params, X.reshape(0, params.dim), y, empty, np.zeros(0), 0.0)
         if X.shape[1] != params.dim:
             raise ValueError("input dimension does not match kernel lengthscales")
-        K = kernel_matrix(params, X, X)
-        n = X.shape[0]
-        jit = JITTER_INITIAL * params.signal_variance
-        jit_cap = JITTER_MAX * params.signal_variance
-        while True:
-            try:
-                L = linalg.cholesky(K + jit * np.eye(n), lower=True)
-                break
-            except linalg.LinAlgError:
-                jit *= 10.0
-                if jit > jit_cap * (1 + 1e-12):
-                    raise FactorizationError(
-                        f"kernel matrix not factorizable at jitter {jit_cap:g}"
-                    ) from None
+        L, jit = jittered_cholesky(kernel_matrix(params, X, X), params.signal_variance)
         w = linalg.cho_solve((L, True), y)
         return cls(params, X, y, L, w, jit)
 
@@ -213,68 +200,24 @@ class GPModel:
         The fantasy targets y1 are held fixed. Returns (dmean, dsigma,
         degenerate), each of shape (q, d): row i is the derivative with respect
         to batch point i. Degenerate when x2 is within DUPLICATE_TOL**0.5 of a
-        data or batch point, or the one-step variance hits the floor; then
-        dsigma is zeroed.
+        data or batch point, or the one-step standard deviation is at or below
+        SIGMA_FLOOR; then dsigma is zeroed. The derivatives are the fantasy
+        engine's, which the likelihood-ratio gradient uses.
         """
+        from .acquisition import PosteriorBundle
+        from .lookahead import FantasyEngine
+
         X1 = np.atleast_2d(X1)
-        y1 = np.asarray(y1, dtype=float).ravel()
+        y1 = np.asarray(y1, dtype=float).reshape(1, -1)
         x2 = np.atleast_1d(np.asarray(x2, dtype=float))
-        q, d = X1.shape
+        engine = FantasyEngine(PosteriorBundle(self, (), None, None, ()), X1)
+        U = engine.batch_from_values([y1]).U[0]
+        _, s1, dmu, dsigma = engine.stage1_x1_grads(0, x2.reshape(1, -1), U)
         everything = np.vstack([self.train_inputs, X1]) if self.n_train else X1
         near = np.sqrt(np.min(np.sum((everything - x2) ** 2, axis=-1)))
-        mu0_X1, C0 = self.posterior_joint(X1)
-        jit = JITTER_INITIAL * self.kernel.signal_variance
-        C = C0 + jit * np.eye(q)
-        x2r = x2.reshape(1, -1)
-        _, cross = self._posterior_cross(X1, x2r)
-        c = cross[:, 0]  # Sigma0(X1, x2), shape (q,)
-        u = linalg.solve(C, y1 - mu0_X1, assume_a="pos")
-        v = linalg.solve(C, c, assume_a="pos")
-        _, var2 = self.posterior_many(x2r)
-        s1_sq = float(var2[0] - c @ v)
-
-        # First-argument derivatives of the state-0 posterior covariance:
-        # dSigma0(a, b)/da = dk(a, b)/da - Jk(a, D)^T K_D^{-1} k(b, D).
-        dmu = np.zeros((q, d))
-        dvar = np.zeros((q, d))
-        Jx1 = kernel_grad_first(self.kernel, X1, X1)  # (q, q, d), dk(x_i, x_b)/dx_i
-        Jx1_cross = kernel_grad_first(self.kernel, X1, x2r)[:, 0, :]  # (q, d)
-        if self.n_train:
-            Kd_X1 = kernel_matrix(self.kernel, self.train_inputs, X1)  # (n, q)
-            kd_x2 = kernel_matrix(self.kernel, x2r, self.train_inputs)[0]  # (n,)
-            A_X1 = linalg.cho_solve((self.chol, True), Kd_X1)  # K_D^{-1} k(X1, D)
-            a_x2 = linalg.cho_solve((self.chol, True), kd_x2)
-            Jd = kernel_grad_first(self.kernel, X1, self.train_inputs)  # (q, n, d)
-            dmu0 = np.einsum("ind,n->id", Jd, self.weights)  # (q, d)
-        for i in range(q):
-            for j in range(d):
-                r = Jx1[i, :, j].copy()  # dk(x_i, x_b)/dx_ij over b
-                dc_i = Jx1_cross[i, j]
-                if self.n_train:
-                    r -= Jd[i, :, j] @ A_X1
-                    dc_i -= Jd[i, :, j] @ a_x2
-                ru = r @ u
-                rv = r @ v
-                dmu[i, j] = dc_i * u[i] - (v[i] * ru + rv * u[i])
-                if self.n_train:
-                    dmu[i, j] -= v[i] * dmu0[i, j]
-                dvar[i, j] = -2.0 * dc_i * v[i] + 2.0 * v[i] * rv
-        if s1_sq <= SIGMA_FLOOR**2 or near < np.sqrt(DUPLICATE_TOL):
-            return dmu, np.zeros((q, d)), True
-        return dmu, dvar / (2.0 * np.sqrt(s1_sq)), False
-
-    def _posterior_cross(self, A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Posterior mean at rows of A and posterior covariance block Sigma0(A, B)."""
-        A = np.atleast_2d(A)
-        B = np.atleast_2d(B)
-        Kab = kernel_matrix(self.kernel, A, B)
-        if self.n_train == 0:
-            return np.zeros(A.shape[0]), Kab
-        Kad = kernel_matrix(self.kernel, A, self.train_inputs)
-        Kbd = kernel_matrix(self.kernel, B, self.train_inputs)
-        Va = linalg.solve_triangular(self.chol, Kad.T, lower=True)
-        Vb = linalg.solve_triangular(self.chol, Kbd.T, lower=True)
-        return Kad @ self.weights, Kab - Va.T @ Vb
+        if s1[0] <= SIGMA_FLOOR or near < np.sqrt(DUPLICATE_TOL):
+            return dmu[0], np.zeros_like(dmu[0]), True
+        return dmu[0], dsigma[0], False
 
 
 def jittered_cholesky(C: np.ndarray, scale: float) -> tuple[np.ndarray, float]:

@@ -29,13 +29,22 @@ with such a constraint follows the unconstrained code path exactly.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import linalg
 
-from .acquisition import PosteriorBundle, _Phi, _phi, ei, greedy_batch_eic, maximize_eic, pf
+from .acquisition import (
+    PosteriorBundle,
+    ei,
+    ei_pf,
+    greedy_batch_eic,
+    maximize_eic,
+    pf,
+    projected_ascent,
+)
 from .gp import (
     SIGMA_FLOOR,
     GPModel,
@@ -47,6 +56,14 @@ from .gp import (
 from .sampling import halton_design, latin_hypercube, sobol_normal
 
 SEPARATION_TOL = 1e-8
+
+
+def _sd_grad(sd: np.ndarray, dvar: np.ndarray) -> np.ndarray:
+    """Derivative of a standard deviation from that of its variance,
+    d sd = d var / (2 sd); zero where sd is at or below SIGMA_FLOOR. dvar is
+    shaped like sd plus trailing axes."""
+    scale = np.where(sd > SIGMA_FLOOR, 0.5 / np.maximum(sd, SIGMA_FLOOR), 0.0)
+    return scale.reshape(scale.shape + (1,) * (dvar.ndim - sd.ndim)) * dvar
 
 
 @dataclass(frozen=True)
@@ -153,16 +170,20 @@ class TwoStepResult:
 
 
 class _FantasyBatch:
-    """Column-stacked fantasies: one (n, q) array per block, plus f1*."""
+    """Column-stacked fantasies: one (n, q) array per block, plus f1*, the log
+    density and, per block, the whitened residuals Cinv (y - mu0)."""
 
-    def __init__(self, Y: list[np.ndarray], f1: np.ndarray, logp: np.ndarray):
+    def __init__(self, Y, f1, logp, U):
         self.Y = Y
         self.f1 = f1
         self.logp = logp
+        self.U = U
         self.n = f1.shape[0]
 
     def subset(self, idx: np.ndarray) -> "_FantasyBatch":
-        return _FantasyBatch([Yb[idx] for Yb in self.Y], self.f1[idx], self.logp[idx])
+        return _FantasyBatch(
+            [Yb[idx] for Yb in self.Y], self.f1[idx], self.logp[idx], [Ub[idx] for Ub in self.U]
+        )
 
 
 class _Block:
@@ -243,12 +264,14 @@ class FantasyEngine:
         best_fantasy = np.min(np.where(feasible, Y[0], np.inf), axis=1)
         f1 = np.minimum(self.f0, best_fantasy)
         logp = np.zeros(count)
+        U = []
         for b, blk in enumerate(self.blocks):
             R = Y[b] - blk.mu0
             W = linalg.solve_triangular(blk.Lc, R.T, lower=True)
             logp -= 0.5 * np.einsum("qc,qc->c", W, W)
             logp -= np.sum(np.log(np.diag(blk.Lc))) + 0.5 * self.q * np.log(2 * np.pi)
-        return _FantasyBatch(Y, f1, logp)
+            U.append(R @ blk.Cinv.T)  # Cinv symmetric
+        return _FantasyBatch(Y, f1, logp, U)
 
     def sample(self, count: int, seed) -> _FantasyBatch:
         Z = sobol_normal(self.n_blocks * self.q, count, seed)
@@ -257,8 +280,7 @@ class FantasyEngine:
     def score(self, batch: _FantasyBatch) -> np.ndarray:
         """Gradient of log p(y; X1) with respect to X1, shape (count, q, d)."""
         out = np.zeros((batch.n, self.q, self.d))
-        for b, blk in enumerate(self.blocks):
-            U = (batch.Y[b] - blk.mu0) @ blk.Cinv.T  # Cinv symmetric
+        for U, blk in zip(batch.U, self.blocks):
             quad = np.einsum("ibj,fb->fij", blk.Dk0, U)
             trace = np.einsum("ib,ibj->ij", blk.Cinv, blk.Dk0)
             out += blk.dmu0[None, :, :] * U[:, :, None]
@@ -270,7 +292,9 @@ class FantasyEngine:
 
     def _stage1(self, blk: _Block, P: np.ndarray, U_rows: np.ndarray, grads: bool):
         """Stage-1 moments at rows of P, each row tied to the fantasy whose
-        whitened residual row is U_rows. Returns a dict of row arrays."""
+        whitened residual row is U_rows. Returns a dict of row arrays: mean
+        mu1, standard deviation s1 and B = Sigma0(P, X1) Cinv; with grads also
+        the x2-derivatives dmu1 and ds1."""
         kern = blk.model.kernel
         n = blk.model.n_train
         K_P_X1 = kernel_matrix(kern, P, self.X1)
@@ -285,9 +309,9 @@ class FantasyEngine:
             var0 = np.full(P.shape[0], kern.signal_variance)
             cross = K_P_X1
         B = cross @ blk.Cinv.T
-        var1 = np.maximum(var0 - np.einsum("rq,rq->r", B, cross), 0.0)
+        s1 = np.sqrt(np.maximum(var0 - np.einsum("rq,rq->r", B, cross), 0.0))
         mu1 = mu0 + np.einsum("rq,rq->r", cross, U_rows)
-        out = {"mu1": mu1, "var1": var1, "cross": cross, "B": B}
+        out = {"mu1": mu1, "s1": s1, "B": B}
         if grads:
             J_P_X1 = kernel_grad_first_from(kern, P, self.X1, K_P_X1)
             if n:
@@ -301,16 +325,46 @@ class FantasyEngine:
                 dmu0 = np.zeros((P.shape[0], self.d))
                 dvar0 = np.zeros((P.shape[0], self.d))
             out["dmu1"] = dmu0 + np.einsum("rqd,rq->rd", dcross, U_rows)
-            out["dvar1"] = dvar0 - 2.0 * np.einsum("rqd,rq->rd", dcross, B)
+            out["ds1"] = _sd_grad(s1, dvar0 - 2.0 * np.einsum("rqd,rq->rd", dcross, B))
         return out
 
-    def _whitened_rows(self, batch: _FantasyBatch, idx: np.ndarray) -> list[np.ndarray]:
-        """Per block, Cinv (y - mu0) for the fantasy of each row."""
-        rows = []
-        for b, blk in enumerate(self.blocks):
-            U = (batch.Y[b] - blk.mu0) @ blk.Cinv.T
-            rows.append(U[idx])
-        return rows
+    def stage1_x1_grads(self, b: int, X2: np.ndarray, U: np.ndarray):
+        """Stage-1 mean and standard deviation of block b at rows of X2, row f
+        tied to the whitened residual row U[f], and their derivatives with
+        respect to X1 at fixed fantasy values. Returns (mu1, s1, dmu1, ds1),
+        the derivatives of shape (rows, q, d)."""
+        blk = self.blocks[b]
+        st = self._stage1(blk, X2, U, False)
+        V = st["B"]  # Cinv cross, (rows, q)
+        kern = blk.model.kernel
+        # First-argument derivative of the state-0 covariance between each
+        # batch point and each row: dc[f, i, j] = d Sigma0(x_i, X2_f) / d x_ij.
+        dc = np.transpose(kernel_grad_first(kern, self.X1, X2), (1, 0, 2))
+        if blk.model.n_train:
+            K_D_X2 = kernel_matrix(kern, blk.model.train_inputs, X2)  # (n, rows)
+            A_X2 = linalg.cho_solve((blk.model.chol, True), K_D_X2)
+            dc = dc - np.einsum("qnd,nf->fqd", blk.J_X1_D, A_X2)
+        rv_u = np.einsum("ibj,fb->fij", blk.Dk0, U)
+        rv_v = np.einsum("ibj,fb->fij", blk.Dk0, V)
+        dmu1 = (
+            dc * U[:, :, None]
+            - V[:, :, None] * rv_u
+            - rv_v * U[:, :, None]
+            - V[:, :, None] * blk.dmu0[None, :, :]
+        )
+        dvar1 = -2.0 * dc * V[:, :, None] + 2.0 * V[:, :, None] * rv_v
+        return st["mu1"], st["s1"], dmu1, _sd_grad(st["s1"], dvar1)
+
+    def _alpha(self, f1, moments, derivs=None):
+        """f0 - f1* plus EI times PF from per-block stage-1 (mean, sd) pairs,
+        objective block first; with derivs, one (dmean, dsd) pair per block,
+        also the gradient and the degeneracy mask."""
+        (mu, s), *cons = moments
+        if derivs is None:
+            return (self.f0 - f1) + ei_pf((f1 - mu, s), cons)
+        (dmu, ds), *dcons = derivs
+        values, grad, degen = ei_pf((f1 - mu, s), cons, [(-dmu, ds), *dcons])
+        return (self.f0 - f1) + values, grad, degen
 
     def alpha_rows(
         self, P: np.ndarray, idx: np.ndarray, batch: _FantasyBatch, grads: bool = False
@@ -320,55 +374,12 @@ class FantasyEngine:
         degeneracy mask."""
         P = np.atleast_2d(P)
         idx = np.asarray(idx, dtype=int)
-        U_all = self._whitened_rows(batch, idx)
-        f1 = batch.f1[idx]
         stages = [
-            self._stage1(blk, P, U_all[b], grads) for b, blk in enumerate(self.blocks)
+            self._stage1(blk, P, batch.U[b][idx], grads) for b, blk in enumerate(self.blocks)
         ]
-        s1 = np.sqrt(stages[0]["var1"])
-        m = f1 - stages[0]["mu1"]
-        ok = s1 > SIGMA_FLOOR
-        u = np.where(ok, m / np.where(ok, s1, 1.0), 0.0)
-        ei_rows = np.where(ok, m * _Phi(u) + s1 * _phi(u), np.maximum(m, 0.0))
-        pf_rows = []
-        for st in stages[1:]:
-            sc = np.sqrt(st["var1"])
-            okc = sc > SIGMA_FLOOR
-            uc = np.where(okc, -st["mu1"] / np.where(okc, sc, 1.0), 0.0)
-            pf_rows.append(np.where(okc, _Phi(uc), (st["mu1"] <= 0).astype(float)))
-        prod_pf = np.ones(P.shape[0])
-        for p_row in pf_rows:
-            prod_pf = prod_pf * p_row
-        values = (self.f0 - f1) + ei_rows * prod_pf
-        if not grads:
-            return values
-        degen = ~ok
-        dei = np.where(ok, -_Phi(u), -(m > 0).astype(float))[:, None] * stages[0]["dmu1"]
-        dsig = np.where(ok, 1.0 / (2.0 * np.where(ok, s1, 1.0)), 0.0)[:, None] * stages[0][
-            "dvar1"
-        ]
-        dei = dei + _phi(u)[:, None] * np.where(ok[:, None], dsig, 0.0)
-        terms = [dei]
-        for k, st in enumerate(stages[1:]):
-            sc = np.sqrt(st["var1"])
-            okc = sc > SIGMA_FLOOR
-            degen = degen | ~okc
-            scs = np.where(okc, sc, 1.0)
-            uc = np.where(okc, -st["mu1"] / scs, 0.0)
-            dsc = np.where(okc, 1.0 / (2.0 * scs), 0.0)[:, None] * st["dvar1"]
-            dpf = _phi(uc)[:, None] * (
-                -st["dmu1"] / scs[:, None] + (st["mu1"] / scs**2)[:, None] * dsc
-            )
-            terms.append(np.where(okc[:, None], dpf, 0.0))
-        grad = np.zeros((P.shape[0], self.d))
-        factors = [ei_rows, *pf_rows]
-        for k, term in enumerate(terms):
-            rest = np.ones(P.shape[0])
-            for j, f_row in enumerate(factors):
-                if j != k:
-                    rest = rest * f_row
-            grad += term * rest[:, None]
-        return values, grad, degen
+        moments = [(st["mu1"], st["s1"]) for st in stages]
+        derivs = [(st["dmu1"], st["ds1"]) for st in stages] if grads else None
+        return self._alpha(batch.f1[idx], moments, derivs)
 
     # -- likelihood-ratio gradient -------------------------------------------
 
@@ -384,70 +395,11 @@ class FantasyEngine:
             raise ValueError(
                 f"X2 must have shape (batch.n, d) = ({count}, {self.d}); got {X2.shape}"
             )
-        idx = np.arange(count)
-        score = self.score(batch)
-        alpha_vals = self.alpha_rows(X2, idx, batch)
-
-        # Stage-1 moments and their X1-derivatives per block, all rows at once.
-        mus, sigs, dmu_X1, dvar_X1 = [], [], [], []
-        for b, blk in enumerate(self.blocks):
-            U = (batch.Y[b] - blk.mu0) @ blk.Cinv.T  # (count, q)
-            st = self._stage1(blk, X2, U, grads=False)
-            V = st["B"]  # Cinv cross, (count, q)
-            kern = blk.model.kernel
-            J_X1_X2 = kernel_grad_first(kern, self.X1, X2)  # (q, count, d)
-            dc = np.transpose(J_X1_X2, (1, 0, 2))
-            if blk.model.n_train:
-                K_D_X2 = kernel_matrix(kern, blk.model.train_inputs, X2)  # (n, count)
-                A_X2 = linalg.cho_solve((blk.model.chol, True), K_D_X2)
-                dc = dc - np.einsum("qnd,nf->fqd", blk.J_X1_D, A_X2)
-            rv_u = np.einsum("ibj,fb->fij", blk.Dk0, U)
-            rv_v = np.einsum("ibj,fb->fij", blk.Dk0, V)
-            dmu1 = (
-                dc * U[:, :, None]
-                - V[:, :, None] * rv_u
-                - rv_v * U[:, :, None]
-                - V[:, :, None] * blk.dmu0[None, :, :]
-            )
-            dvar1 = -2.0 * dc * V[:, :, None] + 2.0 * V[:, :, None] * rv_v
-            mus.append(st["mu1"])
-            sigs.append(np.sqrt(st["var1"]))
-            dmu_X1.append(dmu1)
-            dvar_X1.append(dvar1)
-
-        f1 = batch.f1
-        s1 = sigs[0]
-        ok = s1 > SIGMA_FLOOR
-        m = f1 - mus[0]
-        u = np.where(ok, m / np.where(ok, s1, 1.0), 0.0)
-        ei_rows = np.where(ok, m * _Phi(u) + s1 * _phi(u), np.maximum(m, 0.0))
-        dsig1 = np.where(ok, 1.0 / (2.0 * np.where(ok, s1, 1.0)), 0.0)[:, None, None] * dvar_X1[0]
-        dei = (
-            np.where(ok, -_Phi(u), -(m > 0).astype(float))[:, None, None] * dmu_X1[0]
-            + np.where(ok, _phi(u), 0.0)[:, None, None] * dsig1
+        stages = [self.stage1_x1_grads(b, X2, batch.U[b]) for b in range(self.n_blocks)]
+        alpha_vals, dalpha, _ = self._alpha(
+            batch.f1, [st[:2] for st in stages], [st[2:] for st in stages]
         )
-        pf_rows, dpf_terms = [], []
-        for b in range(1, self.n_blocks):
-            sc = sigs[b]
-            okc = sc > SIGMA_FLOOR
-            scs = np.where(okc, sc, 1.0)
-            uc = np.where(okc, -mus[b] / scs, 0.0)
-            pf_rows.append(np.where(okc, _Phi(uc), (mus[b] <= 0).astype(float)))
-            dsc = np.where(okc, 1.0 / (2.0 * scs), 0.0)[:, None, None] * dvar_X1[b]
-            dpf = _phi(uc)[:, None, None] * (
-                -dmu_X1[b] / scs[:, None, None] + (mus[b] / scs**2)[:, None, None] * dsc
-            )
-            dpf_terms.append(np.where(okc[:, None, None], dpf, 0.0))
-        dalpha = np.zeros((count, self.q, self.d))
-        factors = [ei_rows, *pf_rows]
-        terms = [dei, *dpf_terms]
-        for k, term in enumerate(terms):
-            rest = np.ones(count)
-            for j, f_row in enumerate(factors):
-                if j != k:
-                    rest = rest * f_row
-            dalpha += term * rest[:, None, None]
-        return alpha_vals[:, None, None] * score + dalpha
+        return alpha_vals[:, None, None] * self.score(batch) + dalpha
 
     # -- inner maximization ----------------------------------------------------
 
@@ -461,12 +413,10 @@ class FantasyEngine:
         """Projected backtracking ascent of alpha over x2, one solve per
         fantasy, all fantasies in lock step. Returns (X2, values, degenerate).
 
-        Steps are taken in box-width units. The first step moves 0.15 of the
-        box along the largest gradient component, an accepted step grows by
-        1.6 and a rejected one halves; a row retires once its proposed move,
-        step * max|gradient| in box units, falls below 1e-8 of the box. Both
-        rules are free of the scale of alpha, so the solve reaches the same
-        maximizer whatever the units of the objective.
+        The ascent is projected_ascent, whose step rules are free of the
+        scale of alpha, with a first move of 0.15 of the box and
+        config.inner_steps steps; with delta > 0 every candidate is pushed out
+        of the excluded balls.
 
         A huge realized improvement (f1* far below f0) is not special-cased:
         the follow-up term is the GP's own EI times PF, unclamped. A stage-1
@@ -474,7 +424,7 @@ class FantasyEngine:
         follow-up term may exceed the realized improvement f0 - f1*.
         """
         bounds = np.atleast_2d(bounds)
-        lo, wid = bounds[:, 0], bounds[:, 1] - bounds[:, 0]
+        wid = bounds[:, 1] - bounds[:, 0]
         count = batch.n
         starts = halton_design(config.inner_restarts, bounds)
         # Screening pass: a value-only sweep over a denser design picks the
@@ -513,41 +463,18 @@ class FantasyEngine:
                 warm = np.repeat(warm, count, axis=0)
             P = np.vstack([P, warm])
             idx = np.concatenate([idx, np.arange(count)])
+        project = None
         if config.delta > 0:
             P = self._push_outside(P, config.delta)
-        U = (P - lo) / wid
-        vals, grads, degen = self.alpha_rows(P, idx, batch, grads=True)
-        gU = grads * wid
-        step = 0.15 / (np.max(np.abs(gU), axis=1) + 1e-12)
-        # converged rows drop out of the sweep; gradients are recomputed only
-        # where a candidate was accepted
-        active = np.arange(len(vals))
-        for _ in range(config.inner_steps):
-            if active.size == 0:
-                break
-            cand_U = np.clip(U[active] + step[active, None] * gU[active], 0.0, 1.0)
-            cand = lo + cand_U * wid
-            if config.delta > 0:
-                cand = self._push_outside(cand, config.delta)
-                cand_U = np.clip((cand - lo) / wid, 0.0, 1.0)
-                cand = lo + cand_U * wid
-            cvals = self.alpha_rows(cand, idx[active], batch)
-            hit = cvals > vals[active]
-            acc = active[hit]
-            if acc.size:
-                avals, agrads, adegen = self.alpha_rows(
-                    cand[hit], idx[acc], batch, grads=True
-                )
-                U[acc] = cand_U[hit]
-                vals[acc] = avals
-                grads[acc] = agrads
-                degen[acc] = adegen
-                gU[acc] = agrads * wid
-            step[acc] *= 1.6
-            step[active[~hit]] *= 0.5
-            move = step[active] * np.max(np.abs(gU[active]), axis=1)
-            active = active[move >= 1e-8]
-        P = lo + U * wid
+            project = functools.partial(self._push_outside, delta=config.delta)
+
+        def evaluate(X, rows, grads):
+            out = self.alpha_rows(X, idx[rows], batch, grads)
+            return out[:2] if grads else out
+
+        P, vals = projected_ascent(
+            evaluate, P, bounds, first_move=0.15, steps=config.inner_steps, project=project
+        )
         order = np.lexsort((-vals, idx))
         sorted_idx = idx[order]
         firsts = np.searchsorted(sorted_idx, np.arange(count), side="left")

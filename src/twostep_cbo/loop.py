@@ -16,8 +16,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lookahead
-from .acquisition import PosteriorBundle, greedy_batch_eic, maximize_eic
-from .gp import FactorizationError, GPModel, fit_hyperparameters, kernel_grad_first, kernel_matrix
+from .acquisition import PosteriorBundle, greedy_batch_eic, maximize_eic, projected_ascent
+from .gp import (
+    FactorizationError,
+    GPModel,
+    fit_hyperparameters,
+    kernel_grad_first_from,
+    kernel_matrix,
+)
 from .lookahead import TwoStepConfig
 from .problems import ConstrainedProblem
 from .sampling import latin_hypercube
@@ -126,31 +132,17 @@ def _polish_mean_descent(
     model: GPModel, cand: np.ndarray, bounds: np.ndarray, steps: int = 20
 ) -> np.ndarray:
     """Projected gradient descent of the posterior mean, all rows in lock step."""
-    lo, wid = bounds[:, 0], bounds[:, 1] - bounds[:, 0]
     X_train, w = model.train_inputs, model.weights
 
-    def mean(X):
-        return kernel_matrix(model.kernel, X, X_train) @ w
+    def neg_mean(X, rows, grads):
+        K = kernel_matrix(model.kernel, X, X_train)
+        if not grads:
+            return -(K @ w)
+        J = kernel_grad_first_from(model.kernel, X, X_train, K)
+        return -(K @ w), -np.einsum("ind,n->id", J, w)
 
-    def grad(X):
-        return np.einsum("ind,n->id", kernel_grad_first(model.kernel, X, X_train), w)
-
-    U = (cand - lo) / wid
-    vals = mean(cand)
-    G = grad(cand) * wid
-    g_inf = np.max(np.abs(G), axis=1)
-    step = np.clip(0.1 / (g_inf + 1e-12), 1e-4, 1e4)
-    for _ in range(steps):
-        cand_U = np.clip(U - step[:, None] * G, 0.0, 1.0)
-        cvals = mean(lo + cand_U * wid)
-        acc = cvals < vals
-        U[acc] = cand_U[acc]
-        vals[acc] = cvals[acc]
-        if np.any(acc):
-            G[acc] = grad(lo + U[acc] * wid) * wid[None, :]
-        step[acc] *= 1.6
-        step[~acc] *= 0.5
-    return lo + U * wid
+    X, _ = projected_ascent(neg_mean, cand, bounds, first_move=0.1, steps=steps)
+    return X
 
 
 def recommend(bundle: PosteriorBundle, bounds: np.ndarray, seed: int) -> np.ndarray | None:

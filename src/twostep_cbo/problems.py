@@ -9,7 +9,7 @@ SLSQP.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -116,48 +116,33 @@ class OracleResult:
     provenance: dict
 
 
-def _grid_scan(problem: ConstrainedProblem, resolution: int, keep: int):
-    """Best feasible grid value plus the `keep` best feasible cells.
+def _grid_scan(problem: ConstrainedProblem, resolution: int, keep: int, feasible_only=True):
+    """The `keep` lowest objective values on a regular grid and their cells,
+    best first: (values, points).
 
-    Four-dimensional grids are scanned one slice along the first axis at a
-    time to bound memory.
+    With feasible_only, infeasible cells are dropped before the objective is
+    evaluated. Grids of more than two dimensions are scanned one slice along
+    the first axis at a time to bound memory.
     """
     axes = [np.linspace(lo, hi, resolution) for lo, hi in problem.bounds]
-    best_val, best_pt = np.inf, None
-    top_vals: list[float] = []
-    top_pts: list[np.ndarray] = []
-
-    def _consume(X):
-        nonlocal best_val, best_pt, top_vals, top_pts
-        f = problem.objective(X)
-        g = problem.constraints(X)
-        ok = np.all(g <= 0.0, axis=1)
-        if not np.any(ok):
-            return
-        f_ok = f[ok]
-        X_ok = X[ok]
-        i = int(np.argmin(f_ok))
-        if f_ok[i] < best_val:
-            best_val, best_pt = float(f_ok[i]), X_ok[i].copy()
-        take = np.argsort(f_ok)[:keep]
-        top_vals.extend(f_ok[take])
-        top_pts.extend(X_ok[take])
-        if len(top_vals) > 4 * keep:
-            order = np.argsort(top_vals)[:keep]
-            top_vals = [top_vals[j] for j in order]
-            top_pts = [top_pts[j] for j in order]
-
     if problem.dim <= 2:
         mesh = np.meshgrid(*axes, indexing="ij")
-        _consume(np.stack([m.ravel() for m in mesh], axis=1))
+        chunks = [np.stack([m.ravel() for m in mesh], axis=1)]
     else:
         rest = np.meshgrid(*axes[1:], indexing="ij")
         rest = np.stack([m.ravel() for m in rest], axis=1)
-        for x0 in axes[0]:
-            X = np.column_stack([np.full(rest.shape[0], x0), rest])
-            _consume(X)
-    order = np.argsort(top_vals)[:keep]
-    return best_val, best_pt, [top_pts[j] for j in order]
+        chunks = (np.column_stack([np.full(rest.shape[0], x0), rest]) for x0 in axes[0])
+    vals, pts = np.empty(0), np.empty((0, problem.dim))
+    for X in chunks:
+        if feasible_only:
+            X = X[np.all(problem.constraints(X) <= 0.0, axis=1)]
+        vals = np.concatenate([vals, problem.objective(X)])
+        pts = np.vstack([pts, X])
+        if vals.size > keep:
+            top = np.argpartition(vals, keep - 1)[:keep]
+            vals, pts = vals[top], pts[top]
+    order = np.argsort(vals, kind="stable")
+    return vals[order], pts[order]
 
 
 def constrained_optimum_oracle(
@@ -169,8 +154,8 @@ def constrained_optimum_oracle(
     of them. A polished point is accepted only if it stays feasible within
     tolerance; the grid value is a fallback, so the result never regresses.
     """
-    best_val, best_pt, starts = _grid_scan(problem, resolution, max(n_polish, 1))
-    if best_pt is None:
+    grid_vals, starts = _grid_scan(problem, resolution, max(n_polish, 1))
+    if grid_vals.size == 0:
         raise RuntimeError(f"oracle found no feasible point for {problem.name}")
     rng = np.random.default_rng(np.random.SeedSequence((seed, 131)))
     jitter = 0.01 * problem.widths
@@ -182,7 +167,7 @@ def constrained_optimum_oracle(
         {"type": "ineq", "fun": lambda x, m=m: -problem.constraints(np.atleast_2d(x))[0, m]}
         for m in range(problem.n_constraints)
     ]
-    val, pt = best_val, best_pt
+    val, pt = float(grid_vals[0]), starts[0].copy()
     for s in [*starts, *extra]:
         res = minimize(
             lambda x: float(problem.objective(np.atleast_2d(x))[0]),
@@ -211,34 +196,13 @@ def domain_max_oracle(
     problem: ConstrainedProblem, resolution: int = 800, n_polish: int = 10
 ) -> OracleResult:
     """Maximum of the objective over the box, ignoring constraints."""
-    axes = [np.linspace(lo, hi, resolution) for lo, hi in problem.bounds]
-    best_val, best_pt = -np.inf, None
-    starts: list[np.ndarray] = []
-
-    def _consume(X):
-        nonlocal best_val, best_pt, starts
-        f = problem.objective(X)
-        i = int(np.argmax(f))
-        if f[i] > best_val:
-            best_val, best_pt = float(f[i]), X[i].copy()
-        take = np.argsort(-f)[: max(n_polish, 1)]
-        starts.extend(X[take])
-
-    if problem.dim <= 2:
-        mesh = np.meshgrid(*axes, indexing="ij")
-        _consume(np.stack([m.ravel() for m in mesh], axis=1))
-    else:
-        rest = np.meshgrid(*axes[1:], indexing="ij")
-        rest = np.stack([m.ravel() for m in rest], axis=1)
-        for x0 in axes[0]:
-            _consume(np.column_stack([np.full(rest.shape[0], x0), rest]))
-
-    val, pt = best_val, best_pt
-    order = np.argsort([-float(problem.objective(np.atleast_2d(s))[0]) for s in starts])
-    for j in order[: max(n_polish, 1)]:
+    negated = replace(problem, objective=lambda X: -problem.objective(X))
+    grid_vals, starts = _grid_scan(negated, resolution, max(n_polish, 1), feasible_only=False)
+    val, pt = float(-grid_vals[0]), starts[0].copy()
+    for s in starts:
         res = minimize(
             lambda x: -float(problem.objective(np.atleast_2d(x))[0]),
-            starts[j],
+            s,
             method="L-BFGS-B",
             bounds=problem.bounds,
         )

@@ -59,23 +59,32 @@ def numeric_grad(fn, X, h):
 # -- seeded instances ----------------------------------------------------------------
 
 
-def _spread_column(g, pivot, lo=-0.3, hi=0.2):
-    """Affine map of one constraint column: pivot row forced feasible, max forced
-    above hi so the constraint stays informative.
+COLUMN_BOUND = 10.0  # largest |g| a fixture constraint column may reach
 
-    When the pivot row is already the column maximum, stretching about it
-    cannot lift any row to hi (the divisor top - v0 would vanish and blow the
-    column up by ~1e9); the column is first reflected about the pivot, which
-    keeps the pivot's value and turns the lowest row into the highest.
-    """
-    g = g + min(0.0, lo - g[pivot])
-    v0 = g[pivot]
-    if g.max() <= v0:
-        g = 2.0 * v0 - g
+
+def _stretch(g, v0, hi):
     top = g.max()
     if top < hi:
         g = v0 + (g - v0) * ((hi - v0) / max(top - v0, 1e-9))
     return g
+
+
+def _spread_column(g, pivot, lo=-0.3, hi=0.2, bound=COLUMN_BOUND):
+    """Affine map of one constraint column: pivot row forced feasible, max forced
+    above hi so the constraint stays informative.
+
+    When the pivot row is the column maximum, or sits just below it, stretching
+    about it lifts the maximum to hi only by a huge factor (the divisor
+    top - v0 nearly vanishes: ~1e9 at the maximum itself, x53 for seed 5 with
+    two constraints) and throws the other rows past +-bound. The column is
+    then reflected about the pivot first, which keeps the pivot's value and
+    turns the lowest row into the highest.
+    """
+    g = g + min(0.0, lo - g[pivot])
+    v0 = g[pivot]
+    if np.max(np.abs(_stretch(g, v0, hi))) > bound:
+        g = 2.0 * v0 - g
+    return _stretch(g, v0, hi)
 
 
 def make_gp_instance(seed, d=1, n_constraints=1, n_lo=3, n_hi=6, box=(0.0, 6.0)):
@@ -111,7 +120,7 @@ def make_gp_instance(seed, d=1, n_constraints=1, n_lo=3, n_hi=6, box=(0.0, 6.0))
         g = _spread_column(g, pivot)
         if m == 0:
             g[best] = max(g[best], 0.3)
-        assert np.all(np.abs(g) <= 10.0), f"degenerate constraint column: {g}"
+        assert np.all(np.abs(g) <= COLUMN_BOUND), f"degenerate constraint column: {g}"
         constraints.append(GPModel.fit(X, g, pg))
     bundle = PosteriorBundle.from_models(GPModel.fit(X, f, pf_obj), constraints)
     bounds = np.array([[lo, hi]] * d)
@@ -229,6 +238,17 @@ def gh_batch_eic(bundle, X, n_nodes=48):
     return float(W @ per_pair @ W)
 
 
+def _normal_quad(fn, upper):
+    """Integral of fn(t) * norm_pdf(t) over [-40, min(upper, 40)], or 0 when
+    upper < -40. The standard normal density underflows beyond 40, and a
+    kink far out in the tail would leave adaptive quadrature over
+    (-inf, upper] sampling only where the density is zero."""
+    if upper < -40.0:
+        return 0.0
+    val, _ = integrate.quad(lambda t: fn(t) * norm_pdf(t), -40.0, min(upper, 40.0), epsabs=1e-13)
+    return val
+
+
 def quad_alpha(bundle, X1, x2, y_f, y_g):
     """Adaptive-quadrature evaluation of the one-fantasy two-step integrand.
 
@@ -249,10 +269,7 @@ def quad_alpha(bundle, X1, x2, y_f, y_g):
     if s_F == 0.0:
         ei_term = max(f1 - mu_F, 0.0)
     else:
-        kink = (f1 - mu_F) / s_F
-        ei_term, _ = integrate.quad(
-            lambda t: (f1 - mu_F - s_F * t) * norm_pdf(t), -np.inf, kink, epsabs=1e-13
-        )
+        ei_term = _normal_quad(lambda t: f1 - mu_F - s_F * t, (f1 - mu_F) / s_F)
     pf_term = 1.0
     for m, model in enumerate(bundle.active_constraints):
         cg = model.condition_on_fantasy(X1, Yg[m])
@@ -261,7 +278,7 @@ def quad_alpha(bundle, X1, x2, y_f, y_g):
         if s_G == 0.0:
             pf_m = 1.0 if mu_G <= 0 else 0.0
         else:
-            pf_m, _ = integrate.quad(lambda t: norm_pdf(t), -np.inf, -mu_G / s_G, epsabs=1e-13)
+            pf_m = _normal_quad(lambda t: 1.0, -mu_G / s_G)
         pf_term *= pf_m
     return max(f0 - f1, 0.0) + ei_term * pf_term
 
