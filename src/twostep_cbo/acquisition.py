@@ -250,16 +250,18 @@ def projected_ascent(evaluate, P, bounds, first_move, steps, project=None):
     largest gradient component, an accepted step grows by 1.6 and a rejected
     one halves, and a row retires once its proposed move falls below 1e-8 of
     the box. Both rules are free of the scale of the values, so the ascent
-    reaches the same points whatever their units. Candidates are clipped to
-    the box and passed through project(X), when given. Candidates get a
-    value-only evaluation; accepted ones get values and gradients. Returns
-    the final points and their values.
+    reaches the same points whatever their units; a row whose gradient is
+    zero, or too small to divide by, proposes no move and retires after its
+    first iteration. Candidates are clipped to the box and passed through
+    project(X), when given. Candidates get a value-only evaluation; accepted
+    ones get values and gradients. Returns the final points and their values.
     """
     lo, wid = bounds[:, 0], bounds[:, 1] - bounds[:, 0]
     U = (P - lo) / wid
     vals, grads = evaluate(P, np.arange(len(P)), True)
     gU = grads * wid
-    step = first_move / (np.max(np.abs(gU), axis=1) + 1e-12)
+    g_inf = np.max(np.abs(gU), axis=1)
+    step = first_move / np.where(g_inf > np.finfo(float).tiny, g_inf, 1.0)
     active = np.arange(len(P))
     for _ in range(steps):
         if active.size == 0:

@@ -355,17 +355,6 @@ class FantasyEngine:
         dvar1 = -2.0 * dc * V[:, :, None] + 2.0 * V[:, :, None] * rv_v
         return st["mu1"], st["s1"], dmu1, _sd_grad(st["s1"], dvar1)
 
-    def _alpha(self, f1, moments, derivs=None):
-        """f0 - f1* plus EI times PF from per-block stage-1 (mean, sd) pairs,
-        objective block first; with derivs, one (dmean, dsd) pair per block,
-        also the gradient and the degeneracy mask."""
-        (mu, s), *cons = moments
-        if derivs is None:
-            return (self.f0 - f1) + ei_pf((f1 - mu, s), cons)
-        (dmu, ds), *dcons = derivs
-        values, grad, degen = ei_pf((f1 - mu, s), cons, [(-dmu, ds), *dcons])
-        return (self.f0 - f1) + values, grad, degen
-
     def alpha_rows(
         self, P: np.ndarray, idx: np.ndarray, batch: _FantasyBatch, grads: bool = False
     ):
@@ -377,9 +366,13 @@ class FantasyEngine:
         stages = [
             self._stage1(blk, P, batch.U[b][idx], grads) for b, blk in enumerate(self.blocks)
         ]
-        moments = [(st["mu1"], st["s1"]) for st in stages]
-        derivs = [(st["dmu1"], st["ds1"]) for st in stages] if grads else None
-        return self._alpha(batch.f1[idx], moments, derivs)
+        f1 = batch.f1[idx]
+        (mu, s), *cons = [(st["mu1"], st["s1"]) for st in stages]
+        if not grads:
+            return (self.f0 - f1) + ei_pf((f1 - mu, s), cons)
+        (dmu, ds), *dcons = [(st["dmu1"], st["ds1"]) for st in stages]
+        values, grad, degen = ei_pf((f1 - mu, s), cons, [(-dmu, ds), *dcons])
+        return (self.f0 - f1) + values, grad, degen
 
     # -- likelihood-ratio gradient -------------------------------------------
 
@@ -395,10 +388,13 @@ class FantasyEngine:
             raise ValueError(
                 f"X2 must have shape (batch.n, d) = ({count}, {self.d}); got {X2.shape}"
             )
-        stages = [self.stage1_x1_grads(b, X2, batch.U[b]) for b in range(self.n_blocks)]
-        alpha_vals, dalpha, _ = self._alpha(
-            batch.f1, [st[:2] for st in stages], [st[2:] for st in stages]
+        (mu, s, dmu, ds), *cons = [
+            self.stage1_x1_grads(b, X2, batch.U[b]) for b in range(self.n_blocks)
+        ]
+        values, dalpha, _ = ei_pf(
+            (batch.f1 - mu, s), [c[:2] for c in cons], [(-dmu, ds), *(c[2:] for c in cons)]
         )
+        alpha_vals = (self.f0 - batch.f1) + values
         return alpha_vals[:, None, None] * self.score(batch) + dalpha
 
     # -- inner maximization ----------------------------------------------------

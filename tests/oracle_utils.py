@@ -69,20 +69,20 @@ def _stretch(g, v0, hi):
     return g
 
 
-def _spread_column(g, pivot, lo=-0.3, hi=0.2, bound=COLUMN_BOUND):
+def _spread_column(g, pivot, lo=-0.3, hi=0.2):
     """Affine map of one constraint column: pivot row forced feasible, max forced
     above hi so the constraint stays informative.
 
     When the pivot row is the column maximum, or sits just below it, stretching
     about it lifts the maximum to hi only by a huge factor (the divisor
     top - v0 nearly vanishes: ~1e9 at the maximum itself, x53 for seed 5 with
-    two constraints) and throws the other rows past +-bound. The column is
+    two constraints) and throws the other rows past +-COLUMN_BOUND. The column is
     then reflected about the pivot first, which keeps the pivot's value and
     turns the lowest row into the highest.
     """
     g = g + min(0.0, lo - g[pivot])
     v0 = g[pivot]
-    if np.max(np.abs(_stretch(g, v0, hi))) > bound:
+    if np.max(np.abs(_stretch(g, v0, hi))) > COLUMN_BOUND:
         g = 2.0 * v0 - g
     return _stretch(g, v0, hi)
 

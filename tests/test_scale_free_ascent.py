@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from oracle_utils import make_gp_instance
-from twostep_cbo.acquisition import PosteriorBundle, maximize_eic
+from twostep_cbo.acquisition import PosteriorBundle, maximize_eic, projected_ascent
 from twostep_cbo.gp import GPModel, KernelParams
 from twostep_cbo.loop import _polish_mean_descent
 
@@ -42,3 +42,31 @@ def test_maximize_eic_is_scale_free(seed):
         scaled = PosteriorBundle.from_models(_in_units(bundle.objective, c), bundle.constraints)
         x = maximize_eic(scaled, bounds, seed)
         assert np.max(np.abs(x - base)) <= 1e-6 * width, c
+
+
+def _climb_parabola(c, starts):
+    """Ascent of -c (x - 2)^2 on [0, 6] with the polish's settings."""
+
+    def evaluate(X, rows, grads):
+        values = -c * (X[:, 0] - 2.0) ** 2
+        return (values, -2.0 * c * (X - 2.0)) if grads else values
+
+    bounds = np.array([[0.0, 6.0]])
+    return projected_ascent(evaluate, starts, bounds, first_move=0.1, steps=20)[0]
+
+
+@pytest.mark.parametrize("c", [1e-30, 1e30])
+def test_ascent_is_scale_free_on_tiny_and_huge_gradients(c):
+    # At c = 1e-30 the box-unit gradient is about 1e-29: a first step that
+    # divides by the gradient plus a fixed offset barely moves and retires.
+    starts = np.array([[1.0], [5.0]])
+    base = _climb_parabola(1.0, starts)
+    assert np.max(np.abs(_climb_parabola(c, starts) - base)) <= 1e-8 * 6.0
+    assert np.max(np.abs(base - 2.0)) <= 1e-3
+
+
+def test_ascent_keeps_a_zero_gradient_row():
+    starts = np.array([[2.0], [1.0]])
+    X = _climb_parabola(1.0, starts)
+    assert np.all(np.isfinite(X))
+    assert X[0, 0] == 2.0
