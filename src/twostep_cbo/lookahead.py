@@ -18,7 +18,11 @@ with the inner maximizer x2* held fixed (envelope argument) and the fantasy
 vector y held fixed, so differentiation never passes through the
 discontinuous f1*. Sampling, density, score and all posterior updates share
 one FantasyEngine, which caches the state-0 factorizations so that thousands
-of fantasies are processed with matrix products instead of refits. A slower
+of fantasies are processed with matrix products instead of refits. An engine
+holds a stack of batches X1, so optimize runs all its restarts through one
+engine per SGA step and screens all its candidates through one engine; the
+stage-1 moments are affine in the fantasy, so the value-only probe sweep of
+the inner solve computes the state-0 terms once per (batch, probe). A slower
 reference path through GPModel.condition_on_fantasy backs the alpha() entry
 point and is cross-checked against the engine in the test suite.
 
@@ -29,7 +33,6 @@ with such a constraint follows the unconstrained code path exactly.
 
 from __future__ import annotations
 
-import functools
 import warnings
 from dataclasses import dataclass
 
@@ -171,69 +174,91 @@ class TwoStepResult:
 
 class _FantasyBatch:
     """Column-stacked fantasies: one (n, q) array per block, plus f1*, the log
-    density and, per block, the whitened residuals Cinv (y - mu0)."""
+    density, per block the whitened residuals Cinv (y - mu0), and e, the batch
+    of the engine's stack each fantasy belongs to."""
 
-    def __init__(self, Y, f1, logp, U):
+    def __init__(self, Y, f1, logp, U, e):
         self.Y = Y
         self.f1 = f1
         self.logp = logp
         self.U = U
+        self.e = e
         self.n = f1.shape[0]
 
     def subset(self, idx: np.ndarray) -> "_FantasyBatch":
         return _FantasyBatch(
-            [Yb[idx] for Yb in self.Y], self.f1[idx], self.logp[idx], [Ub[idx] for Ub in self.U]
+            [Yb[idx] for Yb in self.Y],
+            self.f1[idx],
+            self.logp[idx],
+            [Ub[idx] for Ub in self.U],
+            self.e[idx],
         )
 
 
 class _Block:
-    """Cached state-0 quantities of one GP block at a fixed batch X1."""
+    """Cached state-0 quantities of one GP block at a stack of batches X1,
+    shape (E, q, d). Every per-batch array carries the batch as its leading
+    axis. Each batch is factorized on its own, so its arrays do not depend on
+    the rest of the stack."""
+
+    ARRAYS = ("V1", "A1", "mu0", "J_X1_D", "dmu0", "Lc", "jit", "Cinv", "Dk0")
 
     def __init__(self, model: GPModel, X1: np.ndarray):
         self.model = model
+        # The data, then every batch point of the stack: query rows get their
+        # kernel row against all of them from one call.
+        self.points = np.vstack([model.train_inputs, X1.reshape(-1, X1.shape[-1])])
+        # Inverse of the data's Cholesky factor. Query rows go through
+        # products with it, row by row, so a row gets the same bits whatever
+        # rows share the call (a one-column triangular solve does not).
+        self.Linv = linalg.solve_triangular(model.chol, np.eye(model.n_train), lower=True)
+        per_batch = [self._one_batch(model, x1) for x1 in X1]
+        for name in self.ARRAYS:
+            setattr(self, name, np.stack([arrays[name] for arrays in per_batch]))
+
+    @staticmethod
+    def _one_batch(model: GPModel, X1: np.ndarray) -> dict:
         kern = model.kernel
-        q, d = X1.shape
         n = model.n_train
-        self.K_P_X1 = None
-        K_X1_X1 = kernel_matrix(kern, X1, X1)
-        if n:
-            K_X1_D = kernel_matrix(kern, X1, model.train_inputs)  # (q, n)
-            self.V1 = linalg.solve_triangular(model.chol, K_X1_D.T, lower=True)  # (n, q)
-            self.A1 = linalg.cho_solve((model.chol, True), K_X1_D.T)  # K_D^{ -1} k(D, X1)
-            self.mu0 = K_X1_D @ model.weights
-            C0 = K_X1_X1 - self.V1.T @ self.V1
-            J_X1_D = kernel_grad_first(kern, X1, model.train_inputs)  # (q, n, d)
-            self.J_X1_D = J_X1_D
-            self.dmu0 = np.einsum("qnd,n->qd", J_X1_D, model.weights)
-        else:
-            self.V1 = np.zeros((0, q))
-            self.A1 = np.zeros((0, q))
-            self.mu0 = np.zeros(q)
-            C0 = K_X1_X1
-            self.J_X1_D = np.zeros((q, 0, d))
-            self.dmu0 = np.zeros((q, d))
+        points = np.vstack([model.train_inputs, X1])
+        K = kernel_matrix(kern, X1, points)
+        J = kernel_grad_first_from(kern, X1, points, K)
+        K_X1_D, J_X1_D = K[:, :n], J[:, :n]  # (q, n), (q, n, d)
+        V1 = linalg.solve_triangular(model.chol, K_X1_D.T, lower=True)  # (n, q)
+        A1 = linalg.cho_solve((model.chol, True), K_X1_D.T)  # K_D^{-1} k(D, X1)
+        C0 = K[:, n:] - V1.T @ V1
         C0 = 0.5 * (C0 + C0.T)
-        self.Lc, self.jit = jittered_cholesky(C0, kern.signal_variance)
-        self.Cinv = linalg.cho_solve((self.Lc, True), np.eye(q))
-        # First-argument derivative of the state-0 covariance between batch
-        # points: Dk0[i, b, j] = d Sigma0(x_i, x_b) / d x_{i j}.
-        self.Dk0 = kernel_grad_first(kern, X1, X1)
-        if n:
-            self.Dk0 = self.Dk0 - np.einsum("ind,nb->ibd", self.J_X1_D, self.A1)
+        Lc, jit = jittered_cholesky(C0, kern.signal_variance)
+        return {
+            "V1": V1,
+            "A1": A1,
+            "mu0": K_X1_D @ model.weights,
+            "J_X1_D": J_X1_D,
+            "dmu0": np.einsum("qnd,n->qd", J_X1_D, model.weights),
+            "Lc": Lc,
+            "jit": jit,
+            "Cinv": linalg.cho_solve((Lc, True), np.eye(X1.shape[0])),
+            # First-argument derivative of the state-0 covariance between
+            # batch points: Dk0[i, b, j] = d Sigma0(x_i, x_b) / d x_{i j}.
+            "Dk0": J[:, n:] - np.einsum("ind,nb->ibd", J_X1_D, A1),
+        }
 
 
 class FantasyEngine:
     """Shared machinery for fantasy sampling, density/score and stage-1 math.
 
-    Built once per (bundle, X1); all methods are vectorized over fantasies and
-    over query rows, each query row carrying the index of the fantasy it
-    belongs to.
+    Built once per (bundle, stack of batches): X1 is one batch (q, d), a
+    stack of one, or a stack (E, q, d). Every method is vectorized over
+    fantasies and over query rows. Each fantasy carries the batch it was drawn
+    at (_FantasyBatch.e) and each query row the index of its fantasy, so the
+    fantasies of every batch run through the same calls in lock step.
     """
 
     def __init__(self, bundle: PosteriorBundle, X1: np.ndarray):
         self.bundle = bundle
-        self.X1 = np.atleast_2d(np.asarray(X1, dtype=float))
-        self.q, self.d = self.X1.shape
+        X1 = np.atleast_2d(np.asarray(X1, dtype=float))
+        self.X1 = X1.reshape((-1,) + X1.shape[-2:])
+        self.E, self.q, self.d = self.X1.shape
         # Density and score work without an incumbent; alpha and the gradient
         # entry points require one and enforce it before building the engine.
         self.f0 = np.inf if bundle.incumbent_value is None else bundle.incumbent_value
@@ -243,21 +268,34 @@ class FantasyEngine:
 
     # -- sampling and density ------------------------------------------------
 
+    def _stacked(self, A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Rows (count, k) shared by every batch, or (E, count, k) per batch,
+        flattened batch-major to (E*count, k), with the batch of each row."""
+        A = np.asarray(A, dtype=float)
+        A = np.broadcast_to(A, (self.E,) + A.shape[-2:])
+        return A.reshape(-1, A.shape[-1]), np.repeat(np.arange(self.E), A.shape[1])
+
     def batch_from_normals(self, Z: np.ndarray) -> _FantasyBatch:
-        """Map standard normal rows (count, n_blocks*q) through the posterior."""
-        count = Z.shape[0]
+        """Map standard normal rows through the posterior of each batch.
+
+        Z is (count, n_blocks*q), shared by every batch, or (E, count,
+        n_blocks*q); the fantasies come out batch-major."""
+        Z, e = self._stacked(Z)
         q = self.q
         Y = []
         for b, blk in enumerate(self.blocks):
             Zb = Z[:, b * q : (b + 1) * q]
-            Y.append(blk.mu0 + Zb @ blk.Lc.T)
-        return self._finish_batch(Y, count)
+            Y.append(blk.mu0[e] + np.einsum("fq,fpq->fp", Zb, blk.Lc[e]))
+        return self._finish_batch(Y, e)
 
     def batch_from_values(self, Y: list[np.ndarray]) -> _FantasyBatch:
-        Y = [np.atleast_2d(np.asarray(Yb, dtype=float)) for Yb in Y]
-        return self._finish_batch(Y, Y[0].shape[0])
+        """Fantasies from their values: per block, (count, q) rows shared by
+        every batch or (E, count, q); batch-major like batch_from_normals."""
+        stacked = [self._stacked(np.atleast_2d(Yb)) for Yb in Y]
+        return self._finish_batch([Yb for Yb, _ in stacked], stacked[0][1])
 
-    def _finish_batch(self, Y: list[np.ndarray], count: int) -> _FantasyBatch:
+    def _finish_batch(self, Y: list[np.ndarray], e: np.ndarray) -> _FantasyBatch:
+        count = len(e)
         feasible = np.ones((count, self.q), dtype=bool)
         for Yg in Y[1:]:
             feasible &= Yg <= 0
@@ -266,94 +304,104 @@ class FantasyEngine:
         logp = np.zeros(count)
         U = []
         for b, blk in enumerate(self.blocks):
-            R = Y[b] - blk.mu0
-            W = linalg.solve_triangular(blk.Lc, R.T, lower=True)
-            logp -= 0.5 * np.einsum("qc,qc->c", W, W)
-            logp -= np.sum(np.log(np.diag(blk.Lc))) + 0.5 * self.q * np.log(2 * np.pi)
-            U.append(R @ blk.Cinv.T)  # Cinv symmetric
-        return _FantasyBatch(Y, f1, logp, U)
+            R = Y[b] - blk.mu0[e]
+            for k in range(self.E):
+                rows = e == k
+                W = linalg.solve_triangular(blk.Lc[k], R[rows].T, lower=True)
+                logp[rows] -= 0.5 * np.einsum("qc,qc->c", W, W)
+            logdet = np.sum(np.log(np.diagonal(blk.Lc, axis1=1, axis2=2)), axis=1)
+            logp -= logdet[e] + 0.5 * self.q * np.log(2 * np.pi)
+            U.append(np.einsum("fpq,fq->fp", blk.Cinv[e], R))  # Cinv symmetric
+        return _FantasyBatch(Y, f1, logp, U, e)
 
     def sample(self, count: int, seed) -> _FantasyBatch:
+        """count fantasies at every batch, all batches from the same normals."""
         Z = sobol_normal(self.n_blocks * self.q, count, seed)
         return self.batch_from_normals(Z)
 
     def score(self, batch: _FantasyBatch) -> np.ndarray:
-        """Gradient of log p(y; X1) with respect to X1, shape (count, q, d)."""
+        """Gradient of log p(y; X1) with respect to the fantasy's batch X1,
+        shape (count, q, d)."""
+        e = batch.e
         out = np.zeros((batch.n, self.q, self.d))
         for U, blk in zip(batch.U, self.blocks):
-            quad = np.einsum("ibj,fb->fij", blk.Dk0, U)
-            trace = np.einsum("ib,ibj->ij", blk.Cinv, blk.Dk0)
-            out += blk.dmu0[None, :, :] * U[:, :, None]
+            quad = np.einsum("fibj,fb->fij", blk.Dk0[e], U)
+            trace = np.einsum("eib,eibj->eij", blk.Cinv, blk.Dk0)
+            out += blk.dmu0[e] * U[:, :, None]
             out += U[:, :, None] * quad
-            out -= trace[None, :, :]
+            out -= trace[e]
         return out
 
     # -- stage-1 posterior rows ----------------------------------------------
 
-    def _stage1(self, blk: _Block, P: np.ndarray, U_rows: np.ndarray, grads: bool):
-        """Stage-1 moments at rows of P, each row tied to the fantasy whose
-        whitened residual row is U_rows. Returns a dict of row arrays: mean
-        mu1, standard deviation s1 and B = Sigma0(P, X1) Cinv; with grads also
-        the x2-derivatives dmu1 and ds1."""
+    def _own(self, M: np.ndarray, e: np.ndarray) -> np.ndarray:
+        """Cut rows of M, whose second axis runs over the flattened stack's
+        E*q points, to each row's own batch: (rows, E*q, ...) -> (rows, q, ...)."""
+        M = M.reshape((len(e), self.E, self.q) + M.shape[2:])
+        return M[np.arange(len(e)), e]
+
+    def _stage1(self, blk: _Block, P: np.ndarray, e: np.ndarray, grads: bool):
+        """State-0 terms at rows of P, row r against batch e[r]. The stage-1
+        moments are affine in the fantasy: conditioning on a fantasy with
+        whitened residual u gives mean mu0 + cross . u and the standard
+        deviation s1, which does not depend on the fantasy. Returns a dict of
+        row arrays: mu0, cross = Sigma0(P, X1), s1 and B = cross Cinv; with
+        grads also their x2-derivatives dmu0, dcross and ds1. Every row's
+        numbers are independent of the other rows in the call."""
         kern = blk.model.kernel
         n = blk.model.n_train
-        K_P_X1 = kernel_matrix(kern, P, self.X1)
-        if n:
-            K_P_D = kernel_matrix(kern, P, blk.model.train_inputs)
-            VP = linalg.solve_triangular(blk.model.chol, K_P_D.T, lower=True)
-            mu0 = K_P_D @ blk.model.weights
-            var0 = kern.signal_variance - np.einsum("nr,nr->r", VP, VP)
-            cross = K_P_X1 - VP.T @ blk.V1
-        else:
-            mu0 = np.zeros(P.shape[0])
-            var0 = np.full(P.shape[0], kern.signal_variance)
-            cross = K_P_X1
-        B = cross @ blk.Cinv.T
+        w = blk.model.weights
+        K = kernel_matrix(kern, P, blk.points)
+        K_P_D = K[:, :n]
+        VP = (K_P_D[:, None, :] @ blk.Linv.T)[:, 0]  # rows of L^{-1} k(D, P)
+        mu0 = np.einsum("rn,n->r", K_P_D, w)
+        var0 = kern.signal_variance - np.einsum("rn,rn->r", VP, VP)
+        cross = self._own(K[:, n:], e) - np.einsum("rn,rnq->rq", VP, blk.V1[e])
+        B = np.einsum("rq,rpq->rp", cross, blk.Cinv[e])  # Cinv symmetric
         s1 = np.sqrt(np.maximum(var0 - np.einsum("rq,rq->r", B, cross), 0.0))
-        mu1 = mu0 + np.einsum("rq,rq->r", cross, U_rows)
-        out = {"mu1": mu1, "s1": s1, "B": B}
+        out = {"mu0": mu0, "cross": cross, "s1": s1, "B": B}
         if grads:
-            J_P_X1 = kernel_grad_first_from(kern, P, self.X1, K_P_X1)
-            if n:
-                J_P_D = kernel_grad_first_from(kern, P, blk.model.train_inputs, K_P_D)
-                dcross = J_P_X1 - np.einsum("rnd,nq->rqd", J_P_D, blk.A1)
-                dmu0 = np.einsum("rnd,n->rd", J_P_D, blk.model.weights)
-                AP = linalg.cho_solve((blk.model.chol, True), K_P_D.T)  # (n, rows)
-                dvar0 = -2.0 * np.einsum("rnd,nr->rd", J_P_D, AP)
-            else:
-                dcross = J_P_X1
-                dmu0 = np.zeros((P.shape[0], self.d))
-                dvar0 = np.zeros((P.shape[0], self.d))
-            out["dmu1"] = dmu0 + np.einsum("rqd,rq->rd", dcross, U_rows)
+            J = kernel_grad_first_from(kern, P, blk.points, K)
+            J_P_D = J[:, :n]  # (rows, n, d)
+            dcross = self._own(J[:, n:], e) - np.swapaxes(blk.A1[e], 1, 2) @ J_P_D
+            AP = VP[:, None, :] @ blk.Linv  # rows of K_D^{-1} k(D, P), (rows, 1, n)
+            dvar0 = -2.0 * (AP @ J_P_D)[:, 0]
+            out["dmu0"] = w @ J_P_D
+            out["dcross"] = dcross
             out["ds1"] = _sd_grad(s1, dvar0 - 2.0 * np.einsum("rqd,rq->rd", dcross, B))
         return out
 
-    def stage1_x1_grads(self, b: int, X2: np.ndarray, U: np.ndarray):
+    def stage1_x1_grads(self, b: int, X2: np.ndarray, U: np.ndarray, e=0):
         """Stage-1 mean and standard deviation of block b at rows of X2, row f
-        tied to the whitened residual row U[f], and their derivatives with
-        respect to X1 at fixed fantasy values. Returns (mu1, s1, dmu1, ds1),
-        the derivatives of shape (rows, q, d)."""
+        tied to the whitened residual row U[f] of a fantasy at batch e[f]
+        (default: the first batch for every row), and their derivatives with
+        respect to that batch at fixed fantasy values. Returns (mu1, s1,
+        dmu1, ds1), the derivatives of shape (rows, q, d)."""
         blk = self.blocks[b]
-        st = self._stage1(blk, X2, U, False)
+        e = np.broadcast_to(e, (X2.shape[0],))
+        st = self._stage1(blk, X2, e, False)
         V = st["B"]  # Cinv cross, (rows, q)
+        mu1 = st["mu0"] + np.einsum("rq,rq->r", st["cross"], U)
         kern = blk.model.kernel
         # First-argument derivative of the state-0 covariance between each
         # batch point and each row: dc[f, i, j] = d Sigma0(x_i, X2_f) / d x_ij.
-        dc = np.transpose(kernel_grad_first(kern, self.X1, X2), (1, 0, 2))
-        if blk.model.n_train:
-            K_D_X2 = kernel_matrix(kern, blk.model.train_inputs, X2)  # (n, rows)
-            A_X2 = linalg.cho_solve((blk.model.chol, True), K_D_X2)
-            dc = dc - np.einsum("qnd,nf->fqd", blk.J_X1_D, A_X2)
-        rv_u = np.einsum("ibj,fb->fij", blk.Dk0, U)
-        rv_v = np.einsum("ibj,fb->fij", blk.Dk0, V)
+        dc = self._own(
+            np.transpose(kernel_grad_first(kern, self.X1.reshape(-1, self.d), X2), (1, 0, 2)), e
+        )
+        K_D_X2 = kernel_matrix(kern, blk.model.train_inputs, X2)  # (n, rows)
+        A_X2 = linalg.cho_solve((blk.model.chol, True), K_D_X2)
+        dc = dc - np.einsum("fqnd,nf->fqd", blk.J_X1_D[e], A_X2)
+        Dk0 = blk.Dk0[e]
+        rv_u = np.einsum("fibj,fb->fij", Dk0, U)
+        rv_v = np.einsum("fibj,fb->fij", Dk0, V)
         dmu1 = (
             dc * U[:, :, None]
             - V[:, :, None] * rv_u
             - rv_v * U[:, :, None]
-            - V[:, :, None] * blk.dmu0[None, :, :]
+            - V[:, :, None] * blk.dmu0[e]
         )
         dvar1 = -2.0 * dc * V[:, :, None] + 2.0 * V[:, :, None] * rv_v
-        return st["mu1"], st["s1"], dmu1, _sd_grad(st["s1"], dvar1)
+        return mu1, st["s1"], dmu1, _sd_grad(st["s1"], dvar1)
 
     def alpha_rows(
         self, P: np.ndarray, idx: np.ndarray, batch: _FantasyBatch, grads: bool = False
@@ -363,21 +411,49 @@ class FantasyEngine:
         degeneracy mask."""
         P = np.atleast_2d(P)
         idx = np.asarray(idx, dtype=int)
-        stages = [
-            self._stage1(blk, P, batch.U[b][idx], grads) for b, blk in enumerate(self.blocks)
-        ]
+        e = batch.e[idx]
+        moments, derivs = [], []
+        for b, blk in enumerate(self.blocks):
+            st = self._stage1(blk, P, e, grads)
+            U = batch.U[b][idx]
+            moments.append((st["mu0"] + np.einsum("rq,rq->r", st["cross"], U), st["s1"]))
+            if grads:
+                dmu1 = st["dmu0"] + np.einsum("rqd,rq->rd", st["dcross"], U)
+                derivs.append((dmu1, st["ds1"]))
         f1 = batch.f1[idx]
-        (mu, s), *cons = [(st["mu1"], st["s1"]) for st in stages]
+        (mu, s), *cons = moments
         if not grads:
             return (self.f0 - f1) + ei_pf((f1 - mu, s), cons)
-        (dmu, ds), *dcons = [(st["dmu1"], st["ds1"]) for st in stages]
+        (dmu, ds), *dcons = derivs
         values, grad, degen = ei_pf((f1 - mu, s), cons, [(-dmu, ds), *dcons])
         return (self.f0 - f1) + values, grad, degen
+
+    def probe_values(self, probes: np.ndarray, batch: _FantasyBatch) -> np.ndarray:
+        """alpha of every fantasy at every probe of its batch: probes is (E,
+        n_probes, d), the result (batch.n, n_probes).
+
+        The same numbers as alpha_rows on the probes tiled across the
+        fantasies, but the state-0 terms are computed once per (batch, probe)
+        and each fantasy enters only through mu1 = mu0 + cross . u."""
+        n_probes = probes.shape[1]
+        flat = probes.reshape(-1, self.d)
+        e_flat = np.repeat(np.arange(self.E), n_probes)
+        moments = []
+        for b, blk in enumerate(self.blocks):
+            st = self._stage1(blk, flat, e_flat, False)
+            cross = st["cross"].reshape(self.E, n_probes, self.q)[batch.e]
+            mu1 = st["mu0"].reshape(self.E, n_probes)[batch.e]
+            mu1 = mu1 + np.einsum("fpq,fq->fp", cross, batch.U[b])
+            moments.append((mu1, st["s1"].reshape(self.E, n_probes)[batch.e]))
+        f1 = batch.f1[:, None]
+        (mu, s), *cons = moments
+        return (self.f0 - f1) + ei_pf((f1 - mu, s), cons)
 
     # -- likelihood-ratio gradient -------------------------------------------
 
     def lr_gradients(self, batch: _FantasyBatch, X2: np.ndarray) -> np.ndarray:
-        """Gamma for every fantasy; shape (count, q, d).
+        """Gamma for every fantasy, with respect to its own batch; shape
+        (count, q, d).
 
         X2 holds one follow-up point per fantasy, row-aligned with the batch:
         shape (batch.n, d).
@@ -389,7 +465,7 @@ class FantasyEngine:
                 f"X2 must have shape (batch.n, d) = ({count}, {self.d}); got {X2.shape}"
             )
         (mu, s, dmu, ds), *cons = [
-            self.stage1_x1_grads(b, X2, batch.U[b]) for b in range(self.n_blocks)
+            self.stage1_x1_grads(b, X2, batch.U[b], batch.e) for b in range(self.n_blocks)
         ]
         values, dalpha, _ = ei_pf(
             (batch.f1 - mu, s), [c[:2] for c in cons], [(-dmu, ds), *(c[2:] for c in cons)]
@@ -407,12 +483,14 @@ class FantasyEngine:
         warm: np.ndarray | None = None,
     ):
         """Projected backtracking ascent of alpha over x2, one solve per
-        fantasy, all fantasies in lock step. Returns (X2, values, degenerate).
+        fantasy, all fantasies of every batch in lock step. Returns (X2,
+        values, degenerate). warm is one extra start for every fantasy (1, d)
+        or one per fantasy (batch.n, d).
 
         The ascent is projected_ascent, whose step rules are free of the
         scale of alpha, with a first move of 0.15 of the box and
         config.inner_steps steps; with delta > 0 every candidate is pushed out
-        of the excluded balls.
+        of the excluded balls around the data and its own batch.
 
         A huge realized improvement (f1* far below f0) is not special-cased:
         the follow-up term is the GP's own EI times PF, unclamped. A stage-1
@@ -428,25 +506,26 @@ class FantasyEngine:
         # close-together training points still get found. Each pick suppresses
         # its neighborhood before the next one; without that, a single wide
         # basin fills every slot and steep spikes elsewhere stay unvisited.
+        # With delta > 0 each batch sweeps its own pushed probes.
         n_keep = 3
-        probes = halton_design(min(64 * bounds.shape[0], 256), bounds)
+        design = halton_design(min(64 * bounds.shape[0], 256), bounds)
+        probes, e_probe = self._stacked(design)
         if config.delta > 0:
-            probes = self._push_outside(probes, config.delta)
-        pidx = np.repeat(np.arange(count), len(probes))
-        pvals = self.alpha_rows(np.tile(probes, (count, 1)), pidx, batch)
-        pv = pvals.reshape(count, len(probes))
-        radius = 3.0 * np.max(wid) / len(probes) ** (1.0 / bounds.shape[0])
-        near = (
-            np.sqrt(np.sum((probes[:, None, :] - probes[None, :, :]) ** 2, axis=-1))
-            <= radius
+            probes = self._push_outside(probes, e_probe, config.delta)
+        probes = probes.reshape(self.E, len(design), self.d)
+        pv = self.probe_values(probes, batch)
+        radius = 3.0 * np.max(wid) / len(design) ** (1.0 / bounds.shape[0])
+        near = np.stack(
+            [np.linalg.norm(p[:, None, :] - p[None, :, :], axis=-1) <= radius for p in probes]
         )
         picks = []
         for _ in range(n_keep):
             j = np.argmax(pv, axis=1)
             picks.append(j)
-            pv = np.where(near[j], -np.inf, pv)
+            pv = np.where(near[batch.e, j], -np.inf, pv)
         top = np.column_stack(picks)
-        P = np.vstack([np.tile(starts, (count, 1)), probes[top.ravel()]])
+        picked = probes[batch.e[:, None], top].reshape(-1, self.d)
+        P = np.vstack([np.tile(starts, (count, 1)), picked])
         idx = np.concatenate(
             [
                 np.repeat(np.arange(count), config.inner_restarts),
@@ -461,8 +540,10 @@ class FantasyEngine:
             idx = np.concatenate([idx, np.arange(count)])
         project = None
         if config.delta > 0:
-            P = self._push_outside(P, config.delta)
-            project = functools.partial(self._push_outside, delta=config.delta)
+            P = self._push_outside(P, batch.e[idx], config.delta)
+
+            def project(X, rows):
+                return self._push_outside(X, batch.e[idx[rows]], config.delta)
 
         def evaluate(X, rows, grads):
             out = self.alpha_rows(X, idx[rows], batch, grads)
@@ -480,23 +561,39 @@ class FantasyEngine:
         improvement = best_vals - (self.f0 - batch.f1)
         return X2, best_vals, improvement <= 1e-15
 
-    def _push_outside(self, P: np.ndarray, delta: float) -> np.ndarray:
-        """Move rows of P radially out of the delta-balls around sampled points."""
-        centers = np.vstack([self.models[0].train_inputs, self.X1])
-        P = P.copy()
-        diff = P[:, None, :] - centers[None, :, :]
-        dist = np.sqrt(np.sum(diff**2, axis=-1))
+    def _push_outside(self, P: np.ndarray, e: np.ndarray, delta: float) -> np.ndarray:
+        """Move rows of P out of the delta-balls around the data points and the
+        points of each row's batch X1[e].
+
+        A row inside some ball moves along the ray from its nearest centre
+        to the first point of that ray outside every ball. Along a ray each
+        ball is one interval, so every hop past the balls that hold the
+        current point leaves them for good: there are at most as many hops
+        as balls."""
+        data = self.models[0].train_inputs
+        centers = np.concatenate(
+            [np.broadcast_to(data, (len(P),) + data.shape), self.X1[e]], axis=1
+        )  # (rows, n + q, d)
+        dist = np.linalg.norm(P[:, None, :] - centers, axis=-1)
         nearest = np.argmin(dist, axis=1)
         rows = np.flatnonzero(dist[np.arange(len(P)), nearest] < delta)
-        for r in rows:
-            c = centers[nearest[r]]
-            v = P[r] - c
-            nv = np.linalg.norm(v)
-            if nv < 1e-14:
-                v = np.zeros_like(v)
-                v[0] = 1.0
-                nv = 1.0
-            P[r] = c + v * (delta / nv)
+        C = centers[rows]
+        c = C[np.arange(len(rows)), nearest[rows]]
+        v = P[rows] - c
+        nv = np.linalg.norm(v, axis=1)[:, None]
+        v = np.where(nv < 1e-14, np.eye(self.d)[0], v / np.maximum(nv, 1e-14))
+        # Ray c + t v meets ball k for |c - C_k + t v| < delta; it leaves
+        # the ball at t = -b + sqrt(b^2 - |c - C_k|^2 + delta^2), b = v . (c - C_k).
+        w = c[:, None, :] - C
+        b = np.einsum("rkd,rd->rk", w, v)
+        leave = -b + np.sqrt(np.maximum(b * b - np.sum(w * w, axis=-1) + delta**2, 0.0))
+        t = np.full(len(rows), float(delta))
+        for _ in range(C.shape[1]):
+            X = c + t[:, None] * v
+            inside = np.linalg.norm(X[:, None, :] - C, axis=-1) < delta
+            t = np.max(np.where(inside, leave, t[:, None]), axis=1)
+        P = P.copy()
+        P[rows] = c + t[:, None] * v
         return P
 
 
@@ -624,21 +721,31 @@ def estimate_value(
     config: TwoStepConfig,
     seed=None,
     n_samples: int | None = None,
-) -> tuple[float, float]:
+) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
     """QMC estimate of the two-step acquisition value of the batch X1.
 
     Each fantasy's inner problem is solved independently; returns the sample
-    mean and its standard error.
+    mean and its standard error. X1 may also be a stack of batches (E, q, d)
+    with seed a sequence of E seeds, one per batch: the batches are solved in
+    lock step in one engine and the results are two arrays of length E, each
+    entry the same as a call on that batch alone with its seed. seed None
+    means config.qmc_scramble_seed for every batch.
     """
     bundle.require_incumbent()
+    X1 = np.atleast_2d(np.asarray(X1, dtype=float))
     engine = FantasyEngine(bundle, X1)
     count = config.n_value_samples if n_samples is None else n_samples
+    seeds = [seed] if X1.ndim == 2 else seed
     if seed is None:
-        seed = config.qmc_scramble_seed
-    batch = engine.sample(count, seed)
+        seeds = [config.qmc_scramble_seed] * engine.E
+    dim = engine.n_blocks * engine.q
+    batch = engine.batch_from_normals(np.stack([sobol_normal(dim, count, s) for s in seeds]))
     _, vals, _ = engine.solve_inner_batch(batch, bounds, config)
-    est = float(np.mean(vals))
-    se = float(np.std(vals, ddof=1) / np.sqrt(count)) if count > 1 else np.inf
+    vals = vals.reshape(engine.E, count)
+    est = np.mean(vals, axis=1)
+    se = np.std(vals, axis=1, ddof=1) / np.sqrt(count) if count > 1 else np.full(engine.E, np.inf)
+    if X1.ndim == 2:
+        return float(est[0]), float(se[0])
     return est, se
 
 
@@ -687,14 +794,16 @@ def optimize(
     hypercube plus the myopic argmax (the two-step value dominates the myopic
     acquisition pointwise, so its own maximizer is always a serious
     candidate and usually sits in the narrow peak the hypercube misses).
-    Restarts advance in lock step. Each step draws one scrambled QMC block of
-    fantasies (shared across restarts), re-solves the inner problem on every
-    inner_solve_period-th fantasy while reusing the latest solution in
-    between, averages the likelihood-ratio gradients and takes a projected
-    step. Both the start and the endpoint of every restart are screened by a
-    QMC value estimate (so a trajectory that wanders off a good start cannot
-    drag the answer down with it) and the leaders are re-scored with the
-    larger final sample before the winner is returned.
+    Restarts advance in lock step, stacked in one FantasyEngine per step.
+    Each step draws one scrambled QMC block of fantasies (shared across
+    restarts), re-solves the inner problem on every inner_solve_period-th
+    fantasy while reusing the latest solution of the same restart in
+    between, averages each restart's likelihood-ratio gradients and takes a
+    projected step. Both the start and the endpoint of every restart are
+    screened by a QMC value estimate, all 2R in one stacked call, each with
+    its own seed (so a trajectory that wanders off a good start cannot drag
+    the answer down with it), and the top three are re-scored together on
+    one larger shared sample; the first maximum wins.
     """
     bundle.require_incumbent()
     bounds = np.atleast_2d(np.asarray(bounds, dtype=float))
@@ -714,47 +823,39 @@ def optimize(
         X[r] = _enforce_separation(X[r], widths)
     starts = X.copy()
     n_blocks = 1 + len(bundle.active_constraints)
-    warm = [None] * R
+    n_grad = config.n_grad_samples
+    warm = None
     moved_ever = np.zeros(R, dtype=bool)
-    solve_idx = np.arange(0, config.n_grad_samples, config.inner_solve_period)
+    solve_idx = np.arange(0, n_grad, config.inner_solve_period)
+    held = np.searchsorted(solve_idx, np.arange(n_grad), side="right") - 1
     for t in range(config.n_sga_steps):
-        Z = sobol_normal(n_blocks * q, config.n_grad_samples, np.random.SeedSequence((root, 17, t)))
+        Z = sobol_normal(n_blocks * q, n_grad, np.random.SeedSequence((root, 17, t)))
         scale = config.step_a / (config.step_A + t) ** config.step_gamma
+        engine = FantasyEngine(bundle, X)
+        batch = engine.batch_from_normals(Z)
+        sub = batch.subset((np.arange(R)[:, None] * n_grad + solve_idx).ravel())
+        x2s, _, _ = engine.solve_inner_batch(
+            sub, bounds, config, warm=None if warm is None else warm[sub.e]
+        )
+        x2s = x2s.reshape(R, len(solve_idx), d)
+        warm = x2s[:, -1].copy()
+        X2 = x2s[:, held].reshape(R * n_grad, d)
+        G = engine.lr_gradients(batch, X2).reshape(R, n_grad, q, d).mean(axis=1)
+        moved_ever |= np.any(G != 0.0, axis=(1, 2))
+        disp = np.clip(scale * widths * G, -0.25 * widths, 0.25 * widths)
+        X = np.clip(X + disp, lo, hi)
         for r in range(R):
-            engine = FantasyEngine(bundle, X[r])
-            batch = engine.batch_from_normals(Z)
-            sub = batch.subset(solve_idx)
-            x2s, _, _ = engine.solve_inner_batch(sub, bounds, config, warm=warm[r])
-            warm[r] = x2s[-1].copy()
-            held = np.searchsorted(solve_idx, np.arange(config.n_grad_samples), side="right") - 1
-            X2 = x2s[held]
-            G = engine.lr_gradients(batch, X2).mean(axis=0)
-            if np.any(G != 0.0):
-                moved_ever[r] = True
-            disp = np.clip(scale * widths * G, -0.25 * widths, 0.25 * widths)
-            X[r] = np.clip(X[r] + disp, lo, hi)
             X[r] = _enforce_separation(X[r], widths)
     if not np.any(moved_ever):
         warnings.warn("all restarts degenerate; falling back to the myopic acquisition")
         batch = _fallback_eic_batch(bundle, bounds, q, root)
         return TwoStepResult(batch, np.nan, np.nan, fallback_eic=True)
     cand = np.concatenate([X, starts], axis=0)
-    screen = np.empty(2 * R)
-    for r in range(2 * R):
-        screen[r], _ = estimate_value(
-            bundle, cand[r], bounds, config, seed=np.random.SeedSequence((root, 23, r))
-        )
+    seeds = [np.random.SeedSequence((root, 23, r)) for r in range(2 * R)]
+    screen, _ = estimate_value(bundle, cand, bounds, config, seed=seeds)
     top = np.argsort(-screen)[: min(3, 2 * R)]
-    best_r, best_v, best_se = -1, -np.inf, np.inf
-    for r in top:
-        v, se = estimate_value(
-            bundle,
-            cand[r],
-            bounds,
-            config,
-            seed=np.random.SeedSequence((root, 29)),
-            n_samples=config.n_final_value_samples,
-        )
-        if v > best_v:
-            best_r, best_v, best_se = int(r), v, se
-    return TwoStepResult(CandidateBatch(cand[best_r]), best_v, best_se)
+    seeds = [np.random.SeedSequence((root, 29))] * len(top)
+    n_final = config.n_final_value_samples
+    values, ses = estimate_value(bundle, cand[top], bounds, config, seeds, n_final)
+    best = int(np.argmax(values))  # the first maximum wins
+    return TwoStepResult(CandidateBatch(cand[top[best]]), float(values[best]), float(ses[best]))

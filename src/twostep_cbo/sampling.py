@@ -49,8 +49,14 @@ def halton_design(count: int, bounds: np.ndarray) -> np.ndarray:
 
 
 def _as_rng(seed) -> np.random.Generator:
+    """A generator for seed. A SeedSequence is copied first: scipy's samplers
+    spawn children from the generator's sequence, so building on the caller's
+    object would make a second draw from it differ from the first."""
     if isinstance(seed, np.random.Generator):
         return seed
     if isinstance(seed, np.random.SeedSequence):
+        seed = np.random.SeedSequence(
+            seed.entropy, spawn_key=seed.spawn_key, pool_size=seed.pool_size
+        )
         return np.random.default_rng(seed)
     return np.random.default_rng(np.random.SeedSequence(seed))

@@ -8,6 +8,10 @@ is the myopic argmax among points at least 0.3 from the data and the batch,
 where the follow-up term is large and the finite differences are clean.
 Gradient errors are measured against max(1, max|reference|): absolute for
 small gradients, relative for large ones.
+
+An engine over a stack of three batches is checked against one engine per
+batch, to 1e-12 of the same scale: a row's numbers must not depend on which
+other batches share the engine.
 """
 
 import numpy as np
@@ -15,7 +19,13 @@ import pytest
 
 from oracle_utils import make_gp_instance, numeric_grad, random_x1
 from twostep_cbo.acquisition import eic_many
-from twostep_cbo.lookahead import FantasyEngine, alpha, sample_fantasies
+from twostep_cbo.lookahead import (
+    FantasyEngine,
+    TwoStepConfig,
+    alpha,
+    estimate_value,
+    sample_fantasies,
+)
 from twostep_cbo.sampling import halton_design
 
 CASES = [(1, 1, 1), (1, 2, 2), (2, 1, 1), (2, 2, 2)]  # (d, constraints, q)
@@ -69,3 +79,95 @@ def test_pathwise_gradient_matches_reference(d, n_constraints, q):
         for i, s in enumerate(samples):
             fd = numeric_grad(lambda X: alpha(bundle, X, x2, s), X1, 1e-6)
             assert _err(pathwise[i], fd) <= 1e-4, (seed, i)
+
+
+# -- a stack of batches against one engine per batch ---------------------------
+
+STACK_CASES = [(1, 1, 1), (1, 2, 2), (2, 2, 2)]  # (d, constraints, q)
+STACK = 3
+STACK_CONFIG = TwoStepConfig(inner_restarts=2, inner_steps=30)
+
+
+def _stack_case(seed, d, n_constraints, q):
+    """A stack of three batches, one engine over all of them and one per batch,
+    with N_FANTASIES fantasies of each batch from the same normals."""
+    bundle, bounds = make_gp_instance(seed, d=d, n_constraints=n_constraints)
+    X1 = np.stack([random_x1(100 * k + seed, bounds, q, bundle) for k in range(STACK)])
+    stack = FantasyEngine(bundle, X1)
+    singles = [FantasyEngine(bundle, x1) for x1 in X1]
+    batch = stack.sample(N_FANTASIES, (seed, 1202))
+    parts = [engine.sample(N_FANTASIES, (seed, 1202)) for engine in singles]
+    return bundle, bounds, X1, stack, singles, batch, parts
+
+
+def _rows(k):
+    """The stack's fantasy rows of batch k (the fantasies are batch-major)."""
+    return slice(k * N_FANTASIES, (k + 1) * N_FANTASIES)
+
+
+@pytest.mark.parametrize("d,n_constraints,q", STACK_CASES)
+def test_stack_density_score_and_alpha_match_single_batches(d, n_constraints, q):
+    for seed in SEEDS:
+        bundle, bounds, X1, stack, singles, batch, parts = _stack_case(seed, d, n_constraints, q)
+        assert np.array_equal(batch.e, np.repeat(np.arange(STACK), N_FANTASIES))
+        score = stack.score(batch)
+        # Five query rows per fantasy, each fantasy of every batch.
+        P = halton_design(5 * N_FANTASIES, bounds)
+        idx = np.repeat(np.arange(N_FANTASIES), 5)
+        P_stack = np.tile(P, (STACK, 1))
+        idx_stack = np.concatenate([k * N_FANTASIES + idx for k in range(STACK)])
+        values, grads, _ = stack.alpha_rows(P_stack, idx_stack, batch, True)
+        X2 = halton_design(STACK * N_FANTASIES, bounds)[::-1]
+        gammas = stack.lr_gradients(batch, X2)
+        for k, (engine, part) in enumerate(zip(singles, parts)):
+            rows = _rows(k)
+            assert _err(batch.logp[rows], part.logp) <= 1e-12, (seed, k)
+            for U, U_ref in zip(batch.U, part.U):
+                assert _err(U[rows], U_ref) <= 1e-12, (seed, k)
+            assert _err(score[rows], engine.score(part)) <= 1e-12, (seed, k)
+            ref_values, ref_grads, _ = engine.alpha_rows(P, idx, part, True)
+            query = slice(k * len(P), (k + 1) * len(P))
+            assert _err(values[query], ref_values) <= 1e-12, (seed, k)
+            assert _err(grads[query], ref_grads) <= 1e-12, (seed, k)
+            assert _err(gammas[rows], engine.lr_gradients(part, X2[rows])) <= 1e-12, (seed, k)
+
+
+@pytest.mark.parametrize("d,n_constraints,q", STACK_CASES)
+def test_stack_inner_solve_matches_single_batches(d, n_constraints, q):
+    for seed in SEEDS:
+        bundle, bounds, X1, stack, singles, batch, parts = _stack_case(seed, d, n_constraints, q)
+        X2, values, _ = stack.solve_inner_batch(batch, bounds, STACK_CONFIG)
+        for k, (engine, part) in enumerate(zip(singles, parts)):
+            ref_X2, ref_values, _ = engine.solve_inner_batch(part, bounds, STACK_CONFIG)
+            assert _err(X2[_rows(k)], ref_X2) <= 1e-12, (seed, k)
+            assert _err(values[_rows(k)], ref_values) <= 1e-12, (seed, k)
+
+
+@pytest.mark.parametrize("d,n_constraints,q", STACK_CASES)
+def test_stack_estimate_value_matches_single_batches(d, n_constraints, q):
+    for seed in SEEDS:
+        bundle, bounds, X1, *_ = _stack_case(seed, d, n_constraints, q)
+        seeds = [np.random.SeedSequence((seed, 1203, k)) for k in range(STACK)]
+        est, se = estimate_value(bundle, X1, bounds, STACK_CONFIG, seed=seeds, n_samples=8)
+        assert est.shape == se.shape == (STACK,)
+        for k in range(STACK):
+            ref_est, ref_se = estimate_value(
+                bundle, X1[k], bounds, STACK_CONFIG, seed=seeds[k], n_samples=8
+            )
+            assert _err(est[k], ref_est) <= 1e-12, (seed, k)
+            assert _err(se[k], ref_se) <= 1e-12, (seed, k)
+
+
+@pytest.mark.parametrize("d,n_constraints,q", STACK_CASES)
+def test_affine_probe_pass_matches_alpha_rows(d, n_constraints, q):
+    """probe_values expands per-(batch, probe) state-0 terms through each
+    fantasy; alpha_rows on the probes tiled across the fantasies is the
+    direct route. Each batch gets its own probes."""
+    for seed in SEEDS:
+        bundle, bounds, X1, stack, _, batch, _ = _stack_case(seed, d, n_constraints, q)
+        design = halton_design(STACK * 16, bounds)
+        probes = design.reshape(STACK, 16, d)
+        got = stack.probe_values(probes, batch)
+        tiled = probes[batch.e].reshape(-1, d)
+        ref = stack.alpha_rows(tiled, np.repeat(np.arange(batch.n), 16), batch)
+        assert _err(got, ref.reshape(batch.n, 16)) <= 1e-12, seed

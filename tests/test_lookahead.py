@@ -381,6 +381,74 @@ def test_estimate_value_dominates_myopic_batch():
         assert est >= -3.0 * se
 
 
+def test_estimate_value_seed_sequence_reuse_matches_fresh_sequence():
+    bundle, bounds = make_gp_instance(1)
+    x1 = np.array([[2.3]])
+    ss = np.random.SeedSequence((1, 1120))
+    first = estimate_value(bundle, x1, bounds, SMALL, seed=ss, n_samples=16)
+    second = estimate_value(bundle, x1, bounds, SMALL, seed=ss, n_samples=16)
+    fresh = estimate_value(
+        bundle, x1, bounds, SMALL, seed=np.random.SeedSequence((1, 1120)), n_samples=16
+    )
+    assert first == fresh
+    assert second == fresh
+
+
+def test_inner_solve_leaves_every_overlapping_excluded_ball():
+    """Where delta-balls overlap, a point pushed out of its nearest ball must
+    not land in another one. On instance 5 the balls of radius 0.3 around the
+    data at 1.943 and 2.418 overlap; a push out of the nearest ball alone
+    returned x2 = 2.1177, 0.175 from 1.943, for 5 of these 8 fantasies."""
+    bundle, bounds = make_gp_instance(5)
+    x1 = np.array([[4.5]])
+    engine = FantasyEngine(bundle, x1)
+    batch = engine.sample(8, (5, 1))
+    X2, _, _ = engine.solve_inner_batch(batch, bounds, TwoStepConfig(delta=0.3))
+    anchors = np.vstack([bundle.objective.train_inputs, x1])
+    dist = np.linalg.norm(X2[:, None, :] - anchors[None, :, :], axis=-1)
+    assert np.all(dist >= 0.3 * (1.0 - 1e-9))
+
+
+def test_push_outside_uses_each_rows_own_batch():
+    """Each row is pushed out of the balls around the data and its own batch
+    only, along the ray from its nearest centre, hopping ball to ball."""
+    bundle, _ = make_gp_instance(5)
+    data = bundle.objective.train_inputs[:, 0]
+    engine = FantasyEngine(bundle, np.array([[[4.5]], [[0.5]]]))
+    P = engine._push_outside(np.array([[4.4], [4.4]]), np.array([0, 1]), 0.3)
+    near = data[np.argmin(np.abs(data - 4.4))]  # the data point at 4.211
+    # Batch 0: out of the ball around 4.5 downwards, then out of the one
+    # around 4.211. Batch 1: out of the ball around 4.211 upwards.
+    np.testing.assert_allclose(P[:, 0], [near - 0.3, near + 0.3], rtol=0, atol=1e-12)
+
+
+def test_optimize_builds_one_engine_per_sga_step_and_screening_pass(monkeypatch):
+    """All restarts share one FantasyEngine per SGA step; the 2R candidates
+    are screened in one engine and the top three re-scored in one more."""
+    built = []
+    init = FantasyEngine.__init__
+
+    def counting_init(self, bundle, X1):
+        built.append(np.shape(X1))
+        init(self, bundle, X1)
+
+    monkeypatch.setattr(FantasyEngine, "__init__", counting_init)
+    bundle, bounds = make_gp_instance(0)
+    config = TwoStepConfig(
+        n_restarts=3,
+        n_sga_steps=2,
+        n_grad_samples=4,
+        inner_restarts=2,
+        inner_steps=10,
+        n_value_samples=8,
+        n_final_value_samples=16,
+    )
+    optimize(bundle, bounds, 1, config, seed=2)
+    R = config.n_restarts + 1  # the myopic start joins the restarts
+    assert len(built) == config.n_sga_steps + 2
+    assert built == [(R, 1, 1)] * config.n_sga_steps + [(2 * R, 1, 1), (3, 1, 1)]
+
+
 def test_optimize_deterministic():
     bundle, bounds = make_gp_instance(0)
     a = optimize(bundle, bounds, 1, SMALL, seed=5)

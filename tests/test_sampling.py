@@ -69,3 +69,18 @@ def test_halton_design_prefix_property():
     a = halton_design(16, BOUNDS)
     b = halton_design(32, BOUNDS)
     assert np.allclose(a, b[:16])
+
+
+def test_seed_sequence_reuse_matches_fresh_sequence():
+    """A SeedSequence object drawn from twice gives the draws of a fresh one
+    both times; the samplers must not advance the caller's sequence."""
+    draws = (
+        lambda seed: sobol_normal(3, 8, seed),
+        lambda seed: latin_hypercube(5, BOUNDS, seed),
+    )
+    for draw in draws:
+        ss = np.random.SeedSequence((4, 7))
+        first, second = draw(ss), draw(ss)
+        fresh = draw(np.random.SeedSequence((4, 7)))
+        assert np.array_equal(first, fresh)
+        assert np.array_equal(second, fresh)
