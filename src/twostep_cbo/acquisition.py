@@ -5,9 +5,12 @@ expected improvement over the best feasible observation), the analytic
 gradient of that product, a quasi-Monte Carlo estimator of the batch
 version, and the projected backtracking ascent that every maximizer in the
 package uses. ei_pf is the one implementation of EI times PF with the sigma
-floor and its gradient; the two-step engine calls it at stage-1 moments. Constraints whose observations are all identical and feasible are
-treated as certainly feasible and contribute a factor of exactly one, which
-keeps the remaining computation byte-identical to the unconstrained case.
+floor and its gradient; eic_many, eic_grad and the two-step engine call it.
+The batch estimator draws its fantasies through the two-step FantasyEngine,
+so the joint posterior at a batch is sampled in one place. Constraints whose
+observations are all identical and feasible are treated as certainly
+feasible and contribute a factor of exactly one, which keeps the remaining
+computation byte-identical to the unconstrained case.
 """
 
 from __future__ import annotations
@@ -17,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .gp import GPModel, SIGMA_FLOOR, jittered_cholesky
-from .sampling import latin_hypercube, sobol_normal
+from .gp import GPModel, SIGMA_FLOOR
+from .sampling import latin_hypercube
 
 
 class MissingIncumbentError(RuntimeError):
@@ -129,11 +132,9 @@ def eic_many(bundle: PosteriorBundle, X: np.ndarray) -> np.ndarray:
     best = bundle.require_incumbent()
     X = np.atleast_2d(X)
     mu, var = bundle.objective.posterior_many(X)
-    value = ei(best - mu, var)
-    for c in bundle.active_constraints:
-        mc, vc = c.posterior_many(X)
-        value = value * pf(mc, vc)
-    return np.atleast_1d(value)
+    moments = (c.posterior_many(X) for c in bundle.active_constraints)
+    cons = [(mc, np.sqrt(vc)) for mc, vc in moments]
+    return ei_pf((best - mu, np.sqrt(var)), cons)
 
 
 def ei_pf(improvement, constraints=(), derivs=None):
@@ -212,33 +213,33 @@ def eic_grad(bundle: PosteriorBundle, x: np.ndarray) -> tuple[np.ndarray, bool]:
 
 def batch_eic_mc(
     bundle: PosteriorBundle, X: np.ndarray, n_samples: int = 512, seed=0
-) -> tuple[float, float]:
+) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
     """QMC estimate of the expected best feasible improvement of a batch.
 
-    Samples the joint state-0 posterior of the objective and each active
-    constraint at the batch points (objective block first, then constraints in
-    index order) and averages max_i (best - y_f_i)^+ 1{all constraints <= 0}.
-    Returns (estimate, standard error from the sample variance).
+    Draws n_samples fantasies of the joint state-0 posterior at X through a
+    FantasyEngine (objective block first, then the active constraints in
+    index order) and averages f0 - f1* = max_i (best - y_f_i)^+ 1{all
+    constraints at x_i <= 0}. Returns (estimate, standard error from the
+    sample variance). X may also be a stack of batches (E, q, d): every batch
+    uses the same normals, drawn once from seed, and the results are two
+    arrays of length E, each entry the same as a call on that batch alone.
     """
-    best = bundle.require_incumbent()
-    X = np.atleast_2d(X)
-    q = X.shape[0]
-    blocks = [bundle.objective, *bundle.active_constraints]
-    dim = len(blocks) * q
-    Z = sobol_normal(dim, n_samples, seed)
-    draws = []
-    for b, model in enumerate(blocks):
-        mu, C = model.posterior_joint(X)
-        L, _ = jittered_cholesky(C, model.kernel.signal_variance)
-        draws.append(mu + Z[:, b * q : (b + 1) * q] @ L.T)
-    improvement = np.maximum(best - draws[0], 0.0)
-    feasible = np.ones((n_samples, q), dtype=bool)
-    for Yg in draws[1:]:
-        feasible &= Yg <= 0
-    per_sample = np.max(np.where(feasible, improvement, 0.0), axis=1)
-    est = float(np.mean(per_sample))
-    se = float(np.std(per_sample, ddof=1) / np.sqrt(n_samples)) if n_samples > 1 else np.inf
-    return est, se
+    from .lookahead import FantasyEngine  # lookahead imports this module
+
+    bundle.require_incumbent()
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    engine = FantasyEngine(bundle, X)
+    batch = engine.sample(n_samples, seed)
+    return mean_and_se((engine.f0 - batch.f1).reshape(engine.E, n_samples), X.ndim == 2)
+
+
+def mean_and_se(values: np.ndarray, single: bool):
+    """Mean and standard error (inf from one sample) of each row of values,
+    shape (E, count): two arrays of length E, or two floats when single."""
+    count = values.shape[1]
+    est = np.mean(values, axis=1)
+    se = np.std(values, axis=1, ddof=1) / np.sqrt(count) if count > 1 else np.full(len(est), np.inf)
+    return (float(est[0]), float(se[0])) if single else (est, se)
 
 
 def projected_ascent(evaluate, P, bounds, first_move, steps, project=None):
@@ -303,20 +304,23 @@ def maximize_eic(bundle: PosteriorBundle, bounds: np.ndarray, seed: int) -> np.n
 
 
 def greedy_batch_eic(bundle: PosteriorBundle, bounds: np.ndarray, q: int, seed: int) -> np.ndarray:
-    """Sequential greedy batch built on the MC batch acquisition."""
-    chosen: list[np.ndarray] = []
+    """Sequential greedy batch built on the MC batch acquisition.
+
+    Each slot scores the chosen points plus one candidate, for all of 256
+    seeded Latin hypercube candidates at once, in one stacked batch_eic_mc
+    call on the slot's seed, so every candidate sees the same normals. A
+    candidate within 1e-6 of a chosen point is skipped; the first maximum
+    wins.
+    """
     cand = latin_hypercube(256, bounds, np.random.SeedSequence((seed, 29)))
+    chosen = np.zeros((0, cand.shape[1]))
     for slot in range(q):
-        best_v, best_x = -np.inf, None
         slot_seed = int(np.random.SeedSequence((seed, 31, slot)).generate_state(1)[0])
-        for x in cand:
-            X_try = np.vstack([*chosen, x]) if chosen else x.reshape(1, -1)
-            if len(chosen) and np.min(
-                np.linalg.norm(np.array(chosen) - x, axis=1)
-            ) < 1e-6:
-                continue
-            v, _ = batch_eic_mc(bundle, X_try, n_samples=256, seed=slot_seed)
-            if v > best_v:
-                best_v, best_x = v, x
-        chosen.append(best_x)
-    return np.array(chosen)
+        dist = np.linalg.norm(cand[:, None, :] - chosen[None, :, :], axis=-1)
+        free = cand[np.all(dist >= 1e-6, axis=1)]
+        stack = np.concatenate(
+            [np.broadcast_to(chosen, (len(free),) + chosen.shape), free[:, None, :]], axis=1
+        )
+        values, _ = batch_eic_mc(bundle, stack, n_samples=256, seed=slot_seed)
+        chosen = np.vstack([chosen, free[np.argmax(values)]])
+    return chosen

@@ -142,7 +142,13 @@ def main(argv=None) -> int:
 
     p_run = sub.add_parser("run", help="execute an experiment described by an INI config")
     p_run.add_argument("--config", required=True)
-    p_run.add_argument("--threads", type=int, default=None, help="worker processes")
+    p_run.add_argument(
+        "--threads",
+        type=int,
+        default=None,
+        help="worker processes; BLAS threads follow the environment, so with several "
+        "workers set OPENBLAS_NUM_THREADS=1",
+    )
     p_run.add_argument("--force", action="store_true", help="overwrite existing results")
     p_run.add_argument(
         "--compute-oracle",

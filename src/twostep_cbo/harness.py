@@ -209,11 +209,6 @@ def _record_to_row(rep: int, r: loop.IterationRecord) -> list[str]:
     ]
 
 
-def _silence_blas():
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[var] = "1"
-
-
 def _run_replication(args) -> tuple[int, list]:
     (config, rep, f_star, domain_max) = args
     problem = get_problem(config.problem)
@@ -256,6 +251,11 @@ def run_experiment(
     wall-clock times go to timings.csv, the one file exempt from that
     guarantee. Replications that abort on a numeric error are kept as partial
     records and listed under "failures" in meta.json.
+
+    Replications run in `workers` processes. BLAS threads follow the
+    environment the run starts in: the workers inherit the BLAS library the
+    parent has already loaded, so with several workers set
+    OPENBLAS_NUM_THREADS=1 (or OMP_NUM_THREADS=1) before starting the run.
     """
     out = Path(config.output_dir)
     results_path = out / "results.csv"
@@ -295,7 +295,7 @@ def run_experiment(
             rep, records = _run_replication(job)
             results[rep] = records
     else:
-        with ProcessPoolExecutor(max_workers=n_workers, initializer=_silence_blas) as pool:
+        with ProcessPoolExecutor(max_workers=n_workers) as pool:
             for rep, records in pool.map(_run_replication, jobs):
                 results[rep] = records
     elapsed = time.perf_counter() - t0

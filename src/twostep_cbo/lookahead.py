@@ -43,8 +43,10 @@ from .acquisition import (
     PosteriorBundle,
     ei,
     ei_pf,
+    eic_many,
     greedy_batch_eic,
     maximize_eic,
+    mean_and_se,
     pf,
     projected_ascent,
 )
@@ -305,13 +307,10 @@ class FantasyEngine:
         U = []
         for b, blk in enumerate(self.blocks):
             R = Y[b] - blk.mu0[e]
-            for k in range(self.E):
-                rows = e == k
-                W = linalg.solve_triangular(blk.Lc[k], R[rows].T, lower=True)
-                logp[rows] -= 0.5 * np.einsum("qc,qc->c", W, W)
-            logdet = np.sum(np.log(np.diagonal(blk.Lc, axis1=1, axis2=2)), axis=1)
-            logp -= logdet[e] + 0.5 * self.q * np.log(2 * np.pi)
             U.append(np.einsum("fpq,fq->fp", blk.Cinv[e], R))  # Cinv symmetric
+            logdet = np.sum(np.log(np.diagonal(blk.Lc, axis1=1, axis2=2)), axis=1)
+            logp -= 0.5 * np.einsum("fq,fq->f", R, U[b])
+            logp -= logdet[e] + 0.5 * self.q * np.log(2 * np.pi)
         return _FantasyBatch(Y, f1, logp, U, e)
 
     def sample(self, count: int, seed) -> _FantasyBatch:
@@ -489,8 +488,11 @@ class FantasyEngine:
 
         The ascent is projected_ascent, whose step rules are free of the
         scale of alpha, with a first move of 0.15 of the box and
-        config.inner_steps steps; with delta > 0 every candidate is pushed out
-        of the excluded balls around the data and its own batch.
+        config.inner_steps steps; with delta > 0 every start and candidate is
+        pushed out of the excluded balls around the data and its own batch,
+        then clipped to the box. Where a ball reaches past the box the box
+        wins: a point pushed out of the box is clipped back to its edge, even
+        if that lies inside the ball.
 
         A huge realized improvement (f1* far below f0) is not special-cased:
         the follow-up term is the GP's own EI times PF, unclamped. A stage-1
@@ -511,7 +513,7 @@ class FantasyEngine:
         design = halton_design(min(64 * bounds.shape[0], 256), bounds)
         probes, e_probe = self._stacked(design)
         if config.delta > 0:
-            probes = self._push_outside(probes, e_probe, config.delta)
+            probes = np.clip(self._push_outside(probes, e_probe, config.delta), *bounds.T)
         probes = probes.reshape(self.E, len(design), self.d)
         pv = self.probe_values(probes, batch)
         radius = 3.0 * np.max(wid) / len(design) ** (1.0 / bounds.shape[0])
@@ -540,7 +542,7 @@ class FantasyEngine:
             idx = np.concatenate([idx, np.arange(count)])
         project = None
         if config.delta > 0:
-            P = self._push_outside(P, batch.e[idx], config.delta)
+            P = np.clip(self._push_outside(P, batch.e[idx], config.delta), *bounds.T)
 
             def project(X, rows):
                 return self._push_outside(X, batch.e[idx[rows]], config.delta)
@@ -610,9 +612,7 @@ def fantasy_log_density_and_score(
     """
     engine = FantasyEngine(bundle, X1)
     y_g = np.asarray(y_g, dtype=float).reshape(engine.n_blocks - 1, engine.q)
-    Y = [np.atleast_2d(np.asarray(y_f, dtype=float))]
-    Y.extend(np.atleast_2d(y_g[b]) for b in range(y_g.shape[0]))
-    batch = engine.batch_from_values(Y)
+    batch = engine.batch_from_values([y_f, *y_g])
     return float(batch.logp[0]), engine.score(batch)[0]
 
 
@@ -623,21 +623,15 @@ def sample_fantasies(
     posterior (objective block first, then active constraints in order)."""
     engine = FantasyEngine(bundle, X1)
     batch = engine.sample(count, seed)
-    out = []
-    for i in range(count):
-        y_g = np.stack([Yb[i] for Yb in batch.Y[1:]]) if engine.n_blocks > 1 else np.zeros(
-            (0, engine.q)
-        )
-        out.append(
-            FantasySample(batch.Y[0][i].copy(), y_g, float(batch.logp[i]), float(batch.f1[i]))
-        )
-    return out
+    Y_g = np.stack(batch.Y[1:], axis=1) if engine.n_blocks > 1 else np.zeros((count, 0, engine.q))
+    return [
+        FantasySample(batch.Y[0][i].copy(), Y_g[i], float(batch.logp[i]), float(batch.f1[i]))
+        for i in range(count)
+    ]
 
 
 def _batch_from_sample(engine: FantasyEngine, sample: FantasySample) -> _FantasyBatch:
-    Y = [sample.y_f.reshape(1, -1)]
-    Y.extend(sample.y_g[b].reshape(1, -1) for b in range(sample.y_g.shape[0]))
-    return engine.batch_from_values(Y)
+    return engine.batch_from_values([sample.y_f, *sample.y_g])
 
 
 def alpha(bundle: PosteriorBundle, X1: np.ndarray, x2: np.ndarray, sample: FantasySample) -> float:
@@ -741,12 +735,7 @@ def estimate_value(
     dim = engine.n_blocks * engine.q
     batch = engine.batch_from_normals(np.stack([sobol_normal(dim, count, s) for s in seeds]))
     _, vals, _ = engine.solve_inner_batch(batch, bounds, config)
-    vals = vals.reshape(engine.E, count)
-    est = np.mean(vals, axis=1)
-    se = np.std(vals, axis=1, ddof=1) / np.sqrt(count) if count > 1 else np.full(engine.E, np.inf)
-    if X1.ndim == 2:
-        return float(est[0]), float(se[0])
-    return est, se
+    return mean_and_se(vals.reshape(engine.E, count), X1.ndim == 2)
 
 
 def _enforce_separation(X: np.ndarray, widths: np.ndarray) -> np.ndarray:
@@ -766,8 +755,6 @@ def _enforce_separation(X: np.ndarray, widths: np.ndarray) -> np.ndarray:
 
 
 def _fallback_eic_batch(bundle, bounds, q, seed) -> CandidateBatch:
-    from .acquisition import eic_many
-
     cand = latin_hypercube(max(2048, 64 * q), bounds, np.random.SeedSequence((seed, 97)))
     vals = eic_many(bundle, cand)
     order = np.argsort(-vals)

@@ -230,3 +230,78 @@ def test_eic_never_exceeds_unconstrained_ei():
     for x in np.linspace(0.1, 5.9, 25):
         mu, var = bundle.objective.posterior(np.array([[x]]))
         assert eic(bundle, np.array([[x]])) <= ei(best - mu, var) + 1e-12
+
+
+# ------------------------------------------------- stacked batch and greedy path
+
+
+def test_eic_many_with_one_constraint_is_ei_times_pf():
+    """eic_many runs through ei_pf; with one constraint and every sd above
+    the floor it gives the bits of ei times pf."""
+    for seed in range(6):
+        bundle, bounds = make_gp_instance(seed, d=2)
+        X = halton_design(64, bounds)
+        mu, var = bundle.objective.posterior_many(X)
+        (con,) = bundle.active_constraints
+        mc, vc = con.posterior_many(X)
+        assert np.all(np.sqrt(var) > 1e-10) and np.all(np.sqrt(vc) > 1e-10)
+        ref = ei(bundle.incumbent_value - mu, var) * pf(mc, vc)
+        assert np.array_equal(eic_many(bundle, X), ref), seed
+
+
+def test_batch_eic_mc_stack_matches_single_batches():
+    """A stack (E, q, d) shares one draw of normals, so each entry is the
+    single-batch call on the same seed; a single batch returns floats."""
+    for seed in range(6):
+        bundle, bounds = make_gp_instance(seed, d=2, n_constraints=2)
+        X = np.stack([random_x1(seed * 10 + k, bounds, 2, bundle) for k in range(4)])
+        est, se = batch_eic_mc(bundle, X, n_samples=128, seed=(seed, 1301))
+        assert est.shape == se.shape == (4,)
+        for k in range(4):
+            ref_est, ref_se = batch_eic_mc(bundle, X[k], n_samples=128, seed=(seed, 1301))
+            assert isinstance(ref_est, float) and isinstance(ref_se, float)
+            assert abs(est[k] - ref_est) <= 1e-12 * max(1.0, abs(ref_est)), (seed, k)
+            assert abs(se[k] - ref_se) <= 1e-12 * max(1.0, abs(ref_se)), (seed, k)
+
+
+def _greedy_reference(bundle, bounds, q, seed):
+    """One single-batch batch_eic_mc call per candidate and slot; candidates
+    within 1e-6 of a chosen point are skipped and the first maximum wins."""
+    from twostep_cbo.sampling import latin_hypercube
+
+    chosen = []
+    cand = latin_hypercube(256, bounds, np.random.SeedSequence((seed, 29)))
+    for slot in range(q):
+        best_v, best_x = -np.inf, None
+        slot_seed = int(np.random.SeedSequence((seed, 31, slot)).generate_state(1)[0])
+        for x in cand:
+            if chosen and np.min(np.linalg.norm(np.array(chosen) - x, axis=1)) < 1e-6:
+                continue
+            v, _ = batch_eic_mc(bundle, np.vstack([*chosen, x]), n_samples=256, seed=slot_seed)
+            if v > best_v:
+                best_v, best_x = v, x
+        chosen.append(best_x)
+    return np.array(chosen)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_greedy_batch_eic_matches_per_candidate_loop(q, monkeypatch):
+    from twostep_cbo import acquisition
+
+    calls = []
+    scorer = acquisition.batch_eic_mc
+
+    def counting(bundle, X, *args, **kwargs):
+        calls.append(np.shape(X))
+        return scorer(bundle, X, *args, **kwargs)
+
+    for seed in range(6):
+        bundle, bounds = make_gp_instance(seed, d=2)
+        ref = _greedy_reference(bundle, bounds, q, seed)
+        calls.clear()
+        monkeypatch.setattr(acquisition, "batch_eic_mc", counting)
+        got = acquisition.greedy_batch_eic(bundle, bounds, q, seed)
+        monkeypatch.undo()
+        np.testing.assert_array_equal(got, ref)
+        # one stacked call per slot; the chosen points drop out of the candidates
+        assert calls == [(256 - slot, slot + 1, 2) for slot in range(q)], seed
