@@ -52,21 +52,31 @@ class KernelParams:
         return self.lengthscales.shape[0]
 
 
+def kernel_paired(params: KernelParams, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """k(a, b) of the points of A and B paired by broadcasting over all axes
+    but the last; kernel_matrix is the all-pairs case."""
+    diff = (A - B) / params.lengthscales
+    return params.signal_variance * np.exp(-0.5 * np.einsum("...d,...d->...", diff, diff))
+
+
+def kernel_grad_paired(
+    params: KernelParams, A: np.ndarray, B: np.ndarray, K: np.ndarray
+) -> np.ndarray:
+    """Derivative in a of K = kernel_paired(params, A, B), shape (..., d)."""
+    return -K[..., None] * (A - B) / params.lengthscales**2
+
+
 def kernel_matrix(params: KernelParams, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Kernel cross-matrix k(A, B), shape (len(A), len(B))."""
     A = np.atleast_2d(A)
     B = np.atleast_2d(B)
     if A.shape[1] != params.dim or B.shape[1] != params.dim:
         raise ValueError("point dimension does not match kernel lengthscales")
-    diff = (A[:, None, :] - B[None, :, :]) / params.lengthscales
-    sq = np.einsum("mnd,mnd->mn", diff, diff)
-    return params.signal_variance * np.exp(-0.5 * sq)
+    return kernel_paired(params, A[:, None, :], B[None, :, :])
 
 
 def kernel_grad_first(params: KernelParams, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Derivative of k(a_i, b_j) with respect to a_i, shape (m, n, d)."""
-    A = np.atleast_2d(A)
-    B = np.atleast_2d(B)
     return kernel_grad_first_from(params, A, B, kernel_matrix(params, A, B))
 
 
@@ -74,8 +84,8 @@ def kernel_grad_first_from(
     params: KernelParams, A: np.ndarray, B: np.ndarray, K: np.ndarray
 ) -> np.ndarray:
     """Same as kernel_grad_first but reusing an already computed k(A, B)."""
-    diff = np.atleast_2d(A)[:, None, :] - np.atleast_2d(B)[None, :, :]
-    return -K[:, :, None] * diff / params.lengthscales**2
+    A, B = np.atleast_2d(A), np.atleast_2d(B)
+    return kernel_grad_paired(params, A[:, None, :], B[None, :, :], K)
 
 
 def _min_pairwise_distance(X: np.ndarray) -> float:
@@ -179,9 +189,9 @@ class GPModel:
         if self.n_train == 0:
             return np.zeros(self.dim), np.zeros(self.dim), False
         xr = x.reshape(1, -1)
-        J = kernel_grad_first(self.kernel, xr, self.train_inputs)[0]  # (n, d)
-        dmean = J.T @ self.weights
         kxd = kernel_matrix(self.kernel, xr, self.train_inputs)[0]
+        J = kernel_grad_first_from(self.kernel, xr, self.train_inputs, kxd[None])[0]  # (n, d)
+        dmean = J.T @ self.weights
         u = linalg.cho_solve((self.chol, True), kxd)
         var = self.kernel.signal_variance - kxd @ u
         sigma = np.sqrt(max(var, 0.0))

@@ -19,7 +19,8 @@ vector y held fixed, so differentiation never passes through the
 discontinuous f1*. Sampling, density, score and all posterior updates share
 one FantasyEngine, which caches the state-0 factorizations so that thousands
 of fantasies are processed with matrix products instead of refits. An engine
-holds a stack of batches X1, so optimize runs all its restarts through one
+holds a stack of batches X1, factorized at once, and each batch matches an
+engine of its own within 1e-12: optimize runs all its restarts through one
 engine per SGA step and screens all its candidates through one engine; the
 stage-1 moments are affine in the fantasy, so the value-only probe sweep of
 the inner solve computes the state-0 terms once per (batch, probe). A slower
@@ -51,12 +52,14 @@ from .acquisition import (
     projected_ascent,
 )
 from .gp import (
+    JITTER_INITIAL,
     SIGMA_FLOOR,
     GPModel,
     jittered_cholesky,
-    kernel_grad_first,
     kernel_grad_first_from,
+    kernel_grad_paired,
     kernel_matrix,
+    kernel_paired,
 )
 from .sampling import halton_design, latin_hypercube, sobol_normal
 
@@ -199,51 +202,49 @@ class _FantasyBatch:
 
 class _Block:
     """Cached state-0 quantities of one GP block at a stack of batches X1,
-    shape (E, q, d). Every per-batch array carries the batch as its leading
-    axis. Each batch is factorized on its own, so its arrays do not depend on
-    the rest of the stack."""
-
-    ARRAYS = ("V1", "A1", "mu0", "J_X1_D", "dmu0", "Lc", "jit", "Cinv", "Dk0")
+    shape (E, q, d), built for the whole stack at once: one kernel call, row
+    products with Linv, batched matmul and one batched Cholesky. Every array
+    carries the batch as its leading axis, and no batch's numbers depend on
+    the rest of the stack, so each matches an engine of its own within 1e-12."""
 
     def __init__(self, model: GPModel, X1: np.ndarray):
         self.model = model
-        # The data, then every batch point of the stack: query rows get their
-        # kernel row against all of them from one call.
-        self.points = np.vstack([model.train_inputs, X1.reshape(-1, X1.shape[-1])])
+        kern, w = model.kernel, model.weights
+        E, q, d = X1.shape
         # Inverse of the data's Cholesky factor. Query rows go through
         # products with it, row by row, so a row gets the same bits whatever
         # rows share the call (a one-column triangular solve does not).
         self.Linv = linalg.solve_triangular(model.chol, np.eye(model.n_train), lower=True)
-        per_batch = [self._one_batch(model, x1) for x1 in X1]
-        for name in self.ARRAYS:
-            setattr(self, name, np.stack([arrays[name] for arrays in per_batch]))
+        flat, data = X1.reshape(-1, d), model.train_inputs
+        K_X1_D = kernel_matrix(kern, flat, data)  # (E*q, n)
+        V1 = (K_X1_D[:, None, :] @ self.Linv.T)[:, 0]
+        # Rows of L^{-1} k(D, X1) and of K_D^{-1} k(D, X1), each (E, q, n).
+        self.V1 = V1.reshape(E, q, -1)
+        self.A1 = (V1[:, None, :] @ self.Linv).reshape(E, q, -1)
+        self.J_X1_D = kernel_grad_first_from(kern, flat, data, K_X1_D).reshape(E, q, -1, d)
+        self.mu0 = np.einsum("rn,n->r", K_X1_D, w).reshape(E, q)
+        self.dmu0 = np.einsum("eqnd,n->eqd", self.J_X1_D, w)
+        pairs = (X1[:, :, None, :], X1[:, None, :, :])
+        K11 = kernel_paired(kern, *pairs)  # (E, q, q)
+        C0 = K11 - self.V1 @ np.swapaxes(self.V1, 1, 2)
+        self.Lc, self.jit = self._cholesky(0.5 * (C0 + np.swapaxes(C0, 1, 2)), kern.signal_variance)
+        Lc_inv = np.linalg.inv(self.Lc)  # inv(C0) itself would lose cond(C0) * eps
+        self.Cinv = np.swapaxes(Lc_inv, 1, 2) @ Lc_inv
+        # First-argument derivative of the state-0 covariance between batch
+        # points: Dk0[e, i, b, j] = d Sigma0(x_i, x_b) / d x_{i j}.
+        A1_J = np.einsum("eind,ebn->eibd", self.J_X1_D, self.A1)
+        self.Dk0 = kernel_grad_paired(kern, *pairs, K11) - A1_J
 
     @staticmethod
-    def _one_batch(model: GPModel, X1: np.ndarray) -> dict:
-        kern = model.kernel
-        n = model.n_train
-        points = np.vstack([model.train_inputs, X1])
-        K = kernel_matrix(kern, X1, points)
-        J = kernel_grad_first_from(kern, X1, points, K)
-        K_X1_D, J_X1_D = K[:, :n], J[:, :n]  # (q, n), (q, n, d)
-        V1 = linalg.solve_triangular(model.chol, K_X1_D.T, lower=True)  # (n, q)
-        A1 = linalg.cho_solve((model.chol, True), K_X1_D.T)  # K_D^{-1} k(D, X1)
-        C0 = K[:, n:] - V1.T @ V1
-        C0 = 0.5 * (C0 + C0.T)
-        Lc, jit = jittered_cholesky(C0, kern.signal_variance)
-        return {
-            "V1": V1,
-            "A1": A1,
-            "mu0": K_X1_D @ model.weights,
-            "J_X1_D": J_X1_D,
-            "dmu0": np.einsum("qnd,n->qd", J_X1_D, model.weights),
-            "Lc": Lc,
-            "jit": jit,
-            "Cinv": linalg.cho_solve((Lc, True), np.eye(X1.shape[0])),
-            # First-argument derivative of the state-0 covariance between
-            # batch points: Dk0[i, b, j] = d Sigma0(x_i, x_b) / d x_{i j}.
-            "Dk0": J[:, n:] - np.einsum("ind,nb->ibd", J_X1_D, A1),
-        }
+    def _cholesky(C: np.ndarray, scale: float) -> tuple[np.ndarray, np.ndarray]:
+        """Cholesky factors of a stack C + jit I and their jitters: one batched
+        call at the initial jitter, else jittered_cholesky batch by batch."""
+        jit = JITTER_INITIAL * scale
+        try:
+            return np.linalg.cholesky(C + jit * np.eye(C.shape[-1])), np.full(len(C), jit)
+        except np.linalg.LinAlgError:
+            factors = [jittered_cholesky(c, scale) for c in C]
+            return np.stack([L for L, _ in factors]), np.array([j for _, j in factors])
 
 
 class FantasyEngine:
@@ -333,38 +334,32 @@ class FantasyEngine:
 
     # -- stage-1 posterior rows ----------------------------------------------
 
-    def _own(self, M: np.ndarray, e: np.ndarray) -> np.ndarray:
-        """Cut rows of M, whose second axis runs over the flattened stack's
-        E*q points, to each row's own batch: (rows, E*q, ...) -> (rows, q, ...)."""
-        M = M.reshape((len(e), self.E, self.q) + M.shape[2:])
-        return M[np.arange(len(e)), e]
-
-    def _stage1(self, blk: _Block, P: np.ndarray, e: np.ndarray, grads: bool):
-        """State-0 terms at rows of P, row r against batch e[r]. The stage-1
-        moments are affine in the fantasy: conditioning on a fantasy with
-        whitened residual u gives mean mu0 + cross . u and the standard
-        deviation s1, which does not depend on the fantasy. Returns a dict of
-        row arrays: mu0, cross = Sigma0(P, X1), s1 and B = cross Cinv; with
-        grads also their x2-derivatives dmu0, dcross and ds1. Every row's
-        numbers are independent of the other rows in the call."""
-        kern = blk.model.kernel
-        n = blk.model.n_train
-        w = blk.model.weights
-        K = kernel_matrix(kern, P, blk.points)
-        K_P_D = K[:, :n]
+    def _stage1(self, blk: _Block, P: np.ndarray, e: np.ndarray, grads: bool, ap: bool = False):
+        """State-0 terms at rows of P, row r against the data and its own
+        batch e[r] only. The stage-1 moments are affine in the fantasy:
+        conditioning on a fantasy with whitened residual u gives mean mu0 +
+        cross . u and the standard deviation s1, which does not depend on the
+        fantasy. Returns a dict of row arrays: mu0, cross = Sigma0(P, X1), s1,
+        B = cross Cinv and K_own = k(P, X1); with grads also the x2-derivatives
+        dmu0, dcross and ds1, and with grads or ap the rows AP of K_D^{-1}
+        k(D, P). Every row's numbers are independent of the other rows."""
+        kern, w = blk.model.kernel, blk.model.weights
+        K_P_D = kernel_matrix(kern, P, blk.model.train_inputs)
+        X1 = self.X1[e]  # (rows, q, d)
+        K_own = kernel_paired(kern, P[:, None, :], X1)  # (rows, q)
         VP = (K_P_D[:, None, :] @ blk.Linv.T)[:, 0]  # rows of L^{-1} k(D, P)
         mu0 = np.einsum("rn,n->r", K_P_D, w)
         var0 = kern.signal_variance - np.einsum("rn,rn->r", VP, VP)
-        cross = self._own(K[:, n:], e) - np.einsum("rn,rnq->rq", VP, blk.V1[e])
+        cross = K_own - np.einsum("rn,rqn->rq", VP, blk.V1[e])
         B = np.einsum("rq,rpq->rp", cross, blk.Cinv[e])  # Cinv symmetric
         s1 = np.sqrt(np.maximum(var0 - np.einsum("rq,rq->r", B, cross), 0.0))
-        out = {"mu0": mu0, "cross": cross, "s1": s1, "B": B}
+        out = {"mu0": mu0, "cross": cross, "s1": s1, "B": B, "K_own": K_own}
+        if grads or ap:
+            out["AP"] = (VP[:, None, :] @ blk.Linv)[:, 0]
         if grads:
-            J = kernel_grad_first_from(kern, P, blk.points, K)
-            J_P_D = J[:, :n]  # (rows, n, d)
-            dcross = self._own(J[:, n:], e) - np.swapaxes(blk.A1[e], 1, 2) @ J_P_D
-            AP = VP[:, None, :] @ blk.Linv  # rows of K_D^{-1} k(D, P), (rows, 1, n)
-            dvar0 = -2.0 * (AP @ J_P_D)[:, 0]
+            J_P_D = kernel_grad_first_from(kern, P, blk.model.train_inputs, K_P_D)  # (rows, n, d)
+            dcross = kernel_grad_paired(kern, P[:, None, :], X1, K_own) - blk.A1[e] @ J_P_D
+            dvar0 = -2.0 * (out["AP"][:, None, :] @ J_P_D)[:, 0]
             out["dmu0"] = w @ J_P_D
             out["dcross"] = dcross
             out["ds1"] = _sd_grad(s1, dvar0 - 2.0 * np.einsum("rqd,rq->rd", dcross, B))
@@ -378,18 +373,13 @@ class FantasyEngine:
         dmu1, ds1), the derivatives of shape (rows, q, d)."""
         blk = self.blocks[b]
         e = np.broadcast_to(e, (X2.shape[0],))
-        st = self._stage1(blk, X2, e, False)
+        st = self._stage1(blk, X2, e, False, ap=True)
         V = st["B"]  # Cinv cross, (rows, q)
         mu1 = st["mu0"] + np.einsum("rq,rq->r", st["cross"], U)
-        kern = blk.model.kernel
         # First-argument derivative of the state-0 covariance between each
         # batch point and each row: dc[f, i, j] = d Sigma0(x_i, X2_f) / d x_ij.
-        dc = self._own(
-            np.transpose(kernel_grad_first(kern, self.X1.reshape(-1, self.d), X2), (1, 0, 2)), e
-        )
-        K_D_X2 = kernel_matrix(kern, blk.model.train_inputs, X2)  # (n, rows)
-        A_X2 = linalg.cho_solve((blk.model.chol, True), K_D_X2)
-        dc = dc - np.einsum("fqnd,nf->fqd", blk.J_X1_D[e], A_X2)
+        dc = kernel_grad_paired(blk.model.kernel, self.X1[e], X2[:, None, :], st["K_own"])
+        dc = dc - np.einsum("fqnd,fn->fqd", blk.J_X1_D[e], st["AP"])
         Dk0 = blk.Dk0[e]
         rv_u = np.einsum("fibj,fb->fij", Dk0, U)
         rv_v = np.einsum("fibj,fb->fij", Dk0, V)

@@ -16,11 +16,15 @@ other batches share the engine.
 
 import numpy as np
 import pytest
+from scipy import linalg
 
 from oracle_utils import make_gp_instance, numeric_grad, random_x1
+from twostep_cbo import lookahead
 from twostep_cbo.acquisition import eic_many
+from twostep_cbo.gp import JITTER_INITIAL, jittered_cholesky, kernel_grad_first, kernel_matrix
 from twostep_cbo.lookahead import (
     FantasyEngine,
+    _Block,
     TwoStepConfig,
     alpha,
     estimate_value,
@@ -171,3 +175,99 @@ def test_affine_probe_pass_matches_alpha_rows(d, n_constraints, q):
         tiled = probes[batch.e].reshape(-1, d)
         ref = stack.alpha_rows(tiled, np.repeat(np.arange(batch.n), 16), batch)
         assert _err(got, ref.reshape(batch.n, 16)) <= 1e-12, seed
+
+
+# -- the stacked block against one scipy factorization per batch ---------------
+
+
+def _block_reference(model, x1):
+    """Every array of _Block for the one batch x1, with scipy's triangular
+    and Cholesky solves, one batch at a time."""
+    kern, n, w = model.kernel, model.n_train, model.weights
+    points = np.vstack([model.train_inputs, x1])
+    K = kernel_matrix(kern, x1, points)
+    J = kernel_grad_first(kern, x1, points)
+    K_X1_D, J_X1_D = K[:, :n], J[:, :n]
+    V1 = linalg.solve_triangular(model.chol, K_X1_D.T, lower=True)  # (n, q)
+    A1 = linalg.cho_solve((model.chol, True), K_X1_D.T)
+    C0 = K[:, n:] - V1.T @ V1
+    Lc, jit = jittered_cholesky(0.5 * (C0 + C0.T), kern.signal_variance)
+    return {
+        "V1": V1.T,
+        "A1": A1.T,
+        "J_X1_D": J_X1_D,
+        "mu0": K_X1_D @ w,
+        "dmu0": np.einsum("qnd,n->qd", J_X1_D, w),
+        "Lc": Lc,
+        "jit": jit,
+        "Cinv": linalg.cho_solve((Lc, True), np.eye(len(x1))),
+        "Dk0": J[:, n:] - np.einsum("ind,nb->ibd", J_X1_D, A1),
+    }
+
+
+@pytest.mark.parametrize("n_constraints", [1, 2])
+@pytest.mark.parametrize("q", [2, 3])
+def test_stacked_block_matches_per_batch_scipy_reference(q, n_constraints):
+    """Six batches, one of them with two points 1e-7 apart, where the
+    covariance is carried by the jitter: that batch's jitter is
+    jittered_cholesky's, and every other batch keeps the initial one.
+
+    That batch's covariance has a condition number near 1e8, so the
+    rounding-level gap between the block's row-by-row products with L^{-1}
+    and scipy's triangular solve moves its factor by 2.5e-12 and its inverse
+    by 1.8e-8 of their largest entries. There the factor is checked through
+    the covariance it carries, and the inverse against scipy's inverse of the
+    block's own factor; both hold to 1e-12 on every batch."""
+    for seed in SEEDS:
+        bundle, bounds = make_gp_instance(seed, d=2, n_constraints=n_constraints)
+        X1 = np.stack([random_x1(100 * k + seed, bounds, q, bundle) for k in range(6)])
+        X1[4, 1] = X1[4, 0] + 1e-7
+        engine = FantasyEngine(bundle, X1)
+        for model, blk in zip(engine.models, engine.blocks):
+            for k in range(6):
+                ref = _block_reference(model, X1[k])
+                for name, value in ref.items():
+                    if k != 4 or name not in ("Lc", "Cinv"):
+                        assert _err(getattr(blk, name)[k], value) <= 1e-12, (seed, k, name)
+                Lc = blk.Lc[k]
+                assert _err(Lc @ Lc.T, ref["Lc"] @ ref["Lc"].T) <= 1e-12, (seed, k)
+                Cinv = linalg.cho_solve((Lc, True), np.eye(q))
+                assert _err(blk.Cinv[k], Cinv) <= 1e-12, (seed, k)
+                initial = JITTER_INITIAL * model.kernel.signal_variance
+                assert blk.jit[k] == (ref["jit"] if k == 4 else initial), (seed, k)
+
+
+def test_stacked_cholesky_escalates_only_the_batches_that_need_it():
+    """A batch that is not positive definite at the initial jitter sends the
+    stack through jittered_cholesky batch by batch; only that batch's jitter
+    rises (twice here: its smallest eigenvalue is about -5e-7)."""
+    C = np.stack([np.eye(2), np.array([[1.0, 1.0], [1.0, 1.0 - 1e-6]]), 2.0 * np.eye(2)])
+    L, jit = _Block._cholesky(C, 1.0)
+    np.testing.assert_array_equal(jit, [JITTER_INITIAL, 100 * JITTER_INITIAL, JITTER_INITIAL])
+    for k in range(3):
+        L_ref, jit_ref = jittered_cholesky(C[k], 1.0)
+        np.testing.assert_array_equal(L[k], L_ref)
+        assert jit[k] == jit_ref
+
+
+def test_query_rows_meet_only_the_data_and_their_own_batch(monkeypatch):
+    """No kernel call of the stage-1 rows spans more than the n data columns:
+    a row's own batch comes from a paired product, so a stack of six batches
+    costs a query row no wider kernel row than one batch does."""
+    bundle, bounds = make_gp_instance(3, d=2, n_constraints=2)
+    n = bundle.objective.n_train
+    X1 = np.stack([random_x1(100 * k + 3, bounds, 2, bundle) for k in range(6)])
+    engine = FantasyEngine(bundle, X1)
+    batch = engine.sample(4, (3, 1204))
+    widths = []
+
+    def recording(params, A, B):
+        K = kernel_matrix(params, A, B)
+        widths.append(K.shape[1])
+        return K
+
+    monkeypatch.setattr(lookahead, "kernel_matrix", recording)
+    P = halton_design(3 * batch.n, bounds)
+    engine.alpha_rows(P, np.repeat(np.arange(batch.n), 3), batch, grads=True)
+    engine.lr_gradients(batch, halton_design(batch.n, bounds))
+    assert widths and max(widths) <= n
