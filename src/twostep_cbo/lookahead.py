@@ -202,10 +202,10 @@ class _FantasyBatch:
 
 class _Block:
     """Cached state-0 quantities of one GP block at a stack of batches X1,
-    shape (E, q, d), built for the whole stack at once: one kernel call, row
+    shape (E, q, d), built at once: one kernel call against the data, row
     products with Linv, batched matmul and one batched Cholesky. Every array
-    carries the batch as its leading axis, and no batch's numbers depend on
-    the rest of the stack, so each matches an engine of its own within 1e-12."""
+    carries the batch as its leading axis; no batch's numbers depend on the
+    rest of the stack, so each matches an engine of its own within 1e-12."""
 
     def __init__(self, model: GPModel, X1: np.ndarray):
         self.model = model

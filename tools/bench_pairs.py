@@ -4,11 +4,12 @@
         --pairs acq_p3_q2=1-10 --pairs acq_p1_q1=1-4 --out BENCH_6.json
 
 Each revision is extracted with ``git archive`` into a directory of its own,
-so a run sees only committed files and both sides run the same benchmark
-code from their own trees. For every listed workload and seed the collector
-runs ``perfbench/run.py --trace 0`` once on each side, one pair after the
-other; the side that runs first alternates from pair to pair, so a drift of
-the host's speed does not favour either side. The record holds both git
+so a run sees only committed files and each side runs the benchmark code of
+its own tree. For every listed workload and seed the collector
+runs ``perfbench/run.py --trace 0`` once on each side for the
+``run_seconds`` that ``BENCHMARK.json`` sets, one pair after the other; the
+side that runs first alternates from pair to pair, so a drift of the host's
+speed does not favour either side. The record holds both git
 revisions, the command, and for every run its environment line, its summary
 line (the last line ``perfbench/run.py`` prints) and its exit code, plus, per
 workload and metric, the medians and the pairs the change won.
@@ -52,7 +53,6 @@ def parse_args(argv):
         metavar="WORKLOAD=SEEDS",
         help="a workload and its seeds, e.g. acq_p3_q2=1-10; repeat for more workloads",
     )
-    ap.add_argument("--seconds", type=float, default=15.0, help="--seconds of each run")
     ap.add_argument("--out", required=True, help="JSON record to write")
     return ap.parse_args(argv)
 
@@ -70,9 +70,13 @@ def extract(rev: str, dest: Path) -> str:
     return sha
 
 
+def run_args(workload, seed, seconds) -> list[str]:
+    return ["--workload", str(workload), "--seed", str(seed), "--seconds", str(seconds),
+            "--trace", "0"]
+
+
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+    cmd = [sys.executable, "perfbench/run.py", *run_args(workload, seed, seconds)]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.splitlines()
     env = next((json.loads(line[4:]) for line in lines if line.startswith("env ")), None)
@@ -120,6 +124,7 @@ def main(argv=None) -> int:
         plan.extend((workload, seed) for seed in seed_list(seeds))
     manifest = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in manifest["end_to_end"]}
+    seconds = manifest["run_seconds"]
     with tempfile.TemporaryDirectory(prefix="bench_pairs-") as work:
         trees = {"parent": Path(work) / "parent", "change": Path(work) / "change"}
         revs = {side: extract(rev, trees[side])
@@ -129,15 +134,14 @@ def main(argv=None) -> int:
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             pair = {"workload": workload, "seed": seed, "first": order[0]}
             for side in order:
-                pair[side] = run_once(trees[side], workload, seed, args.seconds)
+                pair[side] = run_once(trees[side], workload, seed, seconds)
                 print(f"{workload} seed {seed} {side}: exit {pair[side]['exit']}, "
                       f"op_s {metric(pair[side], 'op_s')}", flush=True)
             pairs.append(pair)
     record = {
         "parent": {"ref": args.parent, "rev": revs["parent"]},
         "change": {"ref": args.change, "rev": revs["change"]},
-        "command": ["python3", "perfbench/run.py", "--workload", "W", "--seed", "S",
-                    "--seconds", str(args.seconds), "--trace", "0"],
+        "command": [*manifest["command"], *run_args("W", "S", seconds)],
         "digest": digest(pairs, better),
         "pairs": pairs,
     }
