@@ -126,12 +126,10 @@ def selftest(verbose: bool = False) -> int:
     se = score.std(axis=0, ddof=1) / np.sqrt(batch.n)
     check("score identity", np.all(np.abs(score.mean(axis=0)) < 5 * se + 1e-12))
     x2 = np.array([1.0, 1.0])
-    a_ref = lookahead.alpha(bundle, X1, x2, samples[0])
-    a_eng = float(
-        engine.alpha_rows(
-            x2.reshape(1, -1), np.array([0]), lookahead._batch_from_sample(engine, samples[0])
-        )[0]
-    )
+    sample = samples[0]
+    a_ref = lookahead.alpha(bundle, X1, x2, sample)
+    fantasy = engine.batch_from_values([sample.y_f, *sample.y_g])
+    a_eng = float(engine.alpha_rows(x2.reshape(1, -1), np.array([0]), fantasy)[0])
     check("alpha engine vs reference", abs(a_ref - a_eng) < 1e-8)
     return failures
 

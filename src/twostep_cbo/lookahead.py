@@ -238,13 +238,17 @@ class _Block:
     @staticmethod
     def _cholesky(C: np.ndarray, scale: float) -> tuple[np.ndarray, np.ndarray]:
         """Cholesky factors of a stack C + jit I and their jitters: one batched
-        call at the initial jitter, else jittered_cholesky batch by batch."""
+        call at the initial jitter, else batch by batch, so that only a batch
+        that fails alone escalates, through jittered_cholesky."""
         jit = JITTER_INITIAL * scale
         try:
             return np.linalg.cholesky(C + jit * np.eye(C.shape[-1])), np.full(len(C), jit)
         except np.linalg.LinAlgError:
-            factors = [jittered_cholesky(c, scale) for c in C]
-            return np.stack([L for L, _ in factors]), np.array([j for _, j in factors])
+            if len(C) == 1:
+                L, jit = jittered_cholesky(C[0], scale)
+                return L[None], np.array([jit])
+        parts = [_Block._cholesky(c[None], scale) for c in C]
+        return np.concatenate([L for L, _ in parts]), np.concatenate([j for _, j in parts])
 
 
 class FantasyEngine:
@@ -334,15 +338,15 @@ class FantasyEngine:
 
     # -- stage-1 posterior rows ----------------------------------------------
 
-    def _stage1(self, blk: _Block, P: np.ndarray, e: np.ndarray, grads: bool, ap: bool = False):
+    def _stage1(self, blk: _Block, P: np.ndarray, e: np.ndarray, grads: bool):
         """State-0 terms at rows of P, row r against the data and its own
         batch e[r] only. The stage-1 moments are affine in the fantasy:
         conditioning on a fantasy with whitened residual u gives mean mu0 +
         cross . u and the standard deviation s1, which does not depend on the
         fantasy. Returns a dict of row arrays: mu0, cross = Sigma0(P, X1), s1,
-        B = cross Cinv and K_own = k(P, X1); with grads also the x2-derivatives
-        dmu0, dcross and ds1, and with grads or ap the rows AP of K_D^{-1}
-        k(D, P). Every row's numbers are independent of the other rows."""
+        B = cross Cinv, K_own = k(P, X1) and VP = L^{-1} k(D, P); with grads
+        also the x2-derivatives dmu0, dcross and ds1. Every row's numbers are
+        independent of the other rows."""
         kern, w = blk.model.kernel, blk.model.weights
         K_P_D = kernel_matrix(kern, P, blk.model.train_inputs)
         X1 = self.X1[e]  # (rows, q, d)
@@ -353,13 +357,12 @@ class FantasyEngine:
         cross = K_own - np.einsum("rn,rqn->rq", VP, blk.V1[e])
         B = np.einsum("rq,rpq->rp", cross, blk.Cinv[e])  # Cinv symmetric
         s1 = np.sqrt(np.maximum(var0 - np.einsum("rq,rq->r", B, cross), 0.0))
-        out = {"mu0": mu0, "cross": cross, "s1": s1, "B": B, "K_own": K_own}
-        if grads or ap:
-            out["AP"] = (VP[:, None, :] @ blk.Linv)[:, 0]
+        out = {"mu0": mu0, "cross": cross, "s1": s1, "B": B, "K_own": K_own, "VP": VP}
         if grads:
+            AP = (VP[:, None, :] @ blk.Linv)[:, 0]  # rows of K_D^{-1} k(D, P)
             J_P_D = kernel_grad_first_from(kern, P, blk.model.train_inputs, K_P_D)  # (rows, n, d)
             dcross = kernel_grad_paired(kern, P[:, None, :], X1, K_own) - blk.A1[e] @ J_P_D
-            dvar0 = -2.0 * (out["AP"][:, None, :] @ J_P_D)[:, 0]
+            dvar0 = -2.0 * (AP[:, None, :] @ J_P_D)[:, 0]
             out["dmu0"] = w @ J_P_D
             out["dcross"] = dcross
             out["ds1"] = _sd_grad(s1, dvar0 - 2.0 * np.einsum("rqd,rq->rd", dcross, B))
@@ -373,13 +376,14 @@ class FantasyEngine:
         dmu1, ds1), the derivatives of shape (rows, q, d)."""
         blk = self.blocks[b]
         e = np.broadcast_to(e, (X2.shape[0],))
-        st = self._stage1(blk, X2, e, False, ap=True)
+        st = self._stage1(blk, X2, e, False)
+        AP = (st["VP"][:, None, :] @ blk.Linv)[:, 0]  # rows of K_D^{-1} k(D, X2)
         V = st["B"]  # Cinv cross, (rows, q)
         mu1 = st["mu0"] + np.einsum("rq,rq->r", st["cross"], U)
         # First-argument derivative of the state-0 covariance between each
         # batch point and each row: dc[f, i, j] = d Sigma0(x_i, X2_f) / d x_ij.
         dc = kernel_grad_paired(blk.model.kernel, self.X1[e], X2[:, None, :], st["K_own"])
-        dc = dc - np.einsum("fqnd,fn->fqd", blk.J_X1_D[e], st["AP"])
+        dc = dc - np.einsum("fqnd,fn->fqd", blk.J_X1_D[e], AP)
         Dk0 = blk.Dk0[e]
         rv_u = np.einsum("fibj,fb->fij", Dk0, U)
         rv_v = np.einsum("fibj,fb->fij", Dk0, V)
@@ -620,10 +624,6 @@ def sample_fantasies(
     ]
 
 
-def _batch_from_sample(engine: FantasyEngine, sample: FantasySample) -> _FantasyBatch:
-    return engine.batch_from_values([sample.y_f, *sample.y_g])
-
-
 def alpha(bundle: PosteriorBundle, X1: np.ndarray, x2: np.ndarray, sample: FantasySample) -> float:
     """Two-step integrand via explicit refits (reference path).
 
@@ -658,7 +658,7 @@ def inner_maximize(
     """
     bundle.require_incumbent()
     engine = FantasyEngine(bundle, X1)
-    batch = _batch_from_sample(engine, sample)
+    batch = engine.batch_from_values([sample.y_f, *sample.y_g])
     X2, vals, degen = engine.solve_inner_batch(
         batch, bounds, config, warm=None if warm is None else np.atleast_2d(warm)
     )
@@ -671,7 +671,7 @@ def lr_gradient_sample(
     """Single-fantasy likelihood-ratio gradient of the two-step value at X1."""
     bundle.require_incumbent()
     engine = FantasyEngine(bundle, X1)
-    batch = _batch_from_sample(engine, sample)
+    batch = engine.batch_from_values([sample.y_f, *sample.y_g])
     return engine.lr_gradients(batch, np.atleast_2d(x2_star))[0]
 
 
