@@ -240,34 +240,23 @@ def test_stacked_block_matches_per_batch_scipy_reference(q, n_constraints):
 def test_stacked_cholesky_escalates_only_the_batches_that_need_it():
     """A batch that is not positive definite at the initial jitter goes
     through jittered_cholesky, and only its jitter rises (twice here: its
-    smallest eigenvalue is about -5e-7); the other batches keep the initial
-    jitter and the factor they get on their own."""
-    C = np.stack([np.eye(2), np.array([[1.0, 1.0], [1.0, 1.0 - 1e-6]]), 2.0 * np.eye(2)])
+    smallest eigenvalue is about -5e-7). Every other batch, the last one
+    ill-conditioned (condition number near 1e8, where a factor's last bits
+    reach its inverse amplified), keeps the initial jitter and, bit for bit,
+    the factor it gets in a stack of its own."""
+    Q, _ = np.linalg.qr(np.random.default_rng(5).normal(size=(2, 2)))
+    ill = (Q * np.array([1.0, 1e-8])) @ Q.T
+    failing = np.array([[1.0, 1.0], [1.0, 1.0 - 1e-6]])
+    C = np.stack([np.eye(2), failing, 2.0 * np.eye(2), 0.5 * (ill + ill.T)])
     L, jit = _Block._cholesky(C, 1.0)
-    np.testing.assert_array_equal(jit, [JITTER_INITIAL, 100 * JITTER_INITIAL, JITTER_INITIAL])
-    L_ref, jit_ref = jittered_cholesky(C[1], 1.0)
+    np.testing.assert_array_equal(jit, [1, 100, 1, 1] * np.array(JITTER_INITIAL))
+    L_ref, jit_ref = jittered_cholesky(failing, 1.0)
     np.testing.assert_array_equal(L[1], L_ref)
     assert jit[1] == jit_ref
-    for k in (0, 2):
-        np.testing.assert_array_equal(L[k], np.linalg.cholesky(C[k] + JITTER_INITIAL * np.eye(2)))
-
-
-def test_stacked_cholesky_keeps_a_passing_batch_independent_of_a_failing_one():
-    """An ill-conditioned batch (condition number near 1e8, where a factor's
-    last bits reach its inverse amplified) that factorizes at the initial
-    jitter gets the same factor and jitter bit for bit whether it stands
-    alone or shares the stack with a batch that needs escalation."""
-    rng = np.random.default_rng(5)
-    Q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
-    ill = (Q * np.array([1.0, 1e-8, 1e-8])) @ Q.T
-    ill = 0.5 * (ill + ill.T)
-    failing = np.array([[1.0, 1.0, 0.0], [1.0, 1.0 - 1e-6, 0.0], [0.0, 0.0, 1.0]])
-    L_alone, jit_alone = _Block._cholesky(ill[None], 1.0)
-    for k, C in ((1, np.stack([failing, ill])), (0, np.stack([ill, failing]))):
-        L, jit = _Block._cholesky(C, 1.0)
+    for k in (0, 2, 3):
+        L_alone, jit_alone = _Block._cholesky(C[k : k + 1], 1.0)
         np.testing.assert_array_equal(L[k], L_alone[0])
-        assert jit[k] == jit_alone[0] == JITTER_INITIAL
-        assert jit[1 - k] == 100 * JITTER_INITIAL
+        assert jit_alone[0] == jit[k]
 
 
 def test_query_rows_meet_only_the_data_and_their_own_batch(monkeypatch):
