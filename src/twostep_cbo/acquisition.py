@@ -193,22 +193,25 @@ def ei_pf(improvement, constraints=(), derivs=None):
     return values, grad, ~np.logical_and.reduce(above_floor)
 
 
-def eic_grad(bundle: PosteriorBundle, x: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Gradient of eic at a point; degenerate flag set when any posterior
-    standard deviation sits below the floor (those factors contribute zero)."""
+def eic_grad(bundle: PosteriorBundle, x: np.ndarray):
+    """Gradient of eic at a point (d,) or at rows (m, d), with a degenerate
+    flag (a mask for rows) set when any posterior standard deviation sits
+    below the floor or near a data point (those factors contribute zero)."""
     best = bundle.require_incumbent()
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    mu, var = bundle.objective.posterior(x)
-    dmu, dsig, degen = bundle.objective.posterior_grads(x)
+    x = np.asarray(x, dtype=float)
+    X = np.atleast_2d(x)
+    mu, var = bundle.objective.posterior_many(X)
+    dmu, dsig, degen = bundle.objective.posterior_grads(X)
     cons, dcons = [], []
     for c in bundle.active_constraints:
-        mc, vc = c.posterior(x)
-        dmc, dsc, cdegen = c.posterior_grads(x)
+        mc, vc = c.posterior_many(X)
+        dmc, dsc, cdegen = c.posterior_grads(X)
         cons.append((mc, np.sqrt(vc)))
         dcons.append((dmc, dsc))
-        degen = degen or cdegen
+        degen = degen | cdegen
     _, grad, at_floor = ei_pf((best - mu, np.sqrt(var)), cons, [(-dmu, dsig), *dcons])
-    return grad, bool(degen or at_floor)
+    degen = degen | at_floor
+    return (grad[0], bool(degen[0])) if x.ndim < 2 else (grad, degen)
 
 
 def batch_eic_mc(
@@ -297,7 +300,7 @@ def maximize_eic(bundle: PosteriorBundle, bounds: np.ndarray, seed: int) -> np.n
         values = eic_many(bundle, X)
         if not grads:
             return values
-        return values, np.stack([eic_grad(bundle, x)[0] for x in X])
+        return values, eic_grad(bundle, X)[0]
 
     X, vals = projected_ascent(evaluate, starts, bounds, first_move=0.15, steps=60)
     return X[int(np.argmax(vals))]

@@ -5,10 +5,13 @@ exactly up to a diagonal jitter added for numerical stability; the jitter
 starts at ``1e-8 * signal_variance`` and escalates by factors of ten up to
 ``1e-2 * signal_variance`` before factorization is abandoned.
 
-The model is a frozen dataclass holding the Cholesky factor of the jittered
-kernel matrix, so posterior queries and fantasy conditioning are cheap and
-deterministic. Hyperparameters are fit by multistart L-BFGS-B on the log
-marginal likelihood in log-parameter space.
+The model is a frozen dataclass holding the Cholesky factor L of the
+jittered kernel matrix and its inverse. GPModel.rows is the one home of the
+posterior at query rows and of its x-derivatives, shared by posterior_many,
+posterior_grads, the myopic EIC, the loop's mean polish and the fantasy
+engine; it reaches L^{-1} by row products, so a row's numbers do not depend
+on the rows sharing the call. Hyperparameters are fit by multistart L-BFGS-B
+on the log marginal likelihood in log-parameter space.
 """
 
 from __future__ import annotations
@@ -23,6 +26,10 @@ JITTER_INITIAL = 1e-8
 JITTER_MAX = 1e-2
 SIGMA_FLOOR = 1e-10
 DUPLICATE_TOL = 1e-8
+# Closer than this to a data point the posterior variance is no larger than
+# the jitter, so its derivative describes the jitter, not the model: the sigma
+# gradients of posterior_grads and fantasy_posterior_grads are zeroed there.
+NEAR_DATA_TOL = np.sqrt(DUPLICATE_TOL)
 
 
 class FactorizationError(RuntimeError):
@@ -88,6 +95,20 @@ def kernel_grad_first_from(
     return kernel_grad_paired(params, A[:, None, :], B[None, :, :], K)
 
 
+def sd_grad(sd: np.ndarray, dvar: np.ndarray) -> np.ndarray:
+    """Derivative of a standard deviation from that of its variance,
+    d sd = d var / (2 sd); zero where sd is at or below SIGMA_FLOOR. dvar is
+    shaped like sd plus trailing axes."""
+    scale = np.where(sd > SIGMA_FLOOR, 0.5 / np.maximum(sd, SIGMA_FLOOR), 0.0)
+    return scale.reshape(scale.shape + (1,) * (dvar.ndim - sd.ndim)) * dvar
+
+
+def _nearest(X: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Distance from each row of X to the nearest of points; inf when there are none."""
+    d2 = np.sum((X[:, None, :] - points[None, :, :]) ** 2, axis=-1)
+    return np.sqrt(np.min(d2, axis=1, initial=np.inf))
+
+
 def _min_pairwise_distance(X: np.ndarray) -> float:
     if X.shape[0] < 2:
         return np.inf
@@ -104,6 +125,7 @@ class GPModel:
     train_inputs: np.ndarray
     train_targets: np.ndarray
     chol: np.ndarray = field(repr=False)
+    chol_inv: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
     jitter: float
 
@@ -116,25 +138,41 @@ class GPModel:
             raise ValueError("inputs and targets disagree on the number of points")
         if X.shape[0] == 0:
             empty = np.zeros((0, 0))
-            return cls(params, X.reshape(0, params.dim), y, empty, np.zeros(0), 0.0)
+            return cls(params, X.reshape(0, params.dim), y, empty, empty, np.zeros(0), 0.0)
         if X.shape[1] != params.dim:
             raise ValueError("input dimension does not match kernel lengthscales")
         L, jit = jittered_cholesky(kernel_matrix(params, X, X), params.signal_variance)
         w = linalg.cho_solve((L, True), y)
-        return cls(params, X, y, L, w, jit)
+        L_inv = linalg.solve_triangular(L, np.eye(len(L)), lower=True)
+        return cls(params, X, y, L, L_inv, w, jit)
 
     @property
     def n_train(self) -> int:
         return self.train_inputs.shape[0]
 
-    @property
-    def dim(self) -> int:
-        return self.kernel.dim
-
     def posterior(self, x: np.ndarray) -> tuple[float, float]:
         """Posterior mean and variance at a single point."""
         m, v = self.posterior_many(np.atleast_2d(x))
         return float(m[0]), float(v[0])
+
+    def rows(self, X: np.ndarray, grads: bool = False) -> dict:
+        """Posterior terms at rows of X against the data D, row r independent
+        of every other row: K = k(X, D), V = rows of L^{-1} k(D, X), mean and
+        the unclipped variance var; with grads also J = d k(X, D) / dX of
+        shape (rows, n, d), A = rows of K_D^{-1} k(D, X), and the derivatives
+        dmean and dvar, shape (rows, d). A model without data gives the prior."""
+        X = np.atleast_2d(X)
+        K = kernel_matrix(self.kernel, X, self.train_inputs)
+        # Row products, not a many-column triangular solve, whose bits for
+        # one row depend on the other rows of the call.
+        V = (K[:, None, :] @ self.chol_inv.T)[:, 0]
+        var = self.kernel.signal_variance - np.einsum("rn,rn->r", V, V)
+        out = dict(K=K, V=V, mean=np.einsum("rn,n->r", K, self.weights), var=var)
+        if grads:
+            A = (V[:, None, :] @ self.chol_inv)[:, 0]
+            J = kernel_grad_first_from(self.kernel, X, self.train_inputs, K)
+            out.update(J=J, A=A, dmean=self.weights @ J, dvar=-2.0 * (A[:, None, :] @ J)[:, 0])
+        return out
 
     def posterior_many(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Posterior means and variances at rows of X. Variances clipped at zero.
@@ -144,15 +182,10 @@ class GPModel:
         factorization stability would otherwise leak in at that scale.
         """
         X = np.atleast_2d(X)
-        if self.n_train == 0:
-            return np.zeros(X.shape[0]), np.full(X.shape[0], self.kernel.signal_variance)
-        Kxd = kernel_matrix(self.kernel, X, self.train_inputs)
-        mean = Kxd @ self.weights
-        V = linalg.solve_triangular(self.chol, Kxd.T, lower=True)
-        var = self.kernel.signal_variance - np.einsum("ij,ij->j", V, V)
-        d2 = np.sum((X[:, None, :] - self.train_inputs[None, :, :]) ** 2, axis=-1)
-        var[np.min(d2, axis=1) <= DUPLICATE_TOL**2] = 0.0
-        return mean, np.maximum(var, 0.0)
+        r = self.rows(X)
+        var = r["var"]
+        var[_nearest(X, self.train_inputs) <= DUPLICATE_TOL] = 0.0
+        return r["mean"], np.maximum(var, 0.0)
 
     def posterior_joint(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Joint posterior mean vector and covariance matrix over rows of X."""
@@ -178,28 +211,25 @@ class GPModel:
         targets = np.concatenate([self.train_targets, y1])
         return GPModel.fit(stacked, targets, self.kernel)
 
-    def posterior_grads(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
-        """Gradients of the posterior mean and standard deviation at a point.
+    def posterior_grads(self, x: np.ndarray):
+        """Gradients of the posterior mean and standard deviation at a point
+        (d,) or at rows (m, d).
 
-        Returns (dmean, dsigma, degenerate). When the posterior standard
-        deviation falls below a floor the sigma gradient is returned as zeros
-        with degenerate=True.
+        Returns (dmean, dsigma, degenerate), shaped (d,), (d,) and a bool for
+        a point, (m, d), (m, d) and (m,) for rows. Degenerate within
+        NEAR_DATA_TOL of a data point or where the standard deviation is at
+        or below SIGMA_FLOOR; there the sigma gradient is zeros.
         """
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        if self.n_train == 0:
-            return np.zeros(self.dim), np.zeros(self.dim), False
-        xr = x.reshape(1, -1)
-        kxd = kernel_matrix(self.kernel, xr, self.train_inputs)[0]
-        J = kernel_grad_first_from(self.kernel, xr, self.train_inputs, kxd[None])[0]  # (n, d)
-        dmean = J.T @ self.weights
-        u = linalg.cho_solve((self.chol, True), kxd)
-        var = self.kernel.signal_variance - kxd @ u
-        sigma = np.sqrt(max(var, 0.0))
-        near = np.sqrt(np.min(np.sum((self.train_inputs - x) ** 2, axis=-1)))
-        if sigma <= SIGMA_FLOOR or near < 1e-6:
-            return dmean, np.zeros(self.dim), True
-        dvar = -2.0 * (J.T @ u)
-        return dmean, dvar / (2.0 * sigma), False
+        x = np.asarray(x, dtype=float)
+        X = np.atleast_2d(x)
+        r = self.rows(X, grads=True)
+        sigma = np.sqrt(np.maximum(r["var"], 0.0))
+        near = _nearest(X, self.train_inputs) < NEAR_DATA_TOL
+        degenerate = near | (sigma <= SIGMA_FLOOR)
+        dsigma = np.where(near[:, None], 0.0, sd_grad(sigma, r["dvar"]))
+        if x.ndim < 2:
+            return r["dmean"][0], dsigma[0], bool(degenerate[0])
+        return r["dmean"], dsigma, degenerate
 
     def fantasy_posterior_grads(
         self, X1: np.ndarray, y1: np.ndarray, x2: np.ndarray
@@ -209,8 +239,8 @@ class GPModel:
 
         The fantasy targets y1 are held fixed. Returns (dmean, dsigma,
         degenerate), each of shape (q, d): row i is the derivative with respect
-        to batch point i. Degenerate when x2 is within DUPLICATE_TOL**0.5 of a
-        data or batch point, or the one-step standard deviation is at or below
+        to batch point i. Degenerate when x2 is within NEAR_DATA_TOL of a data
+        or batch point, or the one-step standard deviation is at or below
         SIGMA_FLOOR; then dsigma is zeroed. The derivatives are the fantasy
         engine's, which the likelihood-ratio gradient uses.
         """
@@ -223,9 +253,8 @@ class GPModel:
         engine = FantasyEngine(PosteriorBundle(self, (), None, None, ()), X1)
         U = engine.batch_from_values([y1]).U[0]
         _, s1, dmu, dsigma = engine.stage1_x1_grads(0, x2.reshape(1, -1), U)
-        everything = np.vstack([self.train_inputs, X1]) if self.n_train else X1
-        near = np.sqrt(np.min(np.sum((everything - x2) ** 2, axis=-1)))
-        if s1[0] <= SIGMA_FLOOR or near < np.sqrt(DUPLICATE_TOL):
+        near = _nearest(x2.reshape(1, -1), np.vstack([self.train_inputs, X1]))[0]
+        if s1[0] <= SIGMA_FLOOR or near < NEAR_DATA_TOL:
             return dmu[0], np.zeros_like(dmu[0]), True
         return dmu[0], dsigma[0], False
 
@@ -264,7 +293,8 @@ def _nll_and_grad(theta, X, y, jit_rel):
     ls = np.exp(theta[1:])
     n = X.shape[0]
     params = KernelParams(sv, ls)
-    K = kernel_matrix(params, X, X) + jit_rel * sv * np.eye(n)
+    Kc = kernel_matrix(params, X, X)
+    K = Kc + jit_rel * sv * np.eye(n)
     try:
         L = linalg.cholesky(K, lower=True)
     except linalg.LinAlgError:
@@ -275,7 +305,6 @@ def _nll_and_grad(theta, X, y, jit_rel):
     S = np.outer(w, w) - Kinv
     grad = np.empty_like(theta)
     grad[0] = -0.5 * np.sum(S * K)  # dK/dlog sv = K (jitter scales with sv)
-    Kc = kernel_matrix(params, X, X)
     for j in range(len(ls)):
         D = ((X[:, j, None] - X[None, :, j]) / ls[j]) ** 2
         grad[1 + j] = -0.5 * np.sum(S * (Kc * D))

@@ -18,7 +18,9 @@ with the inner maximizer x2* held fixed (envelope argument) and the fantasy
 vector y held fixed, so differentiation never passes through the
 discontinuous f1*. Sampling, density, score and all posterior updates share
 one FantasyEngine, which caches the state-0 factorizations so that thousands
-of fantasies are processed with matrix products instead of refits. An engine
+of fantasies are processed with matrix products instead of refits. The
+state-0 posterior at batch points and query rows comes from GPModel.rows;
+the engine adds only the terms of each row's own batch. An engine
 holds a stack of batches X1, factorized at once, and each batch matches an
 engine of its own within 1e-12: optimize runs all its restarts through one
 engine per SGA step and screens all its candidates through one engine; the
@@ -38,7 +40,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg
 
 from .acquisition import (
     PosteriorBundle,
@@ -53,25 +54,15 @@ from .acquisition import (
 )
 from .gp import (
     JITTER_INITIAL,
-    SIGMA_FLOOR,
     GPModel,
     jittered_cholesky,
-    kernel_grad_first_from,
     kernel_grad_paired,
-    kernel_matrix,
     kernel_paired,
+    sd_grad,
 )
 from .sampling import halton_design, latin_hypercube, sobol_normal
 
 SEPARATION_TOL = 1e-8
-
-
-def _sd_grad(sd: np.ndarray, dvar: np.ndarray) -> np.ndarray:
-    """Derivative of a standard deviation from that of its variance,
-    d sd = d var / (2 sd); zero where sd is at or below SIGMA_FLOOR. dvar is
-    shaped like sd plus trailing axes."""
-    scale = np.where(sd > SIGMA_FLOOR, 0.5 / np.maximum(sd, SIGMA_FLOOR), 0.0)
-    return scale.reshape(scale.shape + (1,) * (dvar.ndim - sd.ndim)) * dvar
 
 
 @dataclass(frozen=True)
@@ -202,28 +193,22 @@ class _FantasyBatch:
 
 class _Block:
     """Cached state-0 quantities of one GP block at a stack of batches X1,
-    shape (E, q, d), built at once: one kernel call against the data, row
-    products with Linv, batched matmul and one batched Cholesky. Every array
-    carries the batch as its leading axis; no batch's numbers depend on the
-    rest of the stack, so each matches an engine of its own within 1e-12."""
+    shape (E, q, d), built at once: the model's rows at every batch point,
+    batched matmul and one batched Cholesky. Every array carries the batch as
+    its leading axis; no batch's numbers depend on the rest of the stack, so
+    each matches an engine of its own within 1e-12."""
 
     def __init__(self, model: GPModel, X1: np.ndarray):
         self.model = model
-        kern, w = model.kernel, model.weights
+        kern = model.kernel
         E, q, d = X1.shape
-        # Inverse of the data's Cholesky factor. Query rows go through
-        # products with it, row by row, so a row gets the same bits whatever
-        # rows share the call (a one-column triangular solve does not).
-        self.Linv = linalg.solve_triangular(model.chol, np.eye(model.n_train), lower=True)
-        flat, data = X1.reshape(-1, d), model.train_inputs
-        K_X1_D = kernel_matrix(kern, flat, data)  # (E*q, n)
-        V1 = (K_X1_D[:, None, :] @ self.Linv.T)[:, 0]
+        r = model.rows(X1.reshape(-1, d), grads=True)
         # Rows of L^{-1} k(D, X1) and of K_D^{-1} k(D, X1), each (E, q, n).
-        self.V1 = V1.reshape(E, q, -1)
-        self.A1 = (V1[:, None, :] @ self.Linv).reshape(E, q, -1)
-        self.J_X1_D = kernel_grad_first_from(kern, flat, data, K_X1_D).reshape(E, q, -1, d)
-        self.mu0 = np.einsum("rn,n->r", K_X1_D, w).reshape(E, q)
-        self.dmu0 = np.einsum("eqnd,n->eqd", self.J_X1_D, w)
+        self.V1 = r["V"].reshape(E, q, -1)
+        self.A1 = r["A"].reshape(E, q, -1)
+        self.J_X1_D = r["J"].reshape(E, q, -1, d)
+        self.mu0 = r["mean"].reshape(E, q)
+        self.dmu0 = r["dmean"].reshape(E, q, d)
         pairs = (X1[:, :, None, :], X1[:, None, :, :])
         K11 = kernel_paired(kern, *pairs)  # (E, q, q)
         C0 = K11 - self.V1 @ np.swapaxes(self.V1, 1, 2)
@@ -339,33 +324,26 @@ class FantasyEngine:
     # -- stage-1 posterior rows ----------------------------------------------
 
     def _stage1(self, blk: _Block, P: np.ndarray, e: np.ndarray, grads: bool):
-        """State-0 terms at rows of P, row r against the data and its own
+        """Stage-1 terms at rows of P, row r against the data and its own
         batch e[r] only. The stage-1 moments are affine in the fantasy:
         conditioning on a fantasy with whitened residual u gives mean mu0 +
         cross . u and the standard deviation s1, which does not depend on the
-        fantasy. Returns a dict of row arrays: mu0, cross = Sigma0(P, X1), s1,
-        B = cross Cinv, K_own = k(P, X1) and VP = L^{-1} k(D, P); with grads
-        also the x2-derivatives dmu0, dcross and ds1. Every row's numbers are
-        independent of the other rows."""
-        kern, w = blk.model.kernel, blk.model.weights
-        K_P_D = kernel_matrix(kern, P, blk.model.train_inputs)
+        fantasy. Returns the model's rows at P (GPModel.rows) plus the row
+        arrays cross = Sigma0(P, X1), s1, B = cross Cinv and K_own = k(P, X1);
+        with grads also the x2-derivatives dcross and ds1. Every row's numbers
+        are independent of the other rows."""
+        kern = blk.model.kernel
+        out = blk.model.rows(P, grads)
         X1 = self.X1[e]  # (rows, q, d)
         K_own = kernel_paired(kern, P[:, None, :], X1)  # (rows, q)
-        VP = (K_P_D[:, None, :] @ blk.Linv.T)[:, 0]  # rows of L^{-1} k(D, P)
-        mu0 = np.einsum("rn,n->r", K_P_D, w)
-        var0 = kern.signal_variance - np.einsum("rn,rn->r", VP, VP)
-        cross = K_own - np.einsum("rn,rqn->rq", VP, blk.V1[e])
+        cross = K_own - np.einsum("rn,rqn->rq", out["V"], blk.V1[e])
         B = np.einsum("rq,rpq->rp", cross, blk.Cinv[e])  # Cinv symmetric
-        s1 = np.sqrt(np.maximum(var0 - np.einsum("rq,rq->r", B, cross), 0.0))
-        out = {"mu0": mu0, "cross": cross, "s1": s1, "B": B, "K_own": K_own, "VP": VP}
+        s1 = np.sqrt(np.maximum(out["var"] - np.einsum("rq,rq->r", B, cross), 0.0))
+        out.update(cross=cross, s1=s1, B=B, K_own=K_own)
         if grads:
-            AP = (VP[:, None, :] @ blk.Linv)[:, 0]  # rows of K_D^{-1} k(D, P)
-            J_P_D = kernel_grad_first_from(kern, P, blk.model.train_inputs, K_P_D)  # (rows, n, d)
-            dcross = kernel_grad_paired(kern, P[:, None, :], X1, K_own) - blk.A1[e] @ J_P_D
-            dvar0 = -2.0 * (AP[:, None, :] @ J_P_D)[:, 0]
-            out["dmu0"] = w @ J_P_D
+            dcross = kernel_grad_paired(kern, P[:, None, :], X1, K_own) - blk.A1[e] @ out["J"]
             out["dcross"] = dcross
-            out["ds1"] = _sd_grad(s1, dvar0 - 2.0 * np.einsum("rqd,rq->rd", dcross, B))
+            out["ds1"] = sd_grad(s1, out["dvar"] - 2.0 * np.einsum("rqd,rq->rd", dcross, B))
         return out
 
     def stage1_x1_grads(self, b: int, X2: np.ndarray, U: np.ndarray, e=0):
@@ -376,14 +354,13 @@ class FantasyEngine:
         dmu1, ds1), the derivatives of shape (rows, q, d)."""
         blk = self.blocks[b]
         e = np.broadcast_to(e, (X2.shape[0],))
-        st = self._stage1(blk, X2, e, False)
-        AP = (st["VP"][:, None, :] @ blk.Linv)[:, 0]  # rows of K_D^{-1} k(D, X2)
+        st = self._stage1(blk, X2, e, True)  # for A; the x2-derivatives go unused
         V = st["B"]  # Cinv cross, (rows, q)
-        mu1 = st["mu0"] + np.einsum("rq,rq->r", st["cross"], U)
+        mu1 = st["mean"] + np.einsum("rq,rq->r", st["cross"], U)
         # First-argument derivative of the state-0 covariance between each
         # batch point and each row: dc[f, i, j] = d Sigma0(x_i, X2_f) / d x_ij.
         dc = kernel_grad_paired(blk.model.kernel, self.X1[e], X2[:, None, :], st["K_own"])
-        dc = dc - np.einsum("fqnd,fn->fqd", blk.J_X1_D[e], AP)
+        dc = dc - np.einsum("fqnd,fn->fqd", blk.J_X1_D[e], st["A"])
         Dk0 = blk.Dk0[e]
         rv_u = np.einsum("fibj,fb->fij", Dk0, U)
         rv_v = np.einsum("fibj,fb->fij", Dk0, V)
@@ -394,7 +371,7 @@ class FantasyEngine:
             - V[:, :, None] * blk.dmu0[e]
         )
         dvar1 = -2.0 * dc * V[:, :, None] + 2.0 * V[:, :, None] * rv_v
-        return mu1, st["s1"], dmu1, _sd_grad(st["s1"], dvar1)
+        return mu1, st["s1"], dmu1, sd_grad(st["s1"], dvar1)
 
     def alpha_rows(
         self, P: np.ndarray, idx: np.ndarray, batch: _FantasyBatch, grads: bool = False
@@ -409,9 +386,9 @@ class FantasyEngine:
         for b, blk in enumerate(self.blocks):
             st = self._stage1(blk, P, e, grads)
             U = batch.U[b][idx]
-            moments.append((st["mu0"] + np.einsum("rq,rq->r", st["cross"], U), st["s1"]))
+            moments.append((st["mean"] + np.einsum("rq,rq->r", st["cross"], U), st["s1"]))
             if grads:
-                dmu1 = st["dmu0"] + np.einsum("rqd,rq->rd", st["dcross"], U)
+                dmu1 = st["dmean"] + np.einsum("rqd,rq->rd", st["dcross"], U)
                 derivs.append((dmu1, st["ds1"]))
         f1 = batch.f1[idx]
         (mu, s), *cons = moments
@@ -435,7 +412,7 @@ class FantasyEngine:
         for b, blk in enumerate(self.blocks):
             st = self._stage1(blk, flat, e_flat, False)
             cross = st["cross"].reshape(self.E, n_probes, self.q)[batch.e]
-            mu1 = st["mu0"].reshape(self.E, n_probes)[batch.e]
+            mu1 = st["mean"].reshape(self.E, n_probes)[batch.e]
             mu1 = mu1 + np.einsum("fpq,fq->fp", cross, batch.U[b])
             moments.append((mu1, st["s1"].reshape(self.E, n_probes)[batch.e]))
         f1 = batch.f1[:, None]

@@ -17,13 +17,7 @@ import numpy as np
 
 from . import lookahead
 from .acquisition import PosteriorBundle, greedy_batch_eic, maximize_eic, projected_ascent
-from .gp import (
-    FactorizationError,
-    GPModel,
-    fit_hyperparameters,
-    kernel_grad_first_from,
-    kernel_matrix,
-)
+from .gp import FactorizationError, GPModel, fit_hyperparameters
 from .lookahead import TwoStepConfig
 from .problems import ConstrainedProblem
 from .sampling import latin_hypercube
@@ -132,14 +126,10 @@ def _polish_mean_descent(
     model: GPModel, cand: np.ndarray, bounds: np.ndarray, steps: int = 20
 ) -> np.ndarray:
     """Projected gradient descent of the posterior mean, all rows in lock step."""
-    X_train, w = model.train_inputs, model.weights
 
     def neg_mean(X, rows, grads):
-        K = kernel_matrix(model.kernel, X, X_train)
-        if not grads:
-            return -(K @ w)
-        J = kernel_grad_first_from(model.kernel, X, X_train, K)
-        return -(K @ w), -np.einsum("ind,n->id", J, w)
+        r = model.rows(X, grads)
+        return (-r["mean"], -r["dmean"]) if grads else -r["mean"]
 
     X, _ = projected_ascent(neg_mean, cand, bounds, first_move=0.1, steps=steps)
     return X

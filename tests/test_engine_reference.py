@@ -19,7 +19,7 @@ import pytest
 from scipy import linalg
 
 from oracle_utils import make_gp_instance, numeric_grad, random_x1
-from twostep_cbo import lookahead
+from twostep_cbo import gp
 from twostep_cbo.acquisition import eic_many
 from twostep_cbo.gp import JITTER_INITIAL, jittered_cholesky, kernel_grad_first, kernel_matrix
 from twostep_cbo.lookahead import (
@@ -275,7 +275,7 @@ def test_query_rows_meet_only_the_data_and_their_own_batch(monkeypatch):
         widths.append(K.shape[1])
         return K
 
-    monkeypatch.setattr(lookahead, "kernel_matrix", recording)
+    monkeypatch.setattr(gp, "kernel_matrix", recording)
     P = halton_design(3 * batch.n, bounds)
     engine.alpha_rows(P, np.repeat(np.arange(batch.n), 3), batch, grads=True)
     engine.lr_gradients(batch, halton_design(batch.n, bounds))

@@ -10,6 +10,8 @@ from oracle_utils import numeric_grad
 from twostep_cbo.gp import (
     DUPLICATE_TOL,
     JITTER_INITIAL,
+    NEAR_DATA_TOL,
+    SIGMA_FLOOR,
     FactorizationError,
     GPModel,
     KernelParams,
@@ -352,6 +354,21 @@ def test_fantasy_grads_degenerate_near_x2():
     dmu, dsig, degen = model.fantasy_posterior_grads(X1, [0.0], X1[0])
     assert degen
     np.testing.assert_allclose(dsig, 0.0)
+
+
+def test_sigma_grads_share_one_near_data_rule():
+    """At 1e-5 from a data point, inside NEAR_DATA_TOL, both sigma gradients
+    are zeros and flagged degenerate though the standard deviation is above
+    SIGMA_FLOOR; at 10 NEAR_DATA_TOL neither is."""
+    model = _toy_model(20)
+    X1 = model.train_inputs[1:2] + 0.5
+    for offset, inside in ((1e-5, True), (10 * NEAR_DATA_TOL, False)):
+        x = model.train_inputs[0] + np.array([offset, 0.0])
+        assert np.sqrt(model.posterior(x)[1]) > SIGMA_FLOOR
+        _, dsigma, degen = model.posterior_grads(x)
+        _, dsig1, degen1 = model.fantasy_posterior_grads(X1, [0.0], x)
+        assert degen == degen1 == inside
+        assert np.all(dsigma == 0) == np.all(dsig1 == 0) == inside
 
 
 # -- factorization helpers -------------------------------------------------------------
