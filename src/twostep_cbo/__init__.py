@@ -14,17 +14,11 @@ from .gp import FactorizationError, GPModel, KernelParams, fit_hyperparameters
 from .lookahead import (
     CandidateBatch,
     FantasyEngine,
-    FantasySample,
     TwoStepConfig,
     TwoStepResult,
     alpha,
     estimate_value,
-    fantasy_log_density_and_score,
-    inner_maximize,
-    lr_gradient_estimate,
-    lr_gradient_sample,
     optimize,
-    sample_fantasies,
 )
 from .problems import ConstrainedProblem, get_problem, problem_names
 
@@ -33,7 +27,6 @@ __all__ = [
     "ConstrainedProblem",
     "FactorizationError",
     "FantasyEngine",
-    "FantasySample",
     "GPModel",
     "KernelParams",
     "MissingIncumbentError",
@@ -47,16 +40,11 @@ __all__ = [
     "eic",
     "eic_grad",
     "estimate_value",
-    "fantasy_log_density_and_score",
     "fit_hyperparameters",
     "get_problem",
-    "inner_maximize",
-    "lr_gradient_estimate",
-    "lr_gradient_sample",
     "optimize",
     "pf",
     "problem_names",
-    "sample_fantasies",
 ]
 
 __version__ = "0.1.0"

@@ -119,16 +119,14 @@ def selftest(verbose: bool = False) -> int:
     con = gp.GPModel.fit(X, X[:, 0] - 3.0, gp.KernelParams(1.0, np.array([1.0, 1.0])))
     bundle = acquisition.PosteriorBundle.from_models(model, [con])
     X1 = np.array([[2.0, 2.0]])
-    samples = lookahead.sample_fantasies(bundle, X1, 4, seed=1)
     engine = lookahead.FantasyEngine(bundle, X1)
     batch = engine.sample(2000, seed=2)
     score = engine.score(batch)
     se = score.std(axis=0, ddof=1) / np.sqrt(batch.n)
     check("score identity", np.all(np.abs(score.mean(axis=0)) < 5 * se + 1e-12))
     x2 = np.array([1.0, 1.0])
-    sample = samples[0]
-    a_ref = lookahead.alpha(bundle, X1, x2, sample)
-    fantasy = engine.batch_from_values([sample.y_f, *sample.y_g])
+    fantasy = engine.sample(4, seed=1)
+    a_ref = lookahead.alpha(bundle, X1, x2, fantasy.Y[0][0], [Y[0] for Y in fantasy.Y[1:]])
     a_eng = float(engine.alpha_rows(x2.reshape(1, -1), np.array([0]), fantasy)[0])
     check("alpha engine vs reference", abs(a_ref - a_eng) < 1e-8)
     return failures

@@ -28,7 +28,7 @@ SIGMA_FLOOR = 1e-10
 DUPLICATE_TOL = 1e-8
 # Closer than this to a data point the posterior variance is no larger than
 # the jitter, so its derivative describes the jitter, not the model: the sigma
-# gradients of posterior_grads and fantasy_posterior_grads are zeroed there.
+# gradient of posterior_grads is zeroed there.
 NEAR_DATA_TOL = np.sqrt(DUPLICATE_TOL)
 
 
@@ -231,33 +231,6 @@ class GPModel:
             return r["dmean"][0], dsigma[0], bool(degenerate[0])
         return r["dmean"], dsigma, degenerate
 
-    def fantasy_posterior_grads(
-        self, X1: np.ndarray, y1: np.ndarray, x2: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, bool]:
-        """Gradients with respect to the fantasy batch X1 of the one-step-ahead
-        posterior mean and standard deviation at a fixed point x2.
-
-        The fantasy targets y1 are held fixed. Returns (dmean, dsigma,
-        degenerate), each of shape (q, d): row i is the derivative with respect
-        to batch point i. Degenerate when x2 is within NEAR_DATA_TOL of a data
-        or batch point, or the one-step standard deviation is at or below
-        SIGMA_FLOOR; then dsigma is zeroed. The derivatives are the fantasy
-        engine's, which the likelihood-ratio gradient uses.
-        """
-        from .acquisition import PosteriorBundle
-        from .lookahead import FantasyEngine
-
-        X1 = np.atleast_2d(X1)
-        y1 = np.asarray(y1, dtype=float).reshape(1, -1)
-        x2 = np.atleast_1d(np.asarray(x2, dtype=float))
-        engine = FantasyEngine(PosteriorBundle(self, (), None, None, ()), X1)
-        U = engine.batch_from_values([y1]).U[0]
-        _, s1, dmu, dsigma = engine.stage1_x1_grads(0, x2.reshape(1, -1), U)
-        near = _nearest(x2.reshape(1, -1), np.vstack([self.train_inputs, X1]))[0]
-        if s1[0] <= SIGMA_FLOOR or near < NEAR_DATA_TOL:
-            return dmu[0], np.zeros_like(dmu[0]), True
-        return dmu[0], dsigma[0], False
-
 
 def jittered_cholesky(C: np.ndarray, scale: float) -> tuple[np.ndarray, float]:
     """Lower Cholesky of C + jit*I with jitter escalation relative to scale.
@@ -279,12 +252,12 @@ def jittered_cholesky(C: np.ndarray, scale: float) -> tuple[np.ndarray, float]:
 
 
 def log_marginal_likelihood(params: KernelParams, inputs: np.ndarray, targets: np.ndarray) -> float:
-    """Log marginal likelihood of the data under the jittered kernel."""
-    model = GPModel.fit(inputs, targets, params)
-    n = model.n_train
-    quad = model.train_targets @ model.weights
-    logdet = 2.0 * np.sum(np.log(np.diag(model.chol)))
-    return float(-0.5 * quad - 0.5 * logdet - 0.5 * n * np.log(2.0 * np.pi))
+    """Log marginal likelihood of the data under the jittered kernel: minus
+    the objective that fit_hyperparameters minimizes, -inf where the kernel
+    matrix does not factorize at the initial jitter."""
+    theta = np.log(np.concatenate([[params.signal_variance], params.lengthscales]))
+    X = np.atleast_2d(np.asarray(inputs, dtype=float))
+    return -_nll_and_grad(theta, X, np.asarray(targets, dtype=float).ravel(), JITTER_INITIAL)[0]
 
 
 def _nll_and_grad(theta, X, y, jit_rel):

@@ -91,27 +91,31 @@ def write_config(config: RunConfig, path) -> None:
 
 
 def read_config(path) -> RunConfig:
+    """The RunConfig of an INI file. A missing [run] section, or a section or
+    key that names no RunConfig or TwoStepConfig field, is a ValueError."""
     cp = configparser.ConfigParser()
     cp.optionxform = str
     found = cp.read(path)
     if not found:
         raise FileNotFoundError(path)
-    kwargs = {}
-    for f in fields(RunConfig):
-        if f.name == "twostep" or f.name not in cp["run"]:
-            continue
-        kwargs[f.name] = _coerce(cp["run"][f.name], f.default)
-    ts_kwargs = {}
-    if cp.has_section("twostep"):
-        for f in fields(TwoStepConfig):
-            if f.name in cp["twostep"]:
-                ts_kwargs[f.name] = _coerce(cp["twostep"][f.name], f.default)
-    return RunConfig(**kwargs, twostep=TwoStepConfig(**ts_kwargs))
+    if not cp.has_section("run"):
+        raise ValueError(f"{path} has no [run] section")
+    defaults = {
+        "run": {f.name: f.default for f in fields(RunConfig) if f.name != "twostep"},
+        "twostep": {f.name: f.default for f in fields(TwoStepConfig)},
+    }
+    values = {"run": {}, "twostep": {}}
+    for section in cp.sections():
+        if section not in defaults:
+            raise ValueError(f"unknown section [{section}] in {path}")
+        for key, raw in cp[section].items():
+            if key not in defaults[section]:
+                raise ValueError(f"unknown key {key!r} in [{section}] of {path}")
+            values[section][key] = _coerce(raw, defaults[section][key])
+    return RunConfig(**values["run"], twostep=TwoStepConfig(**values["twostep"]))
 
 
 def _coerce(raw: str, default):
-    if isinstance(default, bool):
-        return raw.lower() in ("1", "true", "yes")
     if isinstance(default, int):
         return int(raw)
     if isinstance(default, float):

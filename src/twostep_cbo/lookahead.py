@@ -45,7 +45,6 @@ from .acquisition import (
     PosteriorBundle,
     ei,
     ei_pf,
-    eic_many,
     greedy_batch_eic,
     maximize_eic,
     mean_and_se,
@@ -90,7 +89,6 @@ class TwoStepConfig:
     n_value_samples: int = 512
     n_final_value_samples: int = 8192
     delta: float = 0.0
-    qmc_scramble_seed: int = 0
 
     def __post_init__(self):
         counts = (
@@ -135,29 +133,6 @@ class CandidateBatch:
     @property
     def dim(self) -> int:
         return self.points.shape[1]
-
-
-@dataclass(frozen=True)
-class FantasySample:
-    """One fantasy outcome at a batch X1.
-
-    y_g holds one row per active (not certainly feasible) constraint, in
-    bundle order. f1_star is the best feasible value among the incumbent and
-    the fantasy outcomes; log_density is the joint log density of (y_f, y_g)
-    under the current posterior at X1.
-    """
-
-    y_f: np.ndarray
-    y_g: np.ndarray
-    log_density: float
-    f1_star: float
-
-
-@dataclass(frozen=True)
-class InnerSolution:
-    x2: np.ndarray
-    value: float
-    degenerate: bool
 
 
 @dataclass(frozen=True)
@@ -346,14 +321,13 @@ class FantasyEngine:
             out["ds1"] = sd_grad(s1, out["dvar"] - 2.0 * np.einsum("rqd,rq->rd", dcross, B))
         return out
 
-    def stage1_x1_grads(self, b: int, X2: np.ndarray, U: np.ndarray, e=0):
+    def stage1_x1_grads(self, b: int, X2: np.ndarray, U: np.ndarray, e: np.ndarray):
         """Stage-1 mean and standard deviation of block b at rows of X2, row f
-        tied to the whitened residual row U[f] of a fantasy at batch e[f]
-        (default: the first batch for every row), and their derivatives with
-        respect to that batch at fixed fantasy values. Returns (mu1, s1,
-        dmu1, ds1), the derivatives of shape (rows, q, d)."""
+        tied to the whitened residual row U[f] of a fantasy at batch e[f],
+        and their derivatives with respect to that batch at fixed fantasy
+        values. Returns (mu1, s1, dmu1, ds1), the derivatives of shape
+        (rows, q, d)."""
         blk = self.blocks[b]
-        e = np.broadcast_to(e, (X2.shape[0],))
         st = self._stage1(blk, X2, e, True)  # for A; the x2-derivatives go unused
         V = st["B"]  # Cinv cross, (rows, q)
         mu1 = st["mean"] + np.einsum("rq,rq->r", st["cross"], U)
@@ -454,8 +428,8 @@ class FantasyEngine:
     ):
         """Projected backtracking ascent of alpha over x2, one solve per
         fantasy, all fantasies of every batch in lock step. Returns (X2,
-        values, degenerate). warm is one extra start for every fantasy (1, d)
-        or one per fantasy (batch.n, d).
+        values, degenerate). warm holds one extra start per fantasy,
+        (batch.n, d).
 
         The ascent is projected_ascent, whose step rules are free of the
         scale of alpha, with a first move of 0.15 of the box and
@@ -506,9 +480,6 @@ class FantasyEngine:
             ]
         )
         if warm is not None:
-            warm = np.atleast_2d(warm)
-            if warm.shape[0] == 1 and count > 1:
-                warm = np.repeat(warm, count, axis=0)
             P = np.vstack([P, warm])
             idx = np.concatenate([idx, np.arange(count)])
         project = None
@@ -573,106 +544,29 @@ class FantasyEngine:
 # -- public operations ---------------------------------------------------------
 
 
-def fantasy_log_density_and_score(
-    bundle: PosteriorBundle, X1: np.ndarray, y_f: np.ndarray, y_g: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """Joint log density of a fantasy outcome at X1 and its gradient in X1.
-
-    y_g has one row per active constraint. The outcome need not have been
-    drawn at X1; any value vector of the right shape is scored.
-    """
-    engine = FantasyEngine(bundle, X1)
-    y_g = np.asarray(y_g, dtype=float).reshape(engine.n_blocks - 1, engine.q)
-    batch = engine.batch_from_values([y_f, *y_g])
-    return float(batch.logp[0]), engine.score(batch)[0]
-
-
-def sample_fantasies(
-    bundle: PosteriorBundle, X1: np.ndarray, count: int, seed
-) -> list[FantasySample]:
-    """Draw fantasy outcomes at X1 by scrambled-Sobol sampling of the joint
-    posterior (objective block first, then active constraints in order)."""
-    engine = FantasyEngine(bundle, X1)
-    batch = engine.sample(count, seed)
-    Y_g = np.stack(batch.Y[1:], axis=1) if engine.n_blocks > 1 else np.zeros((count, 0, engine.q))
-    return [
-        FantasySample(batch.Y[0][i].copy(), Y_g[i], float(batch.logp[i]), float(batch.f1[i]))
-        for i in range(count)
-    ]
-
-
-def alpha(bundle: PosteriorBundle, X1: np.ndarray, x2: np.ndarray, sample: FantasySample) -> float:
+def alpha(
+    bundle: PosteriorBundle, X1: np.ndarray, x2: np.ndarray, y_f: np.ndarray, y_g: np.ndarray
+) -> float:
     """Two-step integrand via explicit refits (reference path).
 
-    Conditions every model on the fantasy and evaluates
-    f0* - f1* + EI(f1* - mu1(x2), s1(x2)^2) * prod PF at x2.
+    y_f holds the fantasy's objective values at X1 and y_g one row per active
+    constraint, in bundle order. Works out f1*, the best feasible value among
+    the incumbent and the fantasy, conditions every model on the fantasy and
+    evaluates f0* - f1* + EI(f1* - mu1(x2), s1(x2)^2) * prod PF at x2.
     """
     f0 = bundle.require_incumbent()
     X1 = np.atleast_2d(X1)
-    f1 = sample.f1_star
-    cond_f = bundle.objective.condition_on_fantasy(X1, sample.y_f)
+    y_f = np.asarray(y_f, dtype=float).ravel()
+    feasible = np.all(np.reshape(y_g, (-1, len(y_f))) <= 0, axis=0)
+    f1 = min(f0, np.min(y_f, where=feasible, initial=np.inf))
+    cond_f = bundle.objective.condition_on_fantasy(X1, y_f)
     m1, v1 = cond_f.posterior(x2)
     value = ei(f1 - m1, v1)
-    for row, model in zip(sample.y_g, bundle.active_constraints):
+    for row, model in zip(y_g, bundle.active_constraints):
         cond_g = model.condition_on_fantasy(X1, row)
         mc, vc = cond_g.posterior(x2)
         value *= pf(mc, vc)
     return float(f0 - f1 + value)
-
-
-def inner_maximize(
-    bundle: PosteriorBundle,
-    X1: np.ndarray,
-    sample: FantasySample,
-    bounds: np.ndarray,
-    config: TwoStepConfig,
-    warm: np.ndarray | None = None,
-) -> InnerSolution:
-    """Maximize alpha over the follow-up point for one fantasy.
-
-    Multistart projected ascent from a fixed low-discrepancy design (plus the
-    optional warm start); deterministic.
-    """
-    bundle.require_incumbent()
-    engine = FantasyEngine(bundle, X1)
-    batch = engine.batch_from_values([sample.y_f, *sample.y_g])
-    X2, vals, degen = engine.solve_inner_batch(
-        batch, bounds, config, warm=None if warm is None else np.atleast_2d(warm)
-    )
-    return InnerSolution(X2[0], float(vals[0]), bool(degen[0]))
-
-
-def lr_gradient_sample(
-    bundle: PosteriorBundle, X1: np.ndarray, sample: FantasySample, x2_star: np.ndarray
-) -> np.ndarray:
-    """Single-fantasy likelihood-ratio gradient of the two-step value at X1."""
-    bundle.require_incumbent()
-    engine = FantasyEngine(bundle, X1)
-    batch = engine.batch_from_values([sample.y_f, *sample.y_g])
-    return engine.lr_gradients(batch, np.atleast_2d(x2_star))[0]
-
-
-def lr_gradient_estimate(
-    bundle: PosteriorBundle,
-    X1: np.ndarray,
-    bounds: np.ndarray,
-    config: TwoStepConfig,
-    n_samples: int,
-    seed,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Mean likelihood-ratio gradient over freshly solved fantasies.
-
-    Every fantasy gets its own inner solve. Returns (gradient, standard error),
-    both (q, d).
-    """
-    bundle.require_incumbent()
-    engine = FantasyEngine(bundle, X1)
-    batch = engine.sample(n_samples, seed)
-    X2, _, _ = engine.solve_inner_batch(batch, bounds, config)
-    gammas = engine.lr_gradients(batch, X2)
-    grad = gammas.mean(axis=0)
-    se = gammas.std(axis=0, ddof=1) / np.sqrt(n_samples)
-    return grad, se
 
 
 def estimate_value(
@@ -680,7 +574,7 @@ def estimate_value(
     X1: np.ndarray,
     bounds: np.ndarray,
     config: TwoStepConfig,
-    seed=None,
+    seed,
     n_samples: int | None = None,
 ) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
     """QMC estimate of the two-step acquisition value of the batch X1.
@@ -689,16 +583,13 @@ def estimate_value(
     mean and its standard error. X1 may also be a stack of batches (E, q, d)
     with seed a sequence of E seeds, one per batch: the batches are solved in
     lock step in one engine and the results are two arrays of length E, each
-    entry the same as a call on that batch alone with its seed. seed None
-    means config.qmc_scramble_seed for every batch.
+    entry the same as a call on that batch alone with its seed.
     """
     bundle.require_incumbent()
     X1 = np.atleast_2d(np.asarray(X1, dtype=float))
     engine = FantasyEngine(bundle, X1)
     count = config.n_value_samples if n_samples is None else n_samples
     seeds = [seed] if X1.ndim == 2 else seed
-    if seed is None:
-        seeds = [config.qmc_scramble_seed] * engine.E
     dim = engine.n_blocks * engine.q
     batch = engine.batch_from_normals(np.stack([sobol_normal(dim, count, s) for s in seeds]))
     _, vals, _ = engine.solve_inner_batch(batch, bounds, config)
@@ -721,26 +612,12 @@ def _enforce_separation(X: np.ndarray, widths: np.ndarray) -> np.ndarray:
     return X
 
 
-def _fallback_eic_batch(bundle, bounds, q, seed) -> CandidateBatch:
-    cand = latin_hypercube(max(2048, 64 * q), bounds, np.random.SeedSequence((seed, 97)))
-    vals = eic_many(bundle, cand)
-    order = np.argsort(-vals)
-    pts, widths = [], bounds[:, 1] - bounds[:, 0]
-    for i in order:
-        x = cand[i]
-        if all(np.linalg.norm((x - p) / widths) > 10 * SEPARATION_TOL for p in pts):
-            pts.append(x)
-        if len(pts) == q:
-            break
-    return CandidateBatch(np.array(pts))
-
-
 def optimize(
     bundle: PosteriorBundle,
     bounds: np.ndarray,
     q: int,
     config: TwoStepConfig,
-    seed: int | None = None,
+    seed: int,
 ) -> TwoStepResult:
     """Search for the batch maximizing the two-step acquisition value.
 
@@ -757,20 +634,20 @@ def optimize(
     screened by a QMC value estimate, all 2R in one stacked call, each with
     its own seed (so a trajectory that wanders off a good start cannot drag
     the answer down with it), and the top three are re-scored together on
-    one larger shared sample; the first maximum wins.
+    one larger shared sample; the first maximum wins. When no restart's
+    gradient is ever nonzero, it warns and returns the myopic start.
     """
     bundle.require_incumbent()
     bounds = np.atleast_2d(np.asarray(bounds, dtype=float))
-    root = config.qmc_scramble_seed if seed is None else seed
     lo, hi = bounds[:, 0], bounds[:, 1]
     widths = hi - lo
     d = bounds.shape[0]
     R = config.n_restarts
-    X = latin_hypercube(R * q, bounds, np.random.SeedSequence((root, 11))).reshape(R, q, d)
+    X = latin_hypercube(R * q, bounds, np.random.SeedSequence((seed, 11))).reshape(R, q, d)
     if q == 1:
-        myopic = maximize_eic(bundle, bounds, root).reshape(1, 1, d)
+        myopic = maximize_eic(bundle, bounds, seed).reshape(1, 1, d)
     else:
-        myopic = greedy_batch_eic(bundle, bounds, q, root).reshape(1, q, d)
+        myopic = greedy_batch_eic(bundle, bounds, q, seed).reshape(1, q, d)
     X = np.concatenate([myopic, X], axis=0)
     R = R + 1
     for r in range(R):
@@ -783,7 +660,7 @@ def optimize(
     solve_idx = np.arange(0, n_grad, config.inner_solve_period)
     held = np.searchsorted(solve_idx, np.arange(n_grad), side="right") - 1
     for t in range(config.n_sga_steps):
-        Z = sobol_normal(n_blocks * q, n_grad, np.random.SeedSequence((root, 17, t)))
+        Z = sobol_normal(n_blocks * q, n_grad, np.random.SeedSequence((seed, 17, t)))
         scale = config.step_a / (config.step_A + t) ** config.step_gamma
         engine = FantasyEngine(bundle, X)
         batch = engine.batch_from_normals(Z)
@@ -802,13 +679,12 @@ def optimize(
             X[r] = _enforce_separation(X[r], widths)
     if not np.any(moved_ever):
         warnings.warn("all restarts degenerate; falling back to the myopic acquisition")
-        batch = _fallback_eic_batch(bundle, bounds, q, root)
-        return TwoStepResult(batch, np.nan, np.nan, fallback_eic=True)
+        return TwoStepResult(CandidateBatch(starts[0]), np.nan, np.nan, fallback_eic=True)
     cand = np.concatenate([X, starts], axis=0)
-    seeds = [np.random.SeedSequence((root, 23, r)) for r in range(2 * R)]
+    seeds = [np.random.SeedSequence((seed, 23, r)) for r in range(2 * R)]
     screen, _ = estimate_value(bundle, cand, bounds, config, seed=seeds)
     top = np.argsort(-screen)[: min(3, 2 * R)]
-    seeds = [np.random.SeedSequence((root, 29))] * len(top)
+    seeds = [np.random.SeedSequence((seed, 29))] * len(top)
     n_final = config.n_final_value_samples
     values, ses = estimate_value(bundle, cand[top], bounds, config, seeds, n_final)
     best = int(np.argmax(values))  # the first maximum wins

@@ -28,7 +28,6 @@ from twostep_cbo.lookahead import (
     TwoStepConfig,
     alpha,
     estimate_value,
-    sample_fantasies,
 )
 from twostep_cbo.sampling import halton_design
 
@@ -51,8 +50,7 @@ def _case(seed, d, n_constraints, q):
     x2 = _far_x2(bundle, bounds, X1)
     engine = FantasyEngine(bundle, X1)
     batch = engine.sample(N_FANTASIES, (seed, 1201))
-    samples = sample_fantasies(bundle, X1, N_FANTASIES, (seed, 1201))
-    return bundle, X1, x2, engine, batch, samples
+    return bundle, X1, x2, engine, batch
 
 
 def _err(got, ref):
@@ -62,13 +60,14 @@ def _err(got, ref):
 @pytest.mark.parametrize("d,n_constraints,q", CASES)
 def test_alpha_rows_and_x2_gradient_match_reference(d, n_constraints, q):
     for seed in SEEDS:
-        bundle, X1, x2, engine, batch, samples = _case(seed, d, n_constraints, q)
-        for i, s in enumerate(samples):
+        bundle, X1, x2, engine, batch = _case(seed, d, n_constraints, q)
+        for i in range(batch.n):
+            y_f, y_g = batch.Y[0][i], [Y[i] for Y in batch.Y[1:]]
             value, grad, _ = engine.alpha_rows(x2.reshape(1, -1), np.array([i]), batch, True)
-            ref = alpha(bundle, X1, x2, s)
+            ref = alpha(bundle, X1, x2, y_f, y_g)
             assert abs(value[0] - ref) <= 1e-9 * abs(ref), (seed, i)
             x2_rows = x2.reshape(1, -1)
-            fd = numeric_grad(lambda X: alpha(bundle, X1, X[0], s), x2_rows, 1e-5)[0]
+            fd = numeric_grad(lambda X: alpha(bundle, X1, X[0], y_f, y_g), x2_rows, 1e-5)[0]
             assert _err(grad[0], fd) <= 1e-5, (seed, i)
 
 
@@ -76,12 +75,13 @@ def test_alpha_rows_and_x2_gradient_match_reference(d, n_constraints, q):
 def test_pathwise_gradient_matches_reference(d, n_constraints, q):
     """Gamma - alpha * score is d alpha / d X1 with the fantasy held fixed."""
     for seed in SEEDS:
-        bundle, X1, x2, engine, batch, samples = _case(seed, d, n_constraints, q)
+        bundle, X1, x2, engine, batch = _case(seed, d, n_constraints, q)
         X2 = np.tile(x2, (batch.n, 1))
         values = engine.alpha_rows(X2, np.arange(batch.n), batch)
         pathwise = engine.lr_gradients(batch, X2) - values[:, None, None] * engine.score(batch)
-        for i, s in enumerate(samples):
-            fd = numeric_grad(lambda X: alpha(bundle, X, x2, s), X1, 1e-6)
+        for i in range(batch.n):
+            y_f, y_g = batch.Y[0][i], [Y[i] for Y in batch.Y[1:]]
+            fd = numeric_grad(lambda X: alpha(bundle, X, x2, y_f, y_g), X1, 1e-6)
             assert _err(pathwise[i], fd) <= 1e-4, (seed, i)
 
 

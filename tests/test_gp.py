@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracle_utils import numeric_grad
+from twostep_cbo.acquisition import PosteriorBundle
 from twostep_cbo.gp import (
     DUPLICATE_TOL,
     JITTER_INITIAL,
@@ -21,6 +22,7 @@ from twostep_cbo.gp import (
     kernel_matrix,
     log_marginal_likelihood,
 )
+from twostep_cbo.lookahead import FantasyEngine
 from twostep_cbo.sampling import sobol_unit
 
 
@@ -295,6 +297,8 @@ def test_posterior_grads_degenerate_at_training_point():
 
 
 # -- fantasy posterior gradients ------------------------------------------------------
+# FantasyEngine.stage1_x1_grads: derivatives in the batch X1 of the stage-1
+# mean and standard deviation at x2, with the fantasy values held fixed.
 
 
 def _fd_fantasy(model, X1, y1, x2, h):
@@ -313,8 +317,10 @@ def test_fantasy_grads_vanish_far_away():
     model = _toy_model(17, d=1)
     X1 = model.train_inputs[:1] + 30.0 * model.kernel.lengthscales[0]
     x2 = model.train_inputs[0] + np.array([0.37])
-    dmu, dsig, degen = model.fantasy_posterior_grads(X1, [0.2], x2)
-    assert not degen
+    engine = FantasyEngine(PosteriorBundle.from_models(model, []), X1)
+    batch = engine.batch_from_values([[0.2]])
+    _, s1, (dmu,), (dsig,) = engine.stage1_x1_grads(0, x2[None], batch.U[0], batch.e)
+    assert s1[0] > SIGMA_FLOOR
     assert np.max(np.abs(dmu)) <= 1e-6
     assert np.max(np.abs(dsig)) <= 1e-6
 
@@ -330,8 +336,10 @@ def test_fantasy_grads_match_fd_1d():
         if min(abs(x2[0] - v) for v in np.append(X.ravel(), X1.ravel())) < 0.15:
             continue
         y1 = rng.standard_normal(1)
-        dmu, dsig, degen = model.fantasy_posterior_grads(X1, y1, x2)
-        if degen:
+        engine = FantasyEngine(PosteriorBundle.from_models(model, []), X1)
+        batch = engine.batch_from_values([y1])
+        _, s1, (dmu,), (dsig,) = engine.stage1_x1_grads(0, x2[None], batch.U[0], batch.e)
+        if s1[0] <= SIGMA_FLOOR:
             continue
         fd_mu, fd_sig = _fd_fantasy(model, X1, y1, x2, 1e-5)
         np.testing.assert_allclose(dmu, fd_mu, rtol=1e-4, atol=1e-7)
@@ -343,32 +351,24 @@ def test_fantasy_grads_antipode_batch():
     model = GPModel.fit(np.array([[2.5]]), np.array([0.1]), params)
     x2 = np.array([0.5])
     X1 = np.array([[0.9], [25.0]])  # second batch point far from x2
-    dmu, dsig, _ = model.fantasy_posterior_grads(X1, [0.3, -0.2], x2)
+    engine = FantasyEngine(PosteriorBundle.from_models(model, []), X1)
+    batch = engine.batch_from_values([[0.3, -0.2]])
+    _, _, (dmu,), _ = engine.stage1_x1_grads(0, x2[None], batch.U[0], batch.e)
     assert np.max(np.abs(dmu[1])) <= 1e-6
     assert np.max(np.abs(dmu[0])) > 10 * np.max(np.abs(dmu[1]))
 
 
-def test_fantasy_grads_degenerate_near_x2():
-    model = _toy_model(19, d=1)
-    X1 = np.array([[1.7]])
-    dmu, dsig, degen = model.fantasy_posterior_grads(X1, [0.0], X1[0])
-    assert degen
-    np.testing.assert_allclose(dsig, 0.0)
-
-
 def test_sigma_grads_share_one_near_data_rule():
-    """At 1e-5 from a data point, inside NEAR_DATA_TOL, both sigma gradients
-    are zeros and flagged degenerate though the standard deviation is above
-    SIGMA_FLOOR; at 10 NEAR_DATA_TOL neither is."""
+    """At 1e-5 from a data point, inside NEAR_DATA_TOL, the sigma gradient of
+    posterior_grads is zeros and flagged degenerate though the standard
+    deviation is above SIGMA_FLOOR; at 10 NEAR_DATA_TOL it is not."""
     model = _toy_model(20)
-    X1 = model.train_inputs[1:2] + 0.5
     for offset, inside in ((1e-5, True), (10 * NEAR_DATA_TOL, False)):
         x = model.train_inputs[0] + np.array([offset, 0.0])
         assert np.sqrt(model.posterior(x)[1]) > SIGMA_FLOOR
         _, dsigma, degen = model.posterior_grads(x)
-        _, dsig1, degen1 = model.fantasy_posterior_grads(X1, [0.0], x)
-        assert degen == degen1 == inside
-        assert np.all(dsigma == 0) == np.all(dsig1 == 0) == inside
+        assert degen == inside
+        assert np.all(dsigma == 0) == inside
 
 
 # -- factorization helpers -------------------------------------------------------------

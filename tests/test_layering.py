@@ -1,0 +1,30 @@
+"""The GP and sampling layers sit below the rest of the package."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import twostep_cbo
+
+SRC = Path(twostep_cbo.__file__).parent
+
+
+def _package_imports(tree):
+    """Names of the package modules a module imports, at any depth."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level:
+                found |= {node.module} if node.module else {a.name for a in node.names}
+            elif node.module.startswith("twostep_cbo"):
+                found.add(node.module)
+        elif isinstance(node, ast.Import):
+            found |= {a.name for a in node.names if a.name.startswith("twostep_cbo")}
+    return {name.split(".")[-1] for name in found}
+
+
+@pytest.mark.parametrize("module", ["gp.py", "sampling.py"])
+def test_low_layers_import_no_package_module_but_sampling(module):
+    tree = ast.parse((SRC / module).read_text())
+    assert _package_imports(tree) <= {"sampling"}

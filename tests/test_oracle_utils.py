@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from oracle_utils import make_gp_instance, quad_alpha
-from twostep_cbo.lookahead import FantasySample, alpha
+from twostep_cbo.lookahead import alpha
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -24,6 +24,5 @@ def test_quad_alpha_keeps_the_mass_of_a_far_tail_kink():
     bundle, _ = make_gp_instance(2)
     x1, x2 = np.array([[2.0]]), np.array([2.7])
     y_f, y_g = np.array([-1e6]), np.array([[-1.0]])
-    sample = FantasySample(y_f=y_f, y_g=y_g, log_density=0.0, f1_star=-1e6)
-    ref = alpha(bundle, x1, x2, sample)
+    ref = alpha(bundle, x1, x2, y_f, y_g)
     assert quad_alpha(bundle, x1, x2, y_f, y_g) == pytest.approx(ref, rel=1e-9)
