@@ -245,7 +245,7 @@ def mean_and_se(values: np.ndarray, single: bool):
     return (float(est[0]), float(se[0])) if single else (est, se)
 
 
-def projected_ascent(evaluate, P, bounds, first_move, steps, project=None):
+def projected_ascent(evaluate, P, bounds, first_move, steps):
     """Projected backtracking gradient ascent, all rows of P in lock step.
 
     evaluate(X, rows, grads) returns the values at the rows of X, which are
@@ -256,11 +256,9 @@ def projected_ascent(evaluate, P, bounds, first_move, steps, project=None):
     the box. Both rules are free of the scale of the values, so the ascent
     reaches the same points whatever their units; a row whose gradient is
     zero, or too small to divide by, proposes no move and retires after its
-    first iteration. Candidates are clipped to the box and, when project is
-    given, replaced by project(X, rows): X holds the candidates, which stand
-    for the rows `rows` of P (as in evaluate), and the result is the same
-    shape as X. Candidates get a value-only evaluation; accepted ones get
-    values and gradients. Returns the final points and their values.
+    first iteration. Candidates are clipped to the box and get a value-only
+    evaluation; accepted ones get values and gradients. Returns the final
+    points and their values.
     """
     lo, wid = bounds[:, 0], bounds[:, 1] - bounds[:, 0]
     U = (P - lo) / wid
@@ -274,9 +272,6 @@ def projected_ascent(evaluate, P, bounds, first_move, steps, project=None):
             break
         cand_U = np.clip(U[active] + step[active, None] * gU[active], 0.0, 1.0)
         cand = lo + cand_U * wid
-        if project is not None:
-            cand_U = np.clip((project(cand, active) - lo) / wid, 0.0, 1.0)
-            cand = lo + cand_U * wid
         hit = evaluate(cand, active, False) > vals[active]
         acc = active[hit]
         if acc.size:

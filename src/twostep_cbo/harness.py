@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import loop
-from .acquisition import PosteriorBundle
+from .acquisition import PosteriorBundle, batch_eic_mc
 from .gp import GPModel, KernelParams
 from .lookahead import TwoStepConfig
 from .problems import (
@@ -232,11 +232,9 @@ def _run_replication(args) -> tuple[int, list]:
 
 
 def resolve_workers(cli_value: int | None = None) -> int:
+    """The worker count: cli_value when positive, else os.cpu_count()."""
     if cli_value is not None and cli_value > 0:
         return cli_value
-    env = os.environ.get("TWOSTEP_CBO_WORKERS", "")
-    if env.isdigit() and int(env) > 0:
-        return int(env)
     return os.cpu_count() or 1
 
 
@@ -462,27 +460,19 @@ def saa_discontinuity_diagnostic(
 ) -> list[SaaSurface]:
     """Sample-average surfaces of the one-step improvement term on a 1-d grid.
 
-    For each base-sample count M the surface is
-    mean_m (f0* - mu_f(x) - s_f(x) Z_f^m)^+ 1{mu_g(x) + s_g(x) Z_g^m <= 0}
-    with the standard normal base samples Z fixed across the grid, which makes
-    every indicator flip a genuine jump of order 1/M. Jumps are detected as
-    adjacent differences exceeding five times the local median difference.
+    For each base-sample count M the surface is batch_eic_mc at every grid
+    point, each a batch of one, with M fantasies: the mean of f0* - f1* =
+    (f0* - y_f)^+ 1{y_g <= 0}. The stacked call draws one set of normals
+    for the whole grid, which makes every indicator flip a genuine jump of
+    order 1/M. Jumps are detected as adjacent differences exceeding five
+    times the local median difference.
     """
     bundle = _saa_bundle()
-    f0 = bundle.require_incumbent()
-    lo, hi = 0.0, 6.0
-    grid = np.linspace(lo, hi, grid_size)
-    G = grid.reshape(-1, 1)
-    mu_f, var_f = bundle.objective.posterior_many(G)
-    mu_g, var_g = bundle.constraints[0].posterior_many(G)
-    s_f, s_g = np.sqrt(var_f), np.sqrt(var_g)
+    grid = np.linspace(0.0, 6.0, grid_size)
     out = []
     for count in sample_counts:
-        rng = np.random.default_rng(np.random.SeedSequence((seed, 5, count)))
-        Z = rng.standard_normal((count, 2))
-        paths_f = f0 - (mu_f[None, :] + s_f[None, :] * Z[:, :1])
-        feas = (mu_g[None, :] + s_g[None, :] * Z[:, 1:]) <= 0.0
-        values = np.mean(np.maximum(paths_f, 0.0) * feas, axis=0)
+        seed_m = np.random.SeedSequence((seed, 5, count))
+        values, _ = batch_eic_mc(bundle, grid.reshape(-1, 1, 1), n_samples=count, seed=seed_m)
         n_jumps, max_jump = _detect_jumps(values)
         out.append(SaaSurface(count, grid, values, n_jumps, max_jump))
     return out

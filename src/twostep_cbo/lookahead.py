@@ -73,8 +73,8 @@ class TwoStepConfig:
     inner_solve_period-th fantasy (two-time-scale). Step t moves by
     step_a / (step_A + t)**step_gamma, per dimension, scaled by domain width.
     Restart screening uses n_value_samples fantasies; the surviving candidates
-    are re-scored with n_final_value_samples. delta > 0 excludes a ball of that
-    radius around every sampled point from the inner search.
+    are re-scored with n_final_value_samples. The inner search for x2 runs
+    over the whole box, as in the module's two-step value.
     """
 
     n_restarts: int = 10
@@ -88,7 +88,6 @@ class TwoStepConfig:
     step_gamma: float = 0.7
     n_value_samples: int = 512
     n_final_value_samples: int = 8192
-    delta: float = 0.0
 
     def __post_init__(self):
         counts = (
@@ -103,8 +102,8 @@ class TwoStepConfig:
         )
         if any(c < 1 for c in counts):
             raise ValueError("all sample and step counts must be >= 1")
-        if self.step_a <= 0 or self.delta < 0:
-            raise ValueError("step_a must be positive and delta nonnegative")
+        if self.step_a <= 0:
+            raise ValueError("step_a must be positive")
         if not 0.5 < self.step_gamma <= 1.0:
             raise ValueError("step_gamma must lie in (0.5, 1]")
 
@@ -373,22 +372,20 @@ class FantasyEngine:
         return (self.f0 - f1) + values, grad, degen
 
     def probe_values(self, probes: np.ndarray, batch: _FantasyBatch) -> np.ndarray:
-        """alpha of every fantasy at every probe of its batch: probes is (E,
-        n_probes, d), the result (batch.n, n_probes).
+        """alpha of every fantasy at every probe: probes is (n_probes, d),
+        one design shared by every batch, the result (batch.n, n_probes).
 
         The same numbers as alpha_rows on the probes tiled across the
         fantasies, but the state-0 terms are computed once per (batch, probe)
         and each fantasy enters only through mu1 = mu0 + cross . u."""
-        n_probes = probes.shape[1]
-        flat = probes.reshape(-1, self.d)
-        e_flat = np.repeat(np.arange(self.E), n_probes)
+        flat, e_flat = self._stacked(probes)
         moments = []
         for b, blk in enumerate(self.blocks):
             st = self._stage1(blk, flat, e_flat, False)
-            cross = st["cross"].reshape(self.E, n_probes, self.q)[batch.e]
-            mu1 = st["mean"].reshape(self.E, n_probes)[batch.e]
+            cross = st["cross"].reshape(self.E, len(probes), self.q)[batch.e]
+            mu1 = st["mean"].reshape(self.E, len(probes))[batch.e]
             mu1 = mu1 + np.einsum("fpq,fq->fp", cross, batch.U[b])
-            moments.append((mu1, st["s1"].reshape(self.E, n_probes)[batch.e]))
+            moments.append((mu1, st["s1"].reshape(self.E, len(probes))[batch.e]))
         f1 = batch.f1[:, None]
         (mu, s), *cons = moments
         return (self.f0 - f1) + ei_pf((f1 - mu, s), cons)
@@ -426,18 +423,15 @@ class FantasyEngine:
         config: TwoStepConfig,
         warm: np.ndarray | None = None,
     ):
-        """Projected backtracking ascent of alpha over x2, one solve per
-        fantasy, all fantasies of every batch in lock step. Returns (X2,
-        values, degenerate). warm holds one extra start per fantasy,
+        """Projected backtracking ascent of alpha over x2 in the box, one
+        solve per fantasy, all fantasies of every batch in lock step. Returns
+        (X2, values, degenerate). warm holds one extra start per fantasy,
         (batch.n, d).
 
         The ascent is projected_ascent, whose step rules are free of the
         scale of alpha, with a first move of 0.15 of the box and
-        config.inner_steps steps; with delta > 0 every start and candidate is
-        pushed out of the excluded balls around the data and its own batch,
-        then clipped to the box. Where a ball reaches past the box the box
-        wins: a point pushed out of the box is clipped back to its edge, even
-        if that lies inside the ball.
+        config.inner_steps steps. Each fantasy starts from the fixed starts,
+        then its probe picks, then its warm start; the first maximum wins.
 
         A huge realized improvement (f1* far below f0) is not special-cased:
         the follow-up term is the GP's own EI times PF, unclamped. A stage-1
@@ -448,97 +442,41 @@ class FantasyEngine:
         wid = bounds[:, 1] - bounds[:, 0]
         count = batch.n
         starts = halton_design(config.inner_restarts, bounds)
-        # Screening pass: a value-only sweep over a denser design picks the
-        # top few probes per fantasy as extra starts, so narrow basins between
-        # close-together training points still get found. Each pick suppresses
-        # its neighborhood before the next one; without that, a single wide
-        # basin fills every slot and steep spikes elsewhere stay unvisited.
-        # With delta > 0 each batch sweeps its own pushed probes.
+        # Screening pass: a value-only sweep over a denser design, shared by
+        # every batch, picks the top few probes per fantasy as extra starts,
+        # so narrow basins between close-together training points still get
+        # found. Each pick suppresses its neighborhood before the next one;
+        # without that, a single wide basin fills every slot and steep spikes
+        # elsewhere stay unvisited.
         n_keep = 3
         design = halton_design(min(64 * bounds.shape[0], 256), bounds)
-        probes, e_probe = self._stacked(design)
-        if config.delta > 0:
-            probes = np.clip(self._push_outside(probes, e_probe, config.delta), *bounds.T)
-        probes = probes.reshape(self.E, len(design), self.d)
-        pv = self.probe_values(probes, batch)
+        pv = self.probe_values(design, batch)
         radius = 3.0 * np.max(wid) / len(design) ** (1.0 / bounds.shape[0])
-        near = np.stack(
-            [np.linalg.norm(p[:, None, :] - p[None, :, :], axis=-1) <= radius for p in probes]
-        )
+        near = np.linalg.norm(design[:, None, :] - design[None, :, :], axis=-1) <= radius
         picks = []
         for _ in range(n_keep):
             j = np.argmax(pv, axis=1)
             picks.append(j)
-            pv = np.where(near[batch.e, j], -np.inf, pv)
-        top = np.column_stack(picks)
-        picked = probes[batch.e[:, None], top].reshape(-1, self.d)
-        P = np.vstack([np.tile(starts, (count, 1)), picked])
-        idx = np.concatenate(
-            [
-                np.repeat(np.arange(count), config.inner_restarts),
-                np.repeat(np.arange(count), n_keep),
-            ]
-        )
+            pv = np.where(near[j], -np.inf, pv)
+        parts = [np.broadcast_to(starts, (count,) + starts.shape), design[np.column_stack(picks)]]
         if warm is not None:
-            P = np.vstack([P, warm])
-            idx = np.concatenate([idx, np.arange(count)])
-        project = None
-        if config.delta > 0:
-            P = np.clip(self._push_outside(P, batch.e[idx], config.delta), *bounds.T)
-
-            def project(X, rows):
-                return self._push_outside(X, batch.e[idx[rows]], config.delta)
+            parts.append(warm[:, None, :])
+        P = np.concatenate(parts, axis=1)  # fantasy-major, (count, k, d)
+        k = P.shape[1]
+        idx = np.repeat(np.arange(count), k)
 
         def evaluate(X, rows, grads):
             out = self.alpha_rows(X, idx[rows], batch, grads)
             return out[:2] if grads else out
 
         P, vals = projected_ascent(
-            evaluate, P, bounds, first_move=0.15, steps=config.inner_steps, project=project
+            evaluate, P.reshape(-1, self.d), bounds, first_move=0.15, steps=config.inner_steps
         )
-        order = np.lexsort((-vals, idx))
-        sorted_idx = idx[order]
-        firsts = np.searchsorted(sorted_idx, np.arange(count), side="left")
-        winners = order[firsts]
+        winners = np.arange(count) * k + np.argmax(vals.reshape(count, k), axis=1)
         X2 = P[winners]
         best_vals = vals[winners]
         improvement = best_vals - (self.f0 - batch.f1)
         return X2, best_vals, improvement <= 1e-15
-
-    def _push_outside(self, P: np.ndarray, e: np.ndarray, delta: float) -> np.ndarray:
-        """Move rows of P out of the delta-balls around the data points and the
-        points of each row's batch X1[e].
-
-        A row inside some ball moves along the ray from its nearest centre
-        to the first point of that ray outside every ball. Along a ray each
-        ball is one interval, so every hop past the balls that hold the
-        current point leaves them for good: there are at most as many hops
-        as balls."""
-        data = self.models[0].train_inputs
-        centers = np.concatenate(
-            [np.broadcast_to(data, (len(P),) + data.shape), self.X1[e]], axis=1
-        )  # (rows, n + q, d)
-        dist = np.linalg.norm(P[:, None, :] - centers, axis=-1)
-        nearest = np.argmin(dist, axis=1)
-        rows = np.flatnonzero(dist[np.arange(len(P)), nearest] < delta)
-        C = centers[rows]
-        c = C[np.arange(len(rows)), nearest[rows]]
-        v = P[rows] - c
-        nv = np.linalg.norm(v, axis=1)[:, None]
-        v = np.where(nv < 1e-14, np.eye(self.d)[0], v / np.maximum(nv, 1e-14))
-        # Ray c + t v meets ball k for |c - C_k + t v| < delta; it leaves
-        # the ball at t = -b + sqrt(b^2 - |c - C_k|^2 + delta^2), b = v . (c - C_k).
-        w = c[:, None, :] - C
-        b = np.einsum("rkd,rd->rk", w, v)
-        leave = -b + np.sqrt(np.maximum(b * b - np.sum(w * w, axis=-1) + delta**2, 0.0))
-        t = np.full(len(rows), float(delta))
-        for _ in range(C.shape[1]):
-            X = c + t[:, None] * v
-            inside = np.linalg.norm(X[:, None, :] - C, axis=-1) < delta
-            t = np.max(np.where(inside, leave, t[:, None]), axis=1)
-        P = P.copy()
-        P[rows] = c + t[:, None] * v
-        return P
 
 
 # -- public operations ---------------------------------------------------------

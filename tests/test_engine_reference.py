@@ -166,13 +166,12 @@ def test_stack_estimate_value_matches_single_batches(d, n_constraints, q):
 def test_affine_probe_pass_matches_alpha_rows(d, n_constraints, q):
     """probe_values expands per-(batch, probe) state-0 terms through each
     fantasy; alpha_rows on the probes tiled across the fantasies is the
-    direct route. Each batch gets its own probes."""
+    direct route. Every batch sweeps the same design."""
     for seed in SEEDS:
         bundle, bounds, X1, stack, _, batch, _ = _stack_case(seed, d, n_constraints, q)
-        design = halton_design(STACK * 16, bounds)
-        probes = design.reshape(STACK, 16, d)
-        got = stack.probe_values(probes, batch)
-        tiled = probes[batch.e].reshape(-1, d)
+        design = halton_design(16, bounds)
+        got = stack.probe_values(design, batch)
+        tiled = np.tile(design, (batch.n, 1))
         ref = stack.alpha_rows(tiled, np.repeat(np.arange(batch.n), 16), batch)
         assert _err(got, ref.reshape(batch.n, 16)) <= 1e-12, seed
 

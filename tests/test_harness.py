@@ -1,5 +1,10 @@
-"""Experiment configs: the INI round trip and the rejection of unknown keys."""
+"""The experiment harness: the INI round trip and the rejection of unknown
+keys, a small experiment run end to end, and the SAA diagnostic command."""
 
+import csv
+import dataclasses
+
+import numpy as np
 import pytest
 
 from twostep_cbo import cli, harness
@@ -13,7 +18,7 @@ def test_config_round_trip(tmp_path):
         budget=12,
         batch=2,
         output_dir=str(tmp_path / "run"),
-        twostep=TwoStepConfig(n_restarts=3, step_a=0.25, step_A=1.5, delta=0.1),
+        twostep=TwoStepConfig(n_restarts=3, step_a=0.25, step_A=1.5, inner_steps=40),
     )
     path = tmp_path / "config.ini"
     harness.write_config(config, path)
@@ -31,3 +36,60 @@ def test_misspelled_config_key_is_rejected(tmp_path):
     path.write_text("[run]\nproblem = p1\n\n[two_step]\nn_restarts = 2\n")
     with pytest.raises(ValueError, match="two_step"):
         harness.read_config(path)
+    # delta, the radius of a retired exclusion ball, names no field either.
+    path.write_text("[run]\nproblem = p1\n\n[twostep]\ndelta = 0.1\n")
+    with pytest.raises(ValueError, match="delta"):
+        harness.read_config(path)
+    assert cli.main(["run", "--config", str(path)]) == 2
+
+
+def test_experiment_runs_end_to_end(tmp_path):
+    """A small eic experiment: results.csv has the same bytes from one worker
+    and from two, a rerun without force and a run on a missing oracle entry
+    are refused, and aggregate summarizes every scoring point."""
+    config = harness.RunConfig(
+        problem="p1",
+        policy="eic",
+        budget=5,
+        n_replications=2,
+        output_dir=str(tmp_path / "run"),
+        oracle_resolution=40,
+        oracle_polish=2,
+        oracle_cache=str(tmp_path / "oracle_cache.ini"),
+    )
+    path = harness.run_experiment(config, workers=1, compute_oracle=True)
+    first = path.read_bytes()
+    assert harness.run_experiment(config, workers=2, force=True) == path
+    assert path.read_bytes() == first
+    with pytest.raises(FileExistsError):
+        harness.run_experiment(config, workers=1)
+    missing = dataclasses.replace(config, oracle_seed=1, output_dir=str(tmp_path / "other"))
+    with pytest.raises(harness.MissingOracleError):
+        harness.run_experiment(missing, workers=1)
+    meta, rows = harness.read_results(path.parent)
+    assert meta["n_replications"] == 2
+    assert sorted({(r["replication"], r["n"]) for r in rows}) == [
+        (rep, n) for rep in (0, 1) for n in (3, 4, 5)
+    ]
+    summary = harness.aggregate([path.parent], tmp_path / "summary.csv", n_boot=200)
+    with open(summary, newline="") as fh:
+        table = list(csv.DictReader(fh))
+    assert [(r["policy"], r["n"], r["n_replications"]) for r in table] == [
+        ("eic", "3", "2"),
+        ("eic", "4", "2"),
+        ("eic", "5", "2"),
+    ]
+
+
+def test_diagnose_saa_writes_both_surfaces(tmp_path):
+    """One base sample gives a surface with an O(1) jump where its indicator
+    flips; 256 shared samples leave only jumps of order 1/256."""
+    out = tmp_path / "saa.csv"
+    assert cli.main(["diagnose-saa", "--out", str(out)]) == 0
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 2 * 2001
+    for m, check in (("1", lambda jump: jump > 0.5), ("256", lambda jump: jump < 0.05)):
+        values = np.array([float(r["value"]) for r in rows if r["n_base_samples"] == m])
+        assert len(values) == 2001
+        assert check(np.max(np.abs(np.diff(values)))), m

@@ -396,34 +396,6 @@ def test_estimate_value_seed_sequence_reuse_matches_fresh_sequence():
     assert second == fresh
 
 
-def test_inner_solve_leaves_every_overlapping_excluded_ball():
-    """Where delta-balls overlap, a point pushed out of its nearest ball must
-    not land in another one. On instance 5 the balls of radius 0.3 around the
-    data at 1.943 and 2.418 overlap; a push out of the nearest ball alone
-    returned x2 = 2.1177, 0.175 from 1.943, for 5 of these 8 fantasies."""
-    bundle, bounds = make_gp_instance(5)
-    x1 = np.array([[4.5]])
-    engine = FantasyEngine(bundle, x1)
-    batch = engine.sample(8, (5, 1))
-    X2, _, _ = engine.solve_inner_batch(batch, bounds, TwoStepConfig(delta=0.3))
-    anchors = np.vstack([bundle.objective.train_inputs, x1])
-    dist = np.linalg.norm(X2[:, None, :] - anchors[None, :, :], axis=-1)
-    assert np.all(dist >= 0.3 * (1.0 - 1e-9))
-
-
-def test_push_outside_uses_each_rows_own_batch():
-    """Each row is pushed out of the balls around the data and its own batch
-    only, along the ray from its nearest centre, hopping ball to ball."""
-    bundle, _ = make_gp_instance(5)
-    data = bundle.objective.train_inputs[:, 0]
-    engine = FantasyEngine(bundle, np.array([[[4.5]], [[0.5]]]))
-    P = engine._push_outside(np.array([[4.4], [4.4]]), np.array([0, 1]), 0.3)
-    near = data[np.argmin(np.abs(data - 4.4))]  # the data point at 4.211
-    # Batch 0: out of the ball around 4.5 downwards, then out of the one
-    # around 4.211. Batch 1: out of the ball around 4.211 upwards.
-    np.testing.assert_allclose(P[:, 0], [near - 0.3, near + 0.3], rtol=0, atol=1e-12)
-
-
 def test_optimize_builds_one_engine_per_sga_step_and_screening_pass(monkeypatch):
     """All restarts share one FantasyEngine per SGA step; the 2R candidates
     are screened in one engine and the top three re-scored in one more."""
@@ -561,15 +533,3 @@ def test_log_density_matches_scipy_at_q2_with_two_constraints():
                 cov = blk.Lc[0] @ blk.Lc[0].T
                 ref += multivariate_normal(blk.mu0[0], cov).logpdf(Y)
             np.testing.assert_allclose(batch.logp, ref, rtol=1e-8)
-
-
-def test_inner_solve_keeps_pushed_points_in_the_box():
-    """With delta > 0 a point pushed out of a ball near the edge is clipped
-    back to the box: the ball around 5.8 reaches past 6, and before the clip
-    13 of these 16 fantasies returned x2 = 6.3."""
-    X = np.array([[1.0], [3.0], [5.8]])
-    obj = GPModel.fit(X, np.array([0.0, 1.0, -1.0]), KernelParams(1.0, np.array([1.0])))
-    engine = FantasyEngine(PosteriorBundle.from_models(obj, []), np.array([[2.0]]))
-    batch = engine.sample(16, (0, 3))
-    X2, _, _ = engine.solve_inner_batch(batch, np.array([[0.0, 6.0]]), TwoStepConfig(delta=0.5))
-    assert np.all((X2 >= 0.0) & (X2 <= 6.0))
