@@ -6,11 +6,14 @@ gradient of that product, a quasi-Monte Carlo estimator of the batch
 version, and the projected backtracking ascent that every maximizer in the
 package uses. ei_pf is the one implementation of EI times PF with the sigma
 floor and its gradient; eic_many, eic_grad and the two-step engine call it.
-The batch estimator draws its fantasies through the two-step FantasyEngine,
-so the joint posterior at a batch is sampled in one place. Constraints whose
-observations are all identical and feasible are treated as certainly
-feasible and contribute a factor of exactly one, which keeps the remaining
-computation byte-identical to the unconstrained case.
+eic_grad returns the values with the gradient, the bits of eic_many, from
+one posterior pass per model (GPModel.posterior_grads with moments), so
+maximize_eic's gradient steps evaluate each row once; its value-only steps
+go through eic_many. The batch estimator draws its fantasies through the
+two-step FantasyEngine, so the joint posterior at a batch is sampled in one
+place. Constraints whose observations are all identical and feasible are
+treated as certainly feasible and contribute a factor of exactly one, which
+keeps the remaining computation byte-identical to the unconstrained case.
 """
 
 from __future__ import annotations
@@ -194,24 +197,24 @@ def ei_pf(improvement, constraints=(), derivs=None):
 
 
 def eic_grad(bundle: PosteriorBundle, x: np.ndarray):
-    """Gradient of eic at a point (d,) or at rows (m, d), with a degenerate
-    flag (a mask for rows) set when any posterior standard deviation sits
-    below the floor or near a data point (those factors contribute zero)."""
+    """Value and gradient of eic at a point (d,) or at rows (m, d), with a
+    degenerate flag (a mask for rows) set when any posterior standard
+    deviation sits below the floor or near a data point (those factors
+    contribute zero): (values, gradient, degenerate). The values are the
+    bits of eic_many."""
     best = bundle.require_incumbent()
     x = np.asarray(x, dtype=float)
     X = np.atleast_2d(x)
-    mu, var = bundle.objective.posterior_many(X)
-    dmu, dsig, degen = bundle.objective.posterior_grads(X)
+    mu, var, dmu, dsig, degen = bundle.objective.posterior_grads(X, moments=True)
     cons, dcons = [], []
     for c in bundle.active_constraints:
-        mc, vc = c.posterior_many(X)
-        dmc, dsc, cdegen = c.posterior_grads(X)
+        mc, vc, dmc, dsc, cdegen = c.posterior_grads(X, moments=True)
         cons.append((mc, np.sqrt(vc)))
         dcons.append((dmc, dsc))
         degen = degen | cdegen
-    _, grad, at_floor = ei_pf((best - mu, np.sqrt(var)), cons, [(-dmu, dsig), *dcons])
+    vals, grad, at_floor = ei_pf((best - mu, np.sqrt(var)), cons, [(-dmu, dsig), *dcons])
     degen = degen | at_floor
-    return (grad[0], bool(degen[0])) if x.ndim < 2 else (grad, degen)
+    return (vals, grad, degen) if x.ndim == 2 else (float(vals[0]), grad[0], bool(degen[0]))
 
 
 def batch_eic_mc(
@@ -292,10 +295,9 @@ def maximize_eic(bundle: PosteriorBundle, bounds: np.ndarray, seed: int) -> np.n
         starts = np.vstack([starts, bundle.incumbent_point])
 
     def evaluate(X, rows, grads):
-        values = eic_many(bundle, X)
         if not grads:
-            return values
-        return values, eic_grad(bundle, X)[0]
+            return eic_many(bundle, X)
+        return eic_grad(bundle, X)[:2]
 
     X, vals = projected_ascent(evaluate, starts, bounds, first_move=0.15, steps=60)
     return X[int(np.argmax(vals))]

@@ -6,12 +6,16 @@ starts at ``1e-8 * signal_variance`` and escalates by factors of ten up to
 ``1e-2 * signal_variance`` before factorization is abandoned.
 
 The model is a frozen dataclass holding the Cholesky factor L of the
-jittered kernel matrix and its inverse. GPModel.rows is the one home of the
-posterior at query rows and of its x-derivatives, shared by posterior_many,
-posterior_grads, the myopic EIC, the loop's mean polish and the fantasy
-engine; it reaches L^{-1} by row products, so a row's numbers do not depend
-on the rows sharing the call. Hyperparameters are fit by multistart L-BFGS-B
-on the log marginal likelihood in log-parameter space.
+jittered kernel matrix and its inverse. GPModel.mean_rows is the one home of
+the posterior mean at query rows and of its x-derivative, which the loop's
+mean polish uses on its own; GPModel.rows builds the variance and its
+derivative on top of it and is shared by posterior_many, posterior_grads
+(and through them the myopic EIC) and the fantasy engine. It reaches L^{-1}
+by row products, so a row's numbers do not depend on the rows sharing the
+call. Hyperparameters are fit by multistart L-BFGS-B on the log marginal
+likelihood in log-parameter space; the likelihood factorizes and solves with
+LAPACK's potrf/potrs directly, the routines under scipy's cholesky and
+cho_solve, whose per-call checks cost more than the work at these sizes.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import linalg
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 JITTER_INITIAL = 1e-8
 JITTER_MAX = 1e-2
@@ -62,8 +67,13 @@ class KernelParams:
 def kernel_paired(params: KernelParams, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """k(a, b) of the points of A and B paired by broadcasting over all axes
     but the last; kernel_matrix is the all-pairs case."""
-    diff = (A - B) / params.lengthscales
-    return params.signal_variance * np.exp(-0.5 * np.einsum("...d,...d->...", diff, diff))
+    return _kernel_scaled(params.signal_variance, (A - B) / params.lengthscales)
+
+
+def _kernel_scaled(signal_variance, diff: np.ndarray) -> np.ndarray:
+    """The kernel of paired points from their differences already divided by
+    the lengthscales, (..., d) -> (...)."""
+    return signal_variance * np.exp(-0.5 * np.einsum("...d,...d->...", diff, diff))
 
 
 def kernel_grad_paired(
@@ -107,6 +117,14 @@ def _nearest(X: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Distance from each row of X to the nearest of points; inf when there are none."""
     d2 = np.sum((X[:, None, :] - points[None, :, :]) ** 2, axis=-1)
     return np.sqrt(np.min(d2, axis=1, initial=np.inf))
+
+
+def _moments(r: dict, dist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and variance from GPModel.rows r at distances dist from the data,
+    the variance snapped to zero at a data point and clipped at zero."""
+    var = r["var"]
+    var[dist <= DUPLICATE_TOL] = 0.0
+    return r["mean"], np.maximum(var, 0.0)
 
 
 def _min_pairwise_distance(X: np.ndarray) -> float:
@@ -155,23 +173,31 @@ class GPModel:
         m, v = self.posterior_many(np.atleast_2d(x))
         return float(m[0]), float(v[0])
 
-    def rows(self, X: np.ndarray, grads: bool = False) -> dict:
-        """Posterior terms at rows of X against the data D, row r independent
-        of every other row: K = k(X, D), V = rows of L^{-1} k(D, X), mean and
-        the unclipped variance var; with grads also J = d k(X, D) / dX of
-        shape (rows, n, d), A = rows of K_D^{-1} k(D, X), and the derivatives
-        dmean and dvar, shape (rows, d). A model without data gives the prior."""
+    def mean_rows(self, X: np.ndarray, grads: bool = False) -> dict:
+        """Posterior mean at rows of X against the data D: K = k(X, D) and
+        mean; with grads also J = d k(X, D) / dX of shape (rows, n, d) and
+        dmean, shape (rows, d). Row r is independent of every other row."""
         X = np.atleast_2d(X)
         K = kernel_matrix(self.kernel, X, self.train_inputs)
+        out = dict(K=K, mean=np.einsum("rn,n->r", K, self.weights))
+        if grads:
+            J = kernel_grad_first_from(self.kernel, X, self.train_inputs, K)
+            out.update(J=J, dmean=self.weights @ J)
+        return out
+
+    def rows(self, X: np.ndarray, grads: bool = False) -> dict:
+        """Posterior terms at rows of X, row r independent of every other row:
+        mean_rows plus V = rows of L^{-1} k(D, X) and the unclipped variance
+        var; with grads also A = rows of K_D^{-1} k(D, X) and dvar, shape
+        (rows, d). A model without data gives the prior."""
+        out = self.mean_rows(X, grads)
         # Row products, not a many-column triangular solve, whose bits for
         # one row depend on the other rows of the call.
-        V = (K[:, None, :] @ self.chol_inv.T)[:, 0]
-        var = self.kernel.signal_variance - np.einsum("rn,rn->r", V, V)
-        out = dict(K=K, V=V, mean=np.einsum("rn,n->r", K, self.weights), var=var)
+        V = (out["K"][:, None, :] @ self.chol_inv.T)[:, 0]
+        out.update(V=V, var=self.kernel.signal_variance - np.einsum("rn,rn->r", V, V))
         if grads:
             A = (V[:, None, :] @ self.chol_inv)[:, 0]
-            J = kernel_grad_first_from(self.kernel, X, self.train_inputs, K)
-            out.update(J=J, A=A, dmean=self.weights @ J, dvar=-2.0 * (A[:, None, :] @ J)[:, 0])
+            out.update(A=A, dvar=-2.0 * (A[:, None, :] @ out["J"])[:, 0])
         return out
 
     def posterior_many(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -182,10 +208,7 @@ class GPModel:
         factorization stability would otherwise leak in at that scale.
         """
         X = np.atleast_2d(X)
-        r = self.rows(X)
-        var = r["var"]
-        var[_nearest(X, self.train_inputs) <= DUPLICATE_TOL] = 0.0
-        return r["mean"], np.maximum(var, 0.0)
+        return _moments(self.rows(X), _nearest(X, self.train_inputs))
 
     def posterior_joint(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Joint posterior mean vector and covariance matrix over rows of X."""
@@ -211,25 +234,31 @@ class GPModel:
         targets = np.concatenate([self.train_targets, y1])
         return GPModel.fit(stacked, targets, self.kernel)
 
-    def posterior_grads(self, x: np.ndarray):
+    def posterior_grads(self, x: np.ndarray, moments: bool = False):
         """Gradients of the posterior mean and standard deviation at a point
         (d,) or at rows (m, d).
 
         Returns (dmean, dsigma, degenerate), shaped (d,), (d,) and a bool for
         a point, (m, d), (m, d) and (m,) for rows. Degenerate within
         NEAR_DATA_TOL of a data point or where the standard deviation is at
-        or below SIGMA_FLOOR; there the sigma gradient is zeros.
+        or below SIGMA_FLOOR; there the sigma gradient is zeros. With moments
+        the mean and variance of posterior_many, the same bits, lead the
+        tuple: (mean, var, dmean, dsigma, degenerate).
         """
         x = np.asarray(x, dtype=float)
         X = np.atleast_2d(x)
         r = self.rows(X, grads=True)
-        sigma = np.sqrt(np.maximum(r["var"], 0.0))
-        near = _nearest(X, self.train_inputs) < NEAR_DATA_TOL
+        dist = _nearest(X, self.train_inputs)
+        mean, var = _moments(r, dist)
+        # Where the snap above zeroed var, near holds too.
+        sigma = np.sqrt(var)
+        near = dist < NEAR_DATA_TOL
         degenerate = near | (sigma <= SIGMA_FLOOR)
         dsigma = np.where(near[:, None], 0.0, sd_grad(sigma, r["dvar"]))
+        out = (mean, var, r["dmean"], dsigma, degenerate)
         if x.ndim < 2:
-            return r["dmean"][0], dsigma[0], bool(degenerate[0])
-        return r["dmean"], dsigma, degenerate
+            out = (*(a[0] for a in out[:4]), bool(degenerate[0]))
+        return out if moments else out[2:]
 
 
 def jittered_cholesky(C: np.ndarray, scale: float) -> tuple[np.ndarray, float]:
@@ -261,26 +290,29 @@ def log_marginal_likelihood(params: KernelParams, inputs: np.ndarray, targets: n
 
 
 def _nll_and_grad(theta, X, y, jit_rel):
-    """Negative log marginal likelihood and gradient in log-parameter space."""
+    """Negative log marginal likelihood and gradient in log-parameter space;
+    (inf, zeros) where the jittered kernel matrix is not finite or does not
+    factorize."""
     sv = np.exp(theta[0])
     ls = np.exp(theta[1:])
     n = X.shape[0]
-    params = KernelParams(sv, ls)
-    Kc = kernel_matrix(params, X, X)
-    K = Kc + jit_rel * sv * np.eye(n)
-    try:
-        L = linalg.cholesky(K, lower=True)
-    except linalg.LinAlgError:
+    diff = (X[:, None, :] - X[None, :, :]) / ls
+    Kc = _kernel_scaled(sv, diff)
+    eye = np.eye(n)
+    K = Kc + jit_rel * sv * eye
+    # potrf reports no error on a matrix holding inf or NaN.
+    L, info = dpotrf(K, lower=1)
+    if info != 0 or not np.isfinite(K).all():
         return np.inf, np.zeros_like(theta)
-    w = linalg.cho_solve((L, True), y)
+    w = dpotrs(L, y, lower=1)[0]
     nll = 0.5 * y @ w + np.sum(np.log(np.diag(L))) + 0.5 * n * np.log(2.0 * np.pi)
-    Kinv = linalg.cho_solve((L, True), np.eye(n))
+    Kinv = dpotrs(L, eye, lower=1)[0]
     S = np.outer(w, w) - Kinv
     grad = np.empty_like(theta)
     grad[0] = -0.5 * np.sum(S * K)  # dK/dlog sv = K (jitter scales with sv)
+    sq = diff**2  # dKc/dlog ls_j = Kc * sq[..., j]
     for j in range(len(ls)):
-        D = ((X[:, j, None] - X[None, :, j]) / ls[j]) ** 2
-        grad[1 + j] = -0.5 * np.sum(S * (Kc * D))
+        grad[1 + j] = -0.5 * np.sum(S * (Kc * sq[..., j]))
     return float(nll), grad
 
 
@@ -333,7 +365,9 @@ def fit_hyperparameters(
             method="L-BFGS-B",
             bounds=list(zip(lo, hi)),
         )
-        cand_nll, _ = _nll_and_grad(res.x, X, y, JITTER_INITIAL)
+        # After an abnormal stop (a failed line search) res.fun can belong to
+        # a rejected trial point, not to res.x; evaluate res.x again then.
+        cand_nll = res.fun if res.success else _nll_and_grad(res.x, X, y, JITTER_INITIAL)[0]
         if cand_nll < best_nll:
             best_theta, best_nll = res.x, cand_nll
     if warm_start is not None:

@@ -128,7 +128,7 @@ def _polish_mean_descent(
     """Projected gradient descent of the posterior mean, all rows in lock step."""
 
     def neg_mean(X, rows, grads):
-        r = model.rows(X, grads)
+        r = model.mean_rows(X, grads)
         return (-r["mean"], -r["dmean"]) if grads else -r["mean"]
 
     X, _ = projected_ascent(neg_mean, cand, bounds, first_move=0.1, steps=steps)

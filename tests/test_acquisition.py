@@ -154,7 +154,7 @@ def test_eic_grad_zero_by_symmetry():
     X = np.array([[1.0], [3.0]])
     obj = GPModel.fit(X, np.array([0.5, 0.5]), KernelParams(1.0, np.array([1.0])))
     bundle = PosteriorBundle.from_models(obj, [_certain_constraint(X)])
-    g, degen = eic_grad(bundle, np.array([2.0]))
+    _, g, degen = eic_grad(bundle, np.array([2.0]))
     assert not degen
     assert abs(g[0]) <= 1e-8
 
@@ -164,7 +164,7 @@ def test_eic_grad_matches_fd_on_random_instances():
         bundle, bounds = make_gp_instance(seed, d=2, box=(0.0, 4.0))
         bounds = np.array([[0.0, 4.0], [0.0, 4.0]])
         x = random_x1(seed, bounds, bundle=bundle)[0]
-        g, degen = eic_grad(bundle, x)
+        _, g, degen = eic_grad(bundle, x)
         assert not degen
         fd = numeric_grad(lambda X1: eic(bundle, X1), x.reshape(1, -1), h=1e-5)[0]
         denom = max(np.linalg.norm(fd), 1e-10)
@@ -181,14 +181,16 @@ def test_eic_grad_flat_in_saturated_tail():
     bundle = PosteriorBundle(
         obj, (con,), float(obj.train_targets[idx]), X[idx].copy(), (False,)
     )
-    g, _ = eic_grad(bundle, X[2] + 0.05)
+    _, g, _ = eic_grad(bundle, X[2] + 0.05)
     assert np.linalg.norm(g) <= 1e-6
 
 
 def test_rows_match_per_point_calls():
     """posterior_many, posterior_grads and eic_grad on 64 rows give every row
     the bits of a call on that row alone, at data points and 1e-5 from them
-    too: the posterior at query rows is built row by row."""
+    too: the posterior at query rows is built row by row. The moments and
+    values that come with the gradients are the bits of posterior_many and
+    eic_many, and the mean-only rows those of GPModel.rows."""
     for seed in range(6):
         bundle, bounds = make_gp_instance(seed, d=2, n_constraints=2)
         data = bundle.objective.train_inputs[:2]
@@ -196,6 +198,16 @@ def test_rows_match_per_point_calls():
         for model in (bundle.objective, *bundle.active_constraints):
             mu, var = model.posterior_many(X)
             dmu, dsig, degen = model.posterior_grads(X)
+            with_moments = model.posterior_grads(X, moments=True)
+            for got, want in zip(with_moments, (mu, var, dmu, dsig, degen)):
+                np.testing.assert_array_equal(got, want)
+            rows = model.rows(X, grads=True)
+            for grads in (False, True):
+                mean_rows = model.mean_rows(X, grads)
+                keys = ("K", "mean", "J", "dmean") if grads else ("K", "mean")
+                assert sorted(mean_rows) == sorted(keys)
+                for key in keys:
+                    np.testing.assert_array_equal(mean_rows[key], rows[key])
             for i, x in enumerate(X):
                 mu1, var1 = model.posterior_many(x)
                 assert (mu1[0], var1[0]) == (mu[i], var[i])
@@ -203,9 +215,12 @@ def test_rows_match_per_point_calls():
                 np.testing.assert_array_equal(dmu1, dmu[i])
                 np.testing.assert_array_equal(dsig1, dsig[i])
                 assert degen1 == degen[i]
-        g, degen = eic_grad(bundle, X)
+                assert model.posterior_grads(x, moments=True)[:2] == (mu[i], var[i])
+        values, g, degen = eic_grad(bundle, X)
+        np.testing.assert_array_equal(values, eic_many(bundle, X))
         for i, x in enumerate(X):
-            g1, degen1 = eic_grad(bundle, x)
+            value1, g1, degen1 = eic_grad(bundle, x)
+            assert value1 == values[i]
             np.testing.assert_array_equal(g1, g[i])
             assert degen1 == degen[i]
 

@@ -16,6 +16,7 @@ from twostep_cbo.gp import (
     FactorizationError,
     GPModel,
     KernelParams,
+    _nll_and_grad,
     fit_hyperparameters,
     jittered_cholesky,
     kernel_grad_first,
@@ -144,6 +145,44 @@ def test_fit_respects_bounds():
     assert 1e-3 <= params.lengthscales[0] <= 10.0
     vy = np.var(y)
     assert 1e-4 * vy <= params.signal_variance <= 1e4 * vy
+
+
+@pytest.mark.parametrize("d", [1, 2, 4])
+def test_nll_grad_matches_central_differences(d):
+    rng = np.random.default_rng(40 + d)
+    X = rng.uniform(0.0, 3.0, size=(8, d))
+    y = np.sin(X).sum(axis=1) + 0.1 * rng.standard_normal(8)
+    for _ in range(5):
+        theta = np.concatenate([[rng.uniform(-1.0, 1.0)], rng.uniform(-1.5, -0.5, size=d)])
+        _, grad = _nll_and_grad(theta, X, y, JITTER_INITIAL)
+        want = numeric_grad(
+            lambda T: _nll_and_grad(T[0], X, y, JITTER_INITIAL)[0], theta.reshape(1, -1), 1e-6
+        )[0]
+        np.testing.assert_allclose(grad, want, rtol=1e-5, atol=1e-6)
+
+
+def test_log_marginal_likelihood_is_minus_inf_where_the_kernel_does_not_factorize():
+    """At a subnormal signal variance the initial jitter rounds to zero, so
+    two coincident inputs leave the kernel matrix singular."""
+    X, y = np.array([[0.0], [0.0]]), np.array([1.0, -1.0])
+    assert log_marginal_likelihood(KernelParams(5e-324, np.array([1.0])), X, y) == -np.inf
+    nll, grad = _nll_and_grad(np.zeros(2), X, y, 0.0)
+    assert nll == np.inf
+    np.testing.assert_array_equal(grad, np.zeros(2))
+
+
+def test_nll_of_a_non_finite_kernel_matrix_is_inf_with_zero_gradient():
+    X, y = np.array([[0.0], [1.0]]), np.array([1.0, -1.0])
+    cases = [
+        (np.zeros(2), np.array([[0.0], [np.nan]])),  # NaN input
+        (np.zeros(2), np.array([[0.0], [np.inf]])),  # inf - inf on the diagonal
+        (np.array([800.0, 0.0]), X),  # signal variance overflows to inf
+    ]
+    for theta, inputs in cases:
+        with np.errstate(over="ignore", invalid="ignore"):
+            nll, grad = _nll_and_grad(theta, inputs, y, JITTER_INITIAL)
+        assert nll == np.inf
+        np.testing.assert_array_equal(grad, np.zeros(2))
 
 
 # -- posterior --------------------------------------------------------------------
