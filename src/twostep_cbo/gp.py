@@ -8,14 +8,15 @@ starts at ``1e-8 * signal_variance`` and escalates by factors of ten up to
 The model is a frozen dataclass holding the Cholesky factor L of the
 jittered kernel matrix and its inverse. GPModel.mean_rows is the one home of
 the posterior mean at query rows and of its x-derivative, which the loop's
-mean polish uses on its own; GPModel.rows builds the variance and its
-derivative on top of it and is shared by posterior_many, posterior_grads
-(and through them the myopic EIC) and the fantasy engine. It reaches L^{-1}
-by row products, so a row's numbers do not depend on the rows sharing the
-call. Hyperparameters are fit by multistart L-BFGS-B on the log marginal
-likelihood in log-parameter space; the likelihood factorizes and solves with
-LAPACK's potrf/potrs directly, the routines under scipy's cholesky and
-cho_solve, whose per-call checks cost more than the work at these sizes.
+recommendation (its mean polish and its pick) uses on its own. GPModel.rows
+builds the variance and its derivative on top of it and is shared by
+posterior_many, posterior_grads (and through them the myopic EIC) and the
+fantasy engine. It reaches L^{-1} by row products, so a row's numbers do not
+depend on the rows sharing the call. Hyperparameters are fit by multistart
+L-BFGS-B on the log marginal likelihood in log-parameter space; the
+likelihood factorizes and solves with LAPACK's potrf/potrs directly, the
+routines under scipy's cholesky and cho_solve, whose per-call checks cost
+more than the work at these sizes.
 """
 
 from __future__ import annotations

@@ -149,7 +149,7 @@ def recommend(bundle: PosteriorBundle, bounds: np.ndarray, seed: int) -> np.ndar
         [X_obs, latin_hypercube(2048, bounds, np.random.SeedSequence((seed, 13)))]
     )
     cand = np.vstack([base, _polish_mean_descent(bundle.objective, base, bounds)])
-    mu, _ = bundle.objective.posterior_many(cand)
+    mu = bundle.objective.mean_rows(cand)["mean"]
     min_pf = np.ones(cand.shape[0])
     for c in bundle.active_constraints:
         mc, vc = c.posterior_many(cand)
