@@ -7,7 +7,7 @@ version, and the projected backtracking ascent that every maximizer in the
 package uses. ei_pf is the one implementation of EI times PF with the sigma
 floor and its gradient; eic_many, eic_grad and the two-step engine call it.
 eic_grad returns the values with the gradient, the bits of eic_many, from
-one posterior pass per model (GPModel.posterior_grads with moments), so
+one posterior pass per model (GPModel.posterior_grads), so
 maximize_eic's gradient steps evaluate each row once; its value-only steps
 go through eic_many. The batch estimator draws its fantasies through the
 two-step FantasyEngine, so the joint posterior at a batch is sampled in one
@@ -205,10 +205,10 @@ def eic_grad(bundle: PosteriorBundle, x: np.ndarray):
     best = bundle.require_incumbent()
     x = np.asarray(x, dtype=float)
     X = np.atleast_2d(x)
-    mu, var, dmu, dsig, degen = bundle.objective.posterior_grads(X, moments=True)
+    mu, var, dmu, dsig, degen = bundle.objective.posterior_grads(X)
     cons, dcons = [], []
     for c in bundle.active_constraints:
-        mc, vc, dmc, dsc, cdegen = c.posterior_grads(X, moments=True)
+        mc, vc, dmc, dsc, cdegen = c.posterior_grads(X)
         cons.append((mc, np.sqrt(vc)))
         dcons.append((dmc, dsc))
         degen = degen | cdegen

@@ -91,7 +91,7 @@ def selftest(verbose: bool = False) -> int:
     check("interpolation", np.max(np.abs(mu - y)) < 1e-5 and np.max(var) < 1e-5)
 
     x0 = np.array([1.3, 2.1])
-    dmu, dsig, _ = model.posterior_grads(x0)
+    _, _, dmu, dsig, _ = model.posterior_grads(x0)
     h = 1e-6
     for j, (dm, ds) in enumerate(zip(dmu, dsig)):
         e = np.zeros(2)

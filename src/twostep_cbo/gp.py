@@ -235,16 +235,15 @@ class GPModel:
         targets = np.concatenate([self.train_targets, y1])
         return GPModel.fit(stacked, targets, self.kernel)
 
-    def posterior_grads(self, x: np.ndarray, moments: bool = False):
-        """Gradients of the posterior mean and standard deviation at a point
-        (d,) or at rows (m, d).
+    def posterior_grads(self, x: np.ndarray):
+        """Posterior moments with the gradients of the mean and standard
+        deviation at a point (d,) or at rows (m, d).
 
-        Returns (dmean, dsigma, degenerate), shaped (d,), (d,) and a bool for
-        a point, (m, d), (m, d) and (m,) for rows. Degenerate within
-        NEAR_DATA_TOL of a data point or where the standard deviation is at
-        or below SIGMA_FLOOR; there the sigma gradient is zeros. With moments
-        the mean and variance of posterior_many, the same bits, lead the
-        tuple: (mean, var, dmean, dsigma, degenerate).
+        Returns (mean, var, dmean, dsigma, degenerate); the mean and variance
+        are the bits of posterior_many. Shaped (), (), (d,), (d,) and a bool
+        for a point, (m,), (m,), (m, d), (m, d) and (m,) for rows. Degenerate
+        within NEAR_DATA_TOL of a data point or where the standard deviation
+        is at or below SIGMA_FLOOR; there the sigma gradient is zeros.
         """
         x = np.asarray(x, dtype=float)
         X = np.atleast_2d(x)
@@ -259,7 +258,7 @@ class GPModel:
         out = (mean, var, r["dmean"], dsigma, degenerate)
         if x.ndim < 2:
             out = (*(a[0] for a in out[:4]), bool(degenerate[0]))
-        return out if moments else out[2:]
+        return out
 
 
 def jittered_cholesky(C: np.ndarray, scale: float) -> tuple[np.ndarray, float]:
@@ -285,8 +284,10 @@ def log_marginal_likelihood(params: KernelParams, inputs: np.ndarray, targets: n
     """Log marginal likelihood of the data under the jittered kernel: minus
     the objective that fit_hyperparameters minimizes, -inf where the kernel
     matrix does not factorize at the initial jitter."""
-    theta = np.log(np.concatenate([[params.signal_variance], params.lengthscales]))
     X = np.atleast_2d(np.asarray(inputs, dtype=float))
+    if params.lengthscales.shape[0] != X.shape[1]:
+        raise ValueError("point dimension does not match kernel lengthscales")
+    theta = np.log(np.concatenate([[params.signal_variance], params.lengthscales]))
     return -_nll_and_grad(theta, X, np.asarray(targets, dtype=float).ravel(), JITTER_INITIAL)[0]
 
 
@@ -366,9 +367,7 @@ def fit_hyperparameters(
             method="L-BFGS-B",
             bounds=list(zip(lo, hi)),
         )
-        # After an abnormal stop (a failed line search) res.fun can belong to
-        # a rejected trial point, not to res.x; evaluate res.x again then.
-        cand_nll = res.fun if res.success else _nll_and_grad(res.x, X, y, JITTER_INITIAL)[0]
+        cand_nll, _ = _nll_and_grad(res.x, X, y, JITTER_INITIAL)
         if cand_nll < best_nll:
             best_theta, best_nll = res.x, cand_nll
     if warm_start is not None:

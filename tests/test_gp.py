@@ -171,6 +171,14 @@ def test_log_marginal_likelihood_is_minus_inf_where_the_kernel_does_not_factoriz
     np.testing.assert_array_equal(grad, np.zeros(2))
 
 
+def test_log_marginal_likelihood_rejects_mismatched_lengthscales():
+    X, y = np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([1.0, -1.0])
+    with pytest.raises(ValueError):
+        log_marginal_likelihood(KernelParams(1.0, np.array([1.0])), X, y)
+    with pytest.raises(ValueError):
+        log_marginal_likelihood(KernelParams(1.0, np.ones(2)), X[:, :1], y)
+
+
 def test_nll_of_a_non_finite_kernel_matrix_is_inf_with_zero_gradient():
     X, y = np.array([[0.0], [1.0]]), np.array([1.0, -1.0])
     cases = [
@@ -301,7 +309,7 @@ def test_fantasy_overlap_warns():
 def test_mean_grad_zero_at_symmetric_midpoint():
     params = KernelParams(1.0, np.array([1.0]))
     model = GPModel.fit(np.array([[0.0], [2.0]]), np.array([0.8, 0.8]), params)
-    dmean, _, _ = model.posterior_grads(np.array([1.0]))
+    _, _, dmean, _, _ = model.posterior_grads(np.array([1.0]))
     np.testing.assert_allclose(dmean, 0.0, atol=1e-8)
 
 
@@ -310,7 +318,7 @@ def test_posterior_grads_match_fd():
     rng = np.random.default_rng(15)
     for _ in range(10):
         x = rng.uniform(0.3, 3.7, size=2)
-        dmean, dsigma, degen = model.posterior_grads(x)
+        _, _, dmean, dsigma, degen = model.posterior_grads(x)
         assert not degen
         fd_m = numeric_grad(lambda X: model.posterior(X[0])[0], x.reshape(1, -1), 1e-6)[0]
         fd_s = numeric_grad(
@@ -322,7 +330,7 @@ def test_posterior_grads_match_fd():
 
 def test_posterior_grads_empty_model_zero():
     model = GPModel.fit(np.empty((0, 2)), np.empty(0), KernelParams(1.0, np.ones(2)))
-    dmean, dsigma, degen = model.posterior_grads(np.array([0.5, 0.5]))
+    _, _, dmean, dsigma, degen = model.posterior_grads(np.array([0.5, 0.5]))
     np.testing.assert_allclose(dmean, 0.0)
     np.testing.assert_allclose(dsigma, 0.0)
     assert not degen
@@ -330,7 +338,7 @@ def test_posterior_grads_empty_model_zero():
 
 def test_posterior_grads_degenerate_at_training_point():
     model = _toy_model(16)
-    _, dsigma, degen = model.posterior_grads(model.train_inputs[0])
+    _, _, _, dsigma, degen = model.posterior_grads(model.train_inputs[0])
     assert degen
     np.testing.assert_allclose(dsigma, 0.0)
 
@@ -405,7 +413,7 @@ def test_sigma_grads_share_one_near_data_rule():
     for offset, inside in ((1e-5, True), (10 * NEAR_DATA_TOL, False)):
         x = model.train_inputs[0] + np.array([offset, 0.0])
         assert np.sqrt(model.posterior(x)[1]) > SIGMA_FLOOR
-        _, dsigma, degen = model.posterior_grads(x)
+        _, _, _, dsigma, degen = model.posterior_grads(x)
         assert degen == inside
         assert np.all(dsigma == 0) == inside
 
