@@ -2,13 +2,17 @@
 
 Three box-constrained minimization problems with black-box inequality
 constraints g(x) <= 0, plus oracles for the true constrained optimum and the
-domain maximum of the objective. Oracles scan a dense grid (chunked along the
-first axis in four dimensions) and polish the leading feasible cells with
-SLSQP.
+domain maximum of the objective. Oracles scan a dense regular grid in chunks of
+a bounded number of rows: each chunk gets the objective first, then, once the
+scan holds enough feasible cells, a threshold at the current k-th best value,
+and only the cells below it go to the constraints. The leading feasible cells
+are then polished with SLSQP, whose finite-difference gradients evaluate a
+point and its forward steps in one call.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -16,6 +20,10 @@ import numpy as np
 from scipy.optimize import minimize
 
 FEASIBILITY_TOL = 1e-9
+# SLSQP's default absolute finite-difference step
+_FD_STEP = float(np.sqrt(np.finfo(float).eps))
+# rows per grid-scan chunk, few enough that a chunk's temporaries stay in cache
+_SCAN_ROWS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -62,7 +70,9 @@ def _p2_constraints(X):
 
 
 def _p3_objective(X):
-    return 0.5 * np.sum(X**4 - 16.0 * X**2 + 5.0 * X, axis=1)
+    # S * S rather than X**4, which numpy computes with libm pow
+    S = X * X
+    return 0.5 * np.sum(S * S - 16.0 * S + 5.0 * X, axis=1)
 
 
 def _p3_constraints(X):
@@ -116,33 +126,70 @@ class OracleResult:
     provenance: dict
 
 
+def _grid_chunks(bounds: np.ndarray, resolution: int):
+    """The cells of a regular grid in C order, in chunks of at most
+    `_SCAN_ROWS` rows, each a view of one reused column-major buffer.
+
+    The leading d - 2 axes are iterated one value at a time; the slab of the
+    last two axes (of the only axis when d = 1) is split by the row cap.
+    """
+    axes = [np.linspace(lo, hi, resolution) for lo, hi in bounds]
+    lead = max(len(axes) - 2, 0)
+    slab = np.stack([m.ravel() for m in np.meshgrid(*axes[lead:], indexing="ij")], axis=1)
+    buf = np.empty((min(slab.shape[0], _SCAN_ROWS), len(axes)), order="F")
+    for head in itertools.product(*axes[:lead]):
+        buf[:, :lead] = head
+        for a in range(0, slab.shape[0], _SCAN_ROWS):
+            X = buf[: min(_SCAN_ROWS, slab.shape[0] - a)]
+            X[:, lead:] = slab[a : a + _SCAN_ROWS]
+            yield X
+
+
 def _grid_scan(problem: ConstrainedProblem, resolution: int, keep: int, feasible_only=True):
     """The `keep` lowest objective values on a regular grid and their cells,
-    best first: (values, points).
+    best first, ties in grid order: (values, points).
 
-    With feasible_only, infeasible cells are dropped before the objective is
-    evaluated. Grids of more than two dimensions are scanned one slice along
-    the first axis at a time to bound memory.
+    Each chunk of `_grid_chunks` gets the objective first. Once `keep`
+    feasible cells are held, the cells above the current k-th best value are
+    dropped, and only the rest go to the constraints (with feasible_only).
     """
-    axes = [np.linspace(lo, hi, resolution) for lo, hi in problem.bounds]
-    if problem.dim <= 2:
-        mesh = np.meshgrid(*axes, indexing="ij")
-        chunks = [np.stack([m.ravel() for m in mesh], axis=1)]
-    else:
-        rest = np.meshgrid(*axes[1:], indexing="ij")
-        rest = np.stack([m.ravel() for m in rest], axis=1)
-        chunks = (np.column_stack([np.full(rest.shape[0], x0), rest]) for x0 in axes[0])
     vals, pts = np.empty(0), np.empty((0, problem.dim))
-    for X in chunks:
+    for X in _grid_chunks(problem.bounds, resolution):
+        f = problem.objective(X)
+        if vals.size >= keep:
+            hit = f <= vals.max()
+            if not hit.any():
+                continue
+            X, f = X[hit], f[hit]
         if feasible_only:
-            X = X[np.all(problem.constraints(X) <= 0.0, axis=1)]
-        vals = np.concatenate([vals, problem.objective(X)])
-        pts = np.vstack([pts, X])
+            ok = np.all(problem.constraints(X) <= 0.0, axis=1)
+            X, f = X[ok], f[ok]
+        vals = np.concatenate([vals, f])
+        pts = np.concatenate([pts, X])
         if vals.size > keep:
-            top = np.argpartition(vals, keep - 1)[:keep]
+            # the stable sort keeps ties in grid order: the cells held come first
+            top = np.argsort(vals, kind="stable")[:keep]
             vals, pts = vals[top], pts[top]
     order = np.argsort(vals, kind="stable")
     return vals[order], pts[order]
+
+
+def _fd_jac(fun: Callable[[np.ndarray], np.ndarray], upper: np.ndarray):
+    """A `jac` for scipy's `minimize`: the forward-difference derivative of the
+    row function `fun` ((n, d) -> (n,) or (n, m)), from one call on x and its
+    neighbours x + dx_i e_i.
+
+    SLSQP's rule: step sqrt(eps), taken backwards where x + h passes the upper
+    bound, and dx = (x + h) - x. Its relative-step fallback where x + h == x
+    (|x| >= 2**27) is left out; no problem's box comes near that.
+    """
+
+    def jac(x):
+        h = np.where(x + _FD_STEP > upper, -_FD_STEP, _FD_STEP)
+        F = fun(np.vstack([x, x + np.diag(h)]))
+        return (F[1:] - F[0]).T / ((x + h) - x)
+
+    return jac
 
 
 def constrained_optimum_oracle(
@@ -163,15 +210,19 @@ def constrained_optimum_oracle(
         np.clip(s + rng.normal(scale=jitter), problem.bounds[:, 0], problem.bounds[:, 1])
         for s in starts[: max(n_polish // 2, 1)]
     ]
-    cons = [
-        {"type": "ineq", "fun": lambda x, m=m: -problem.constraints(np.atleast_2d(x))[0, m]}
-        for m in range(problem.n_constraints)
-    ]
+    upper = problem.bounds[:, 1]
+    cons = {
+        "type": "ineq",
+        "fun": lambda x: -problem.constraints(np.atleast_2d(x))[0],
+        "jac": _fd_jac(lambda X: -problem.constraints(X), upper),
+    }
+    jac = _fd_jac(problem.objective, upper)
     val, pt = float(grid_vals[0]), starts[0].copy()
     for s in [*starts, *extra]:
         res = minimize(
             lambda x: float(problem.objective(np.atleast_2d(x))[0]),
             s,
+            jac=jac,
             method="SLSQP",
             bounds=problem.bounds,
             constraints=cons,
@@ -199,10 +250,12 @@ def domain_max_oracle(
     negated = replace(problem, objective=lambda X: -problem.objective(X))
     grid_vals, starts = _grid_scan(negated, resolution, max(n_polish, 1), feasible_only=False)
     val, pt = float(-grid_vals[0]), starts[0].copy()
+    jac = _fd_jac(negated.objective, problem.bounds[:, 1])
     for s in starts:
         res = minimize(
-            lambda x: -float(problem.objective(np.atleast_2d(x))[0]),
+            lambda x: float(negated.objective(np.atleast_2d(x))[0]),
             s,
+            jac=jac,
             method="L-BFGS-B",
             bounds=problem.bounds,
         )

@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import approx_fprime, minimize
 
+from twostep_cbo import problems
 from twostep_cbo.problems import (
     ConstrainedProblem,
     constrained_optimum_oracle,
@@ -74,6 +76,15 @@ def test_p3_separable_minimum_is_feasible():
     assert prob.constraints(x)[0, 0] < 0.0
 
 
+def test_p3_objective_matches_textbook_quartic():
+    rng = np.random.default_rng(np.random.SeedSequence((11, 1031)))
+    X = -5.0 + 10.0 * rng.random((1000, 4))
+    textbook = 0.5 * np.sum(X**4 - 16.0 * X**2 + 5.0 * X, axis=1)
+    np.testing.assert_allclose(p3().objective(X), textbook, rtol=1e-12, atol=0.0)
+    x = np.full((1, 4), -2.903534)
+    assert p3().objective(x)[0] == pytest.approx(-156.664663, abs=1e-5)
+
+
 def _independent_p1_f(x1, x2):
     return math.cos(2.0 * x1) * math.cos(x2) + math.sin(x1)
 
@@ -127,6 +138,140 @@ def _linear_problem(constraint):
         constraint,
         1,
     )
+
+
+def _brute_force_scan(problem, resolution, keep, feasible_only=True):
+    """Every cell at once, infeasible ones masked, the rest stable-sorted."""
+    axes = [np.linspace(lo, hi, resolution) for lo, hi in problem.bounds]
+    X = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
+    f = problem.objective(X)
+    if feasible_only:
+        ok = np.all(problem.constraints(X) <= 0.0, axis=1)
+        X, f = X[ok], f[ok]
+    order = np.argsort(f, kind="stable")[:keep]
+    return f[order], X[order]
+
+
+def _steps_problem():
+    # a 1-d objective with runs of equal values, feasible on x >= 0.3 only
+    return ConstrainedProblem(
+        "steps",
+        np.array([[0.0, 1.0]]),
+        lambda X: np.floor(10.0 * X[:, 0]),
+        lambda X: (0.3 - X[:, 0])[:, None],
+        1,
+    )
+
+
+@pytest.mark.parametrize("scan_rows", [None, 37])
+@pytest.mark.parametrize(
+    "problem, resolution, keep, feasible_only",
+    [
+        (p1(), 101, 50, True),
+        (p2(), 101, 50, True),
+        (p3(), 14, 200, True),
+        (p3(), 14, 200, False),
+        (p2(), 101, 30, False),
+        (_steps_problem(), 1001, 30, True),
+        (_steps_problem(), 11, 30, True),
+        (p1(), 5, 100, True),
+    ],
+    ids=["p1", "p2", "p3", "p3-all", "p2-all", "steps-ties", "steps-keep>feasible", "p1-keep>feasible"],
+)
+def test_grid_scan_matches_brute_force(
+    problem, resolution, keep, feasible_only, scan_rows, monkeypatch
+):
+    # the scan keeps ties in grid order, so even the cells tied at the k-th
+    # value match the stable sort; 37 rows split each slab into many chunks
+    if scan_rows is not None:
+        monkeypatch.setattr(problems, "_SCAN_ROWS", scan_rows)
+    vals, pts = problems._grid_scan(problem, resolution, keep, feasible_only)
+    ref_vals, ref_pts = _brute_force_scan(problem, resolution, keep, feasible_only)
+    assert vals.size == min(keep, ref_vals.size)
+    np.testing.assert_array_equal(vals, ref_vals)
+    np.testing.assert_array_equal(pts, ref_pts)
+
+
+def test_grid_scan_all_infeasible_is_empty():
+    prob = _linear_problem(lambda X: np.full((X.shape[0], 1), 1.0))
+    vals, pts = problems._grid_scan(prob, 101, 5)
+    assert vals.shape == (0,) and pts.shape == (0, 1)
+
+
+def _fd_cases():
+    rng = np.random.default_rng(np.random.SeedSequence((12, 1031)))
+    for prob in (p1(), p2(), p3()):
+        lo, hi = prob.bounds[:, 0], prob.bounds[:, 1]
+        yield prob, lo + (0.05 + 0.9 * rng.random((10, prob.dim))) * (hi - lo)
+
+
+def test_fd_jac_matches_approx_fprime_inside_the_box():
+    step = np.sqrt(np.finfo(float).eps)
+    for prob, X in _fd_cases():
+        upper = prob.bounds[:, 1]
+        jac_f = problems._fd_jac(prob.objective, upper)
+        jac_g = problems._fd_jac(prob.constraints, upper)
+        for x in X:
+            f = lambda x: float(prob.objective(np.atleast_2d(x))[0])
+            g = lambda x: prob.constraints(np.atleast_2d(x))[0]
+            np.testing.assert_array_equal(jac_f(x), approx_fprime(x, f, step))
+            ref_g = approx_fprime(x, g, step).reshape(prob.n_constraints, prob.dim)
+            np.testing.assert_array_equal(jac_g(x), ref_g)
+
+
+def test_fd_jac_steps_back_at_the_upper_bound():
+    for prob, X in _fd_cases():
+        lo, hi = prob.bounds[:, 0], prob.bounds[:, 1]
+        seen = []
+
+        def objective(rows):
+            seen.append(rows.copy())
+            return prob.objective(rows)
+
+        jac = problems._fd_jac(objective, hi)
+        near = np.arange(prob.dim) % 2 == 0
+        for x in X:
+            x = np.where(near, hi - 1e-9 * np.arange(prob.dim) / prob.dim, x)
+            seen.clear()
+            jac(x)
+            (rows,) = seen
+            assert rows.shape == (prob.dim + 1, prob.dim)
+            np.testing.assert_array_equal(rows[0], x)
+            dx = np.diag(rows[1:]) - x
+            assert np.all(dx[near] < 0.0) and np.all(dx[~near] > 0.0)
+            assert np.all((rows >= lo) & (rows <= hi))
+
+
+@pytest.mark.parametrize("name", ["p1", "p2"])
+def test_fd_jac_slsqp_follows_scipy_differences(name):
+    prob = get_problem(name)
+    _, starts = problems._grid_scan(prob, 200, 10)
+    upper = prob.bounds[:, 1]
+    f = lambda x: float(prob.objective(np.atleast_2d(x))[0])
+    scipy_cons = [
+        {"type": "ineq", "fun": lambda x, m=m: -prob.constraints(np.atleast_2d(x))[0, m]}
+        for m in range(prob.n_constraints)
+    ]
+    one_call_cons = {
+        "type": "ineq",
+        "fun": lambda x: -prob.constraints(np.atleast_2d(x))[0],
+        "jac": problems._fd_jac(lambda X: -prob.constraints(X), upper),
+    }
+    options = {"maxiter": 200, "ftol": 1e-12}
+    for s in starts:
+        ref = minimize(
+            f, s, method="SLSQP", bounds=prob.bounds, constraints=scipy_cons, options=options
+        )
+        res = minimize(
+            f,
+            s,
+            jac=problems._fd_jac(prob.objective, upper),
+            method="SLSQP",
+            bounds=prob.bounds,
+            constraints=one_call_cons,
+            options=options,
+        )
+        np.testing.assert_array_equal(res.x, ref.x)
 
 
 def test_optimum_oracle_unconstrained_linear():
