@@ -175,8 +175,19 @@ def _steps_problem():
         (_steps_problem(), 1001, 30, True),
         (_steps_problem(), 11, 30, True),
         (p1(), 5, 100, True),
+        (_linear_problem(lambda X: np.full((X.shape[0], 1), 1.0)), 101, 5, True),
     ],
-    ids=["p1", "p2", "p3", "p3-all", "p2-all", "steps-ties", "steps-keep>feasible", "p1-keep>feasible"],
+    ids=[
+        "p1",
+        "p2",
+        "p3",
+        "p3-all",
+        "p2-all",
+        "steps-ties",
+        "steps-keep>feasible",
+        "p1-keep>feasible",
+        "infeasible",
+    ],
 )
 def test_grid_scan_matches_brute_force(
     problem, resolution, keep, feasible_only, scan_rows, monkeypatch
@@ -190,12 +201,6 @@ def test_grid_scan_matches_brute_force(
     assert vals.size == min(keep, ref_vals.size)
     np.testing.assert_array_equal(vals, ref_vals)
     np.testing.assert_array_equal(pts, ref_pts)
-
-
-def test_grid_scan_all_infeasible_is_empty():
-    prob = _linear_problem(lambda X: np.full((X.shape[0], 1), 1.0))
-    vals, pts = problems._grid_scan(prob, 101, 5)
-    assert vals.shape == (0,) and pts.shape == (0, 1)
 
 
 def _fd_cases():
