@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .gp import GPModel, SIGMA_FLOOR
+from .gp import GPModel, SIGMA_FLOOR, sq_dist
 from .sampling import latin_hypercube
 
 
@@ -316,7 +316,7 @@ def greedy_batch_eic(bundle: PosteriorBundle, bounds: np.ndarray, q: int, seed: 
     chosen = np.zeros((0, cand.shape[1]))
     for slot in range(q):
         slot_seed = int(np.random.SeedSequence((seed, 31, slot)).generate_state(1)[0])
-        dist = np.linalg.norm(cand[:, None, :] - chosen[None, :, :], axis=-1)
+        dist = np.sqrt(sq_dist(cand[:, None, :], chosen[None, :, :]))
         free = cand[np.all(dist >= 1e-6, axis=1)]
         stack = np.concatenate(
             [np.broadcast_to(chosen, (len(free),) + chosen.shape), free[:, None, :]], axis=1

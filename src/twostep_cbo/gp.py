@@ -5,6 +5,13 @@ exactly up to a diagonal jitter added for numerical stability; the jitter
 starts at ``1e-8 * signal_variance`` and escalates by factors of ten up to
 ``1e-2 * signal_variance`` before factorization is abandoned.
 
+The kernel, its x-gradient, the likelihood and every distance check work one
+input dimension j at a time on contiguous planes of the broadcast leading axes
+(sq_planes), the squares added in the order j = 0..d-1 (sq_dist). Each element
+takes the operations of the (..., d) broadcast form the tests keep as the
+reference, so the bits are the same for d <= 2 and for every distance; for
+d >= 3 einsum added the squares in another order, an ulp of the sum apart.
+
 The model is a frozen dataclass holding the Cholesky factor L of the
 jittered kernel matrix and its inverse. GPModel.mean_rows is the one home of
 the posterior mean at query rows and of its x-derivative, which the loop's
@@ -57,31 +64,54 @@ class KernelParams:
         object.__setattr__(self, "lengthscales", ls)
         if not np.isfinite(self.signal_variance) or self.signal_variance <= 0:
             raise ValueError("signal_variance must be finite and positive")
-        if ls.ndim != 1 or not np.all(np.isfinite(ls)) or np.any(ls <= 0):
-            raise ValueError("lengthscales must be a 1-d array of finite positives")
+        if ls.ndim != 1 or ls.size == 0 or not np.all(np.isfinite(ls)) or np.any(ls <= 0):
+            raise ValueError("lengthscales must be a non-empty 1-d array of finite positives")
 
     @property
     def dim(self) -> int:
         return self.lengthscales.shape[0]
 
 
+def sq_planes(A: np.ndarray, B: np.ndarray, scale=None):
+    """The planes ((A_j - B_j) / scale_j)^2, j = 0..d-1, of the points of A and
+    B paired by broadcasting over all axes but the last; unscaled without
+    scale."""
+    for j in range(A.shape[-1]):
+        t = A[..., j] - B[..., j]
+        if scale is not None:
+            t = t / scale[j]
+        t *= t
+        yield t
+
+
+def sq_dist(A: np.ndarray, B: np.ndarray, scale=None) -> np.ndarray:
+    """Squared distances of paired points: sq_planes added in order, as np.sum
+    adds up to eight terms along the last axis."""
+    planes = sq_planes(A, B, scale)
+    total = next(planes)
+    for plane in planes:
+        total += plane
+    return total
+
+
 def kernel_paired(params: KernelParams, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """k(a, b) of the points of A and B paired by broadcasting over all axes
     but the last; kernel_matrix is the all-pairs case."""
-    return _kernel_scaled(params.signal_variance, (A - B) / params.lengthscales)
-
-
-def _kernel_scaled(signal_variance, diff: np.ndarray) -> np.ndarray:
-    """The kernel of paired points from their differences already divided by
-    the lengthscales, (..., d) -> (...)."""
-    return signal_variance * np.exp(-0.5 * np.einsum("...d,...d->...", diff, diff))
+    return params.signal_variance * np.exp(-0.5 * sq_dist(A, B, params.lengthscales))
 
 
 def kernel_grad_paired(
     params: KernelParams, A: np.ndarray, B: np.ndarray, K: np.ndarray
 ) -> np.ndarray:
-    """Derivative in a of K = kernel_paired(params, A, B), shape (..., d)."""
-    return -K[..., None] * (A - B) / params.lengthscales**2
+    """Derivative in a of K = kernel_paired(params, A, B), shape (..., d),
+    filled one input dimension at a time with -K (a_j - b_j) / ls_j^2."""
+    d = A.shape[-1]
+    out = np.empty(K.shape + (d,))
+    neg_K = -K
+    ls2 = params.lengthscales**2
+    for j in range(d):
+        out[..., j] = neg_K * (A[..., j] - B[..., j]) / ls2[j]
+    return out
 
 
 def kernel_matrix(params: KernelParams, A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -93,15 +123,10 @@ def kernel_matrix(params: KernelParams, A: np.ndarray, B: np.ndarray) -> np.ndar
     return kernel_paired(params, A[:, None, :], B[None, :, :])
 
 
-def kernel_grad_first(params: KernelParams, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Derivative of k(a_i, b_j) with respect to a_i, shape (m, n, d)."""
-    return kernel_grad_first_from(params, A, B, kernel_matrix(params, A, B))
-
-
 def kernel_grad_first_from(
     params: KernelParams, A: np.ndarray, B: np.ndarray, K: np.ndarray
 ) -> np.ndarray:
-    """Same as kernel_grad_first but reusing an already computed k(A, B)."""
+    """Derivative of k(a_i, b_j) = K[i, j] with respect to a_i, shape (m, n, d)."""
     A, B = np.atleast_2d(A), np.atleast_2d(B)
     return kernel_grad_paired(params, A[:, None, :], B[None, :, :], K)
 
@@ -116,7 +141,7 @@ def sd_grad(sd: np.ndarray, dvar: np.ndarray) -> np.ndarray:
 
 def _nearest(X: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Distance from each row of X to the nearest of points; inf when there are none."""
-    d2 = np.sum((X[:, None, :] - points[None, :, :]) ** 2, axis=-1)
+    d2 = sq_dist(X[:, None, :], points[None, :, :])
     return np.sqrt(np.min(d2, axis=1, initial=np.inf))
 
 
@@ -131,7 +156,7 @@ def _moments(r: dict, dist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _min_pairwise_distance(X: np.ndarray) -> float:
     if X.shape[0] < 2:
         return np.inf
-    d2 = np.sum((X[:, None, :] - X[None, :, :]) ** 2, axis=-1)
+    d2 = sq_dist(X[:, None, :], X[None, :, :])
     iu = np.triu_indices(X.shape[0], k=1)
     return float(np.sqrt(np.min(d2[iu])))
 
@@ -211,20 +236,6 @@ class GPModel:
         X = np.atleast_2d(X)
         return _moments(self.rows(X), _nearest(X, self.train_inputs))
 
-    def posterior_joint(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Joint posterior mean vector and covariance matrix over rows of X."""
-        X = np.atleast_2d(X)
-        if _min_pairwise_distance(X) < DUPLICATE_TOL:
-            warnings.warn("posterior_joint called with near-duplicate points", RuntimeWarning)
-        Kxx = kernel_matrix(self.kernel, X, X)
-        if self.n_train == 0:
-            return np.zeros(X.shape[0]), Kxx
-        Kxd = kernel_matrix(self.kernel, X, self.train_inputs)
-        mean = Kxd @ self.weights
-        V = linalg.solve_triangular(self.chol, Kxd.T, lower=True)
-        cov = Kxx - V.T @ V
-        return mean, 0.5 * (cov + cov.T)
-
     def condition_on_fantasy(self, X1: np.ndarray, y1: np.ndarray) -> "GPModel":
         """Model conditioned on hypothetical observations (X1, y1); kernel unchanged."""
         X1 = np.atleast_2d(X1)
@@ -298,8 +309,8 @@ def _nll_and_grad(theta, X, y, jit_rel):
     sv = np.exp(theta[0])
     ls = np.exp(theta[1:])
     n = X.shape[0]
-    diff = (X[:, None, :] - X[None, :, :]) / ls
-    Kc = _kernel_scaled(sv, diff)
+    sq = list(sq_planes(X[:, None, :], X[None, :, :], ls))  # d planes (n, n)
+    Kc = sv * np.exp(-0.5 * sum(sq[1:], sq[0]))  # added in order, as in sq_dist
     eye = np.eye(n)
     K = Kc + jit_rel * sv * eye
     # potrf reports no error on a matrix holding inf or NaN.
@@ -312,9 +323,8 @@ def _nll_and_grad(theta, X, y, jit_rel):
     S = np.outer(w, w) - Kinv
     grad = np.empty_like(theta)
     grad[0] = -0.5 * np.sum(S * K)  # dK/dlog sv = K (jitter scales with sv)
-    sq = diff**2  # dKc/dlog ls_j = Kc * sq[..., j]
-    for j in range(len(ls)):
-        grad[1 + j] = -0.5 * np.sum(S * (Kc * sq[..., j]))
+    for j, plane in enumerate(sq):  # dKc/dlog ls_j = Kc * sq_j
+        grad[1 + j] = -0.5 * np.sum(S * (Kc * plane))
     return float(nll), grad
 
 

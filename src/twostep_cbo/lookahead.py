@@ -58,6 +58,7 @@ from .gp import (
     kernel_grad_paired,
     kernel_paired,
     sd_grad,
+    sq_dist,
 )
 from .sampling import halton_design, latin_hypercube, sobol_normal
 
@@ -120,7 +121,7 @@ class CandidateBatch:
         if not np.all(np.isfinite(pts)):
             raise ValueError("batch points must be finite")
         if pts.shape[0] > 1:
-            d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
+            d2 = sq_dist(pts[:, None, :], pts[None, :, :])
             iu = np.triu_indices(pts.shape[0], k=1)
             if np.sqrt(np.min(d2[iu])) < SEPARATION_TOL:
                 raise ValueError("batch points closer than the separation tolerance")
@@ -452,7 +453,7 @@ class FantasyEngine:
         design = halton_design(min(64 * bounds.shape[0], 256), bounds)
         pv = self.probe_values(design, batch)
         radius = 3.0 * np.max(wid) / len(design) ** (1.0 / bounds.shape[0])
-        near = np.linalg.norm(design[:, None, :] - design[None, :, :], axis=-1) <= radius
+        near = np.sqrt(sq_dist(design[:, None, :], design[None, :, :])) <= radius
         picks = []
         for _ in range(n_keep):
             j = np.argmax(pv, axis=1)
@@ -541,7 +542,7 @@ def _enforce_separation(X: np.ndarray, widths: np.ndarray) -> np.ndarray:
     for _ in range(50):
         moved = False
         for i in range(1, q):
-            d2 = np.sum(((X[:i] - X[i]) / widths) ** 2, axis=1)
+            d2 = sq_dist(X[:i], X[i], widths)
             if np.min(d2) < (10 * SEPARATION_TOL) ** 2:
                 X[i] = X[i] + widths * 100 * SEPARATION_TOL
                 moved = True

@@ -6,12 +6,24 @@ instead of in-place posterior corrections, dense grids instead of gradient
 ascent. Tests freeze expectations against these references.
 """
 
+import warnings
+
 import numpy as np
-from scipy import integrate
+from scipy import integrate, linalg
+from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.special import ndtr, ndtri, roots_hermite, roots_legendre
 
 from twostep_cbo.acquisition import PosteriorBundle
-from twostep_cbo.gp import JITTER_INITIAL, GPModel, KernelParams, jittered_cholesky
+from twostep_cbo.gp import (
+    DUPLICATE_TOL,
+    JITTER_INITIAL,
+    GPModel,
+    KernelParams,
+    _min_pairwise_distance,
+    jittered_cholesky,
+    kernel_grad_first_from,
+    kernel_matrix,
+)
 
 SQRT_2PI = float(np.sqrt(2.0 * np.pi))
 
@@ -54,6 +66,70 @@ def numeric_grad(fn, X, h):
             dn[i, j] -= h
             out[i, j] = (fn(up) - fn(dn)) / (2.0 * h)
     return out
+
+
+# -- broadcast forms of the per-dimension kernel -----------------------------------
+#
+# The package evaluates the kernel, its gradient, the likelihood and the
+# distances one input dimension at a time. These are the same formulas on one
+# (..., d) difference array each, the form the package used before.
+
+
+def ref_kernel_paired(params, A, B):
+    diff = (A - B) / params.lengthscales
+    return params.signal_variance * np.exp(-0.5 * np.einsum("...d,...d->...", diff, diff))
+
+
+def ref_kernel_grad_paired(params, A, B, K):
+    return -K[..., None] * (A - B) / params.lengthscales**2
+
+
+def ref_nearest(X, points):
+    d2 = np.sum((X[:, None, :] - points[None, :, :]) ** 2, axis=-1)
+    return np.sqrt(np.min(d2, axis=1, initial=np.inf))
+
+
+def ref_nll_and_grad(theta, X, y, jit_rel):
+    sv = np.exp(theta[0])
+    ls = np.exp(theta[1:])
+    n = X.shape[0]
+    diff = (X[:, None, :] - X[None, :, :]) / ls
+    Kc = sv * np.exp(-0.5 * np.einsum("...d,...d->...", diff, diff))
+    eye = np.eye(n)
+    K = Kc + jit_rel * sv * eye
+    L, info = dpotrf(K, lower=1)
+    if info != 0 or not np.isfinite(K).all():
+        return np.inf, np.zeros_like(theta)
+    w = dpotrs(L, y, lower=1)[0]
+    nll = 0.5 * y @ w + np.sum(np.log(np.diag(L))) + 0.5 * n * np.log(2.0 * np.pi)
+    S = np.outer(w, w) - dpotrs(L, eye, lower=1)[0]
+    grad = np.empty_like(theta)
+    grad[0] = -0.5 * np.sum(S * K)
+    sq = diff**2
+    for j in range(len(ls)):
+        grad[1 + j] = -0.5 * np.sum(S * (Kc * sq[..., j]))
+    return float(nll), grad
+
+
+def kernel_grad_first(params, A, B):
+    """Derivative of k(a_i, b_j) with respect to a_i, shape (m, n, d)."""
+    return kernel_grad_first_from(params, A, B, kernel_matrix(params, A, B))
+
+
+def posterior_joint(model, X):
+    """Joint posterior mean vector and covariance matrix of a GPModel over
+    rows of X, from one many-column triangular solve; warns on rows closer
+    than DUPLICATE_TOL."""
+    X = np.atleast_2d(X)
+    if _min_pairwise_distance(X) < DUPLICATE_TOL:
+        warnings.warn("posterior_joint called with near-duplicate points", RuntimeWarning)
+    Kxx = kernel_matrix(model.kernel, X, X)
+    if model.n_train == 0:
+        return np.zeros(X.shape[0]), Kxx
+    Kxd = kernel_matrix(model.kernel, X, model.train_inputs)
+    V = linalg.solve_triangular(model.chol, Kxd.T, lower=True)
+    cov = Kxx - V.T @ V
+    return Kxd @ model.weights, 0.5 * (cov + cov.T)
 
 
 # -- seeded instances ----------------------------------------------------------------
@@ -228,7 +304,7 @@ def gh_batch_eic(bundle, X, n_nodes=48):
         W = W * g.ravel()
     Ys = []
     for model in models:
-        mu, C = model.posterior_joint(X)
+        mu, C = posterior_joint(model, X)
         L, _ = jittered_cholesky(C, model.kernel.signal_variance)
         Ys.append(mu + Z @ L.T)
     imp = np.maximum(best - Ys[0], 0.0)  # (n^q, q)

@@ -18,10 +18,10 @@ import numpy as np
 import pytest
 from scipy import linalg
 
-from oracle_utils import make_gp_instance, numeric_grad, random_x1
+from oracle_utils import kernel_grad_first, make_gp_instance, numeric_grad, random_x1
 from twostep_cbo import gp
 from twostep_cbo.acquisition import eic_many
-from twostep_cbo.gp import JITTER_INITIAL, jittered_cholesky, kernel_grad_first, kernel_matrix
+from twostep_cbo.gp import JITTER_INITIAL, jittered_cholesky, kernel_matrix
 from twostep_cbo.lookahead import (
     FantasyEngine,
     _Block,

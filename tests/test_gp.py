@@ -6,7 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle_utils import numeric_grad
+from oracle_utils import (
+    kernel_grad_first,
+    numeric_grad,
+    posterior_joint,
+    ref_kernel_grad_paired,
+    ref_kernel_paired,
+    ref_nearest,
+    ref_nll_and_grad,
+)
 from twostep_cbo.acquisition import PosteriorBundle
 from twostep_cbo.gp import (
     DUPLICATE_TOL,
@@ -18,13 +26,18 @@ from twostep_cbo.gp import (
     KernelParams,
     _nll_and_grad,
     fit_hyperparameters,
+    _min_pairwise_distance,
+    _nearest,
     jittered_cholesky,
-    kernel_grad_first,
+    kernel_grad_paired,
     kernel_matrix,
+    kernel_paired,
     log_marginal_likelihood,
+    sq_dist,
 )
 from twostep_cbo.lookahead import FantasyEngine
-from twostep_cbo.sampling import sobol_unit
+from twostep_cbo.problems import get_problem
+from twostep_cbo.sampling import halton_design, latin_hypercube, sobol_unit
 
 
 def k_scalar(params, x, xp):
@@ -75,6 +88,97 @@ def test_kernel_grad_matches_fd():
         got = kernel_grad_first(p, x.reshape(1, -1), xp.reshape(1, -1))[0, 0]
         want = numeric_grad(lambda X: k_scalar(p, X[0], xp), x.reshape(1, -1), 1e-5)[0]
         np.testing.assert_allclose(got, want, rtol=1e-6, atol=1e-12)
+
+
+def test_empty_lengthscales_are_rejected():
+    with pytest.raises(ValueError, match="non-empty"):
+        KernelParams(1.0, [])
+    with pytest.raises(ValueError, match="non-empty"):
+        KernelParams(1.0, np.zeros(0))
+
+
+def _assert_planes_match(got, want, d):
+    """Bit for bit where the broadcast form adds at most two terms in order;
+    einsum adds four as (0+2)+(1+3), so there the sum may move by an ulp."""
+    if d <= 2:
+        np.testing.assert_array_equal(got, want)
+    else:
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_per_dimension_kernel_matches_the_broadcast_reference(d):
+    rng = np.random.default_rng(70 + d)
+    params = KernelParams(float(rng.uniform(0.5, 2.0)), rng.uniform(0.5, 3.0, size=d))
+    rows, n, q, E = 37, 9, 3, 5
+    P = rng.uniform(0.0, 5.0, size=(rows, d))
+    D = rng.uniform(0.0, 5.0, size=(n, d))
+    X1 = rng.uniform(0.0, 5.0, size=(rows, q, d))
+    S = rng.uniform(0.0, 5.0, size=(E, q, d))
+    # Every pairing a caller makes: kernel_matrix's (rows, n), _stage1's
+    # (rows, 1, d) x (rows, q, d), both orders, and _Block's (E, q, 1, d) x
+    # (E, 1, q, d).
+    pairs = [
+        (P[:, None, :], D[None, :, :]),
+        (P[:, None, :], X1),
+        (X1, P[:, None, :]),
+        (S[:, :, None, :], S[:, None, :, :]),
+    ]
+    for A, B in pairs:
+        K = kernel_paired(params, A, B)
+        _assert_planes_match(K, ref_kernel_paired(params, A, B), d)
+        np.testing.assert_array_equal(
+            kernel_grad_paired(params, A, B, K), ref_kernel_grad_paired(params, A, B, K)
+        )
+    _assert_planes_match(kernel_matrix(params, P, D), ref_kernel_paired(params, *pairs[0]), d)
+    np.testing.assert_array_equal(_nearest(P, D), ref_nearest(P, D))
+    np.testing.assert_array_equal(_nearest(P, D[:0]), ref_nearest(P, D[:0]))
+
+    y = np.sin(D).sum(axis=1)
+    for _ in range(4):
+        theta = np.concatenate([[rng.uniform(-1.0, 1.0)], rng.uniform(-0.5, 1.0, size=d)])
+        nll, grad = _nll_and_grad(theta, D, y, JITTER_INITIAL)
+        ref_nll, ref_grad = ref_nll_and_grad(theta, D, y, JITTER_INITIAL)
+        _assert_planes_match(np.array([nll]), np.array([ref_nll]), d)
+        _assert_planes_match(grad, ref_grad, d)
+    # A kernel matrix that overflows to inf: (inf, zeros) on both routes.
+    theta = np.concatenate([[800.0], np.zeros(d)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        got, want = _nll_and_grad(theta, D, y, JITTER_INITIAL), ref_nll_and_grad(theta, D, y, JITTER_INITIAL)
+    assert got[0] == want[0] == np.inf
+    np.testing.assert_array_equal(got[1], want[1])
+    np.testing.assert_array_equal(got[1], np.zeros(d + 1))
+
+
+@pytest.mark.parametrize("name", ["p1", "p2", "p3"])
+def test_squared_distances_match_np_sum_on_the_problem_designs(name):
+    """Up to eight terms np.sum and np.linalg.norm add in order along the
+    last axis, as sq_dist does, so every distance and mask keeps its bits."""
+    bounds = get_problem(name).bounds
+    d = bounds.shape[0]
+    design = halton_design(min(64 * d, 256), bounds)
+    pairs = design[:, None, :], design[None, :, :]
+    np.testing.assert_array_equal(sq_dist(*pairs), np.sum((pairs[0] - pairs[1]) ** 2, axis=-1))
+    radius = 3.0 * np.max(bounds[:, 1] - bounds[:, 0]) / len(design) ** (1.0 / d)
+    np.testing.assert_array_equal(
+        np.sqrt(sq_dist(*pairs)) <= radius,
+        np.linalg.norm(pairs[0] - pairs[1], axis=-1) <= radius,
+    )
+    cand = latin_hypercube(256, bounds, np.random.SeedSequence((1, 29)))
+    chosen = cand[[3, 100, 200]]
+    for k in range(len(chosen) + 1):
+        A, B = cand[:, None, :], chosen[None, :k, :]
+        np.testing.assert_array_equal(
+            np.sqrt(sq_dist(A, B)), np.linalg.norm(A - B, axis=-1)
+        )
+    widths = bounds[:, 1] - bounds[:, 0]
+    np.testing.assert_array_equal(
+        sq_dist(cand[:50], cand[50], widths), np.sum(((cand[:50] - cand[50]) / widths) ** 2, axis=1)
+    )
+    np.testing.assert_array_equal(_nearest(cand, design), ref_nearest(cand, design))
+    iu = np.triu_indices(len(design), k=1)
+    want = np.sqrt(np.min(np.sum((pairs[0] - pairs[1]) ** 2, axis=-1)[iu]))
+    assert _min_pairwise_distance(design) == want
 
 
 @given(
@@ -230,7 +334,7 @@ def test_posterior_far_from_data_recovers_prior():
 def test_posterior_joint_singleton_matches_posterior():
     model = _toy_model(3)
     x = np.array([1.1, 0.4])
-    mu, cov = model.posterior_joint(x.reshape(1, -1))
+    mu, cov = posterior_joint(model, x.reshape(1, -1))
     m, v = model.posterior(x)
     assert mu[0] == pytest.approx(m, abs=1e-12)
     assert cov[0, 0] == pytest.approx(v, abs=1e-9)
@@ -241,7 +345,7 @@ def test_posterior_joint_near_duplicates_warn_and_correlate():
     x = np.array([0.7, 0.9])
     X = np.vstack([x, x + 0.3 * DUPLICATE_TOL])
     with pytest.warns(RuntimeWarning):
-        _, cov = model.posterior_joint(X)
+        _, cov = posterior_joint(model, X)
     corr = cov[0, 1] / np.sqrt(cov[0, 0] * cov[1, 1])
     assert corr == pytest.approx(1.0, abs=1e-6)
 
@@ -250,7 +354,7 @@ def test_posterior_joint_matches_direct_formula():
     model = _toy_model(9, n=5)
     rng = np.random.default_rng(21)
     X = rng.uniform(0.0, 4.0, size=(3, 2))
-    mu, cov = model.posterior_joint(X)
+    mu, cov = posterior_joint(model, X)
     # direct formula with an independent solve
     K = kernel_matrix(model.kernel, model.train_inputs, model.train_inputs)
     K = K + model.jitter * np.eye(model.n_train)
