@@ -16,7 +16,7 @@ likelihood-ratio form
 
 with the inner maximizer x2* held fixed (envelope argument) and the fantasy
 vector y held fixed, so differentiation never passes through the
-discontinuous f1*. Sampling, density, score and all posterior updates share
+discontinuous f1*. Sampling, score and all posterior updates share
 one FantasyEngine, which caches the state-0 factorizations so that thousands
 of fantasies are processed with matrix products instead of refits. The
 state-0 posterior at batch points and query rows comes from GPModel.rows;
@@ -30,7 +30,7 @@ reference path through GPModel.condition_on_fantasy backs the alpha() entry
 point and is cross-checked against the engine in the test suite.
 
 Constraints flagged certainly feasible by the bundle are excluded from the
-fantasy vector, the density, the score and the feasibility product, so a run
+fantasy vector, the score and the feasibility product, so a run
 with such a constraint follows the unconstrained code path exactly.
 """
 
@@ -105,6 +105,8 @@ class TwoStepConfig:
             raise ValueError("all sample and step counts must be >= 1")
         if self.step_a <= 0:
             raise ValueError("step_a must be positive")
+        if self.step_A <= 0:
+            raise ValueError("step_A must be positive")
         if not 0.5 < self.step_gamma <= 1.0:
             raise ValueError("step_gamma must lie in (0.5, 1]")
 
@@ -144,14 +146,13 @@ class TwoStepResult:
 
 
 class _FantasyBatch:
-    """Column-stacked fantasies: one (n, q) array per block, plus f1*, the log
-    density, per block the whitened residuals Cinv (y - mu0), and e, the batch
-    of the engine's stack each fantasy belongs to."""
+    """Column-stacked fantasies: one (n, q) array per block, plus f1*, per
+    block the whitened residuals Cinv (y - mu0), and e, the batch of the
+    engine's stack each fantasy belongs to."""
 
-    def __init__(self, Y, f1, logp, U, e):
+    def __init__(self, Y, f1, U, e):
         self.Y = Y
         self.f1 = f1
-        self.logp = logp
         self.U = U
         self.e = e
         self.n = f1.shape[0]
@@ -160,7 +161,6 @@ class _FantasyBatch:
         return _FantasyBatch(
             [Yb[idx] for Yb in self.Y],
             self.f1[idx],
-            self.logp[idx],
             [Ub[idx] for Ub in self.U],
             self.e[idx],
         )
@@ -212,7 +212,7 @@ class _Block:
 
 
 class FantasyEngine:
-    """Shared machinery for fantasy sampling, density/score and stage-1 math.
+    """Shared machinery for fantasy sampling, the score and stage-1 math.
 
     Built once per (bundle, stack of batches): X1 is one batch (q, d), a
     stack of one, or a stack (E, q, d). Every method is vectorized over
@@ -226,14 +226,14 @@ class FantasyEngine:
         X1 = np.atleast_2d(np.asarray(X1, dtype=float))
         self.X1 = X1.reshape((-1,) + X1.shape[-2:])
         self.E, self.q, self.d = self.X1.shape
-        # Density and score work without an incumbent; alpha and the gradient
+        # Sampling and the score work without an incumbent; alpha and the gradient
         # entry points require one and enforce it before building the engine.
         self.f0 = np.inf if bundle.incumbent_value is None else bundle.incumbent_value
         self.models = [bundle.objective, *bundle.active_constraints]
         self.blocks = [_Block(m, self.X1) for m in self.models]
         self.n_blocks = len(self.blocks)
 
-    # -- sampling and density ------------------------------------------------
+    # -- sampling and score --------------------------------------------------
 
     def _stacked(self, A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Rows (count, k) shared by every batch, or (E, count, k) per batch,
@@ -262,21 +262,17 @@ class FantasyEngine:
         return self._finish_batch([Yb for Yb, _ in stacked], stacked[0][1])
 
     def _finish_batch(self, Y: list[np.ndarray], e: np.ndarray) -> _FantasyBatch:
-        count = len(e)
-        feasible = np.ones((count, self.q), dtype=bool)
+        feasible = np.ones((len(e), self.q), dtype=bool)
         for Yg in Y[1:]:
             feasible &= Yg <= 0
         best_fantasy = np.min(np.where(feasible, Y[0], np.inf), axis=1)
         f1 = np.minimum(self.f0, best_fantasy)
-        logp = np.zeros(count)
-        U = []
-        for b, blk in enumerate(self.blocks):
-            R = Y[b] - blk.mu0[e]
-            U.append(np.einsum("fpq,fq->fp", blk.Cinv[e], R))  # Cinv symmetric
-            logdet = np.sum(np.log(np.diagonal(blk.Lc, axis1=1, axis2=2)), axis=1)
-            logp -= 0.5 * np.einsum("fq,fq->f", R, U[b])
-            logp -= logdet[e] + 0.5 * self.q * np.log(2 * np.pi)
-        return _FantasyBatch(Y, f1, logp, U, e)
+        # Cinv is symmetric, so each row of U is Cinv (y - mu0).
+        U = [
+            np.einsum("fpq,fq->fp", blk.Cinv[e], Yb - blk.mu0[e])
+            for Yb, blk in zip(Y, self.blocks)
+        ]
+        return _FantasyBatch(Y, f1, U, e)
 
     def sample(self, count: int, seed) -> _FantasyBatch:
         """count fantasies at every batch, all batches from the same normals."""
@@ -535,16 +531,20 @@ def estimate_value(
     return mean_and_se(vals.reshape(engine.E, count), X1.ndim == 2)
 
 
-def _enforce_separation(X: np.ndarray, widths: np.ndarray) -> np.ndarray:
-    """Nudge batch points apart until pairwise separation holds."""
+def _enforce_separation(X: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Nudge batch points apart until pairwise separation holds. Each
+    coordinate moves toward the centre of the box [lo, hi] (up in the lower
+    half, down in the upper half), so a nudged point stays in the box."""
     X = X.copy()
     q = X.shape[0]
+    widths = hi - lo
     for _ in range(50):
         moved = False
         for i in range(1, q):
             d2 = sq_dist(X[:i], X[i], widths)
             if np.min(d2) < (10 * SEPARATION_TOL) ** 2:
-                X[i] = X[i] + widths * 100 * SEPARATION_TOL
+                toward = np.where(X[i] > 0.5 * (lo + hi), -1.0, 1.0)
+                X[i] = X[i] + toward * widths * 100 * SEPARATION_TOL
                 moved = True
         if not moved:
             break
@@ -590,7 +590,7 @@ def optimize(
     X = np.concatenate([myopic, X], axis=0)
     R = R + 1
     for r in range(R):
-        X[r] = _enforce_separation(X[r], widths)
+        X[r] = _enforce_separation(X[r], lo, hi)
     starts = X.copy()
     n_blocks = 1 + len(bundle.active_constraints)
     n_grad = config.n_grad_samples
@@ -615,7 +615,7 @@ def optimize(
         disp = np.clip(scale * widths * G, -0.25 * widths, 0.25 * widths)
         X = np.clip(X + disp, lo, hi)
         for r in range(R):
-            X[r] = _enforce_separation(X[r], widths)
+            X[r] = _enforce_separation(X[r], lo, hi)
     if not np.any(moved_ever):
         warnings.warn("all restarts degenerate; falling back to the myopic acquisition")
         return TwoStepResult(CandidateBatch(starts[0]), np.nan, np.nan, fallback_eic=True)

@@ -125,7 +125,6 @@ def test_stack_density_score_and_alpha_match_single_batches(d, n_constraints, q)
         gammas = stack.lr_gradients(batch, X2)
         for k, (engine, part) in enumerate(zip(singles, parts)):
             rows = _rows(k)
-            assert _err(batch.logp[rows], part.logp) <= 1e-12, (seed, k)
             for U, U_ref in zip(batch.U, part.U):
                 assert _err(U[rows], U_ref) <= 1e-12, (seed, k)
             assert _err(score[rows], engine.score(part)) <= 1e-12, (seed, k)

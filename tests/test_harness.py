@@ -1,5 +1,6 @@
 """The experiment harness: the INI round trip and the rejection of unknown
-keys, a small experiment run end to end, and the SAA diagnostic command."""
+keys and invalid values, a small experiment run end to end, the SAA
+diagnostic command and the oracle command with its cache."""
 
 import csv
 import dataclasses
@@ -39,6 +40,16 @@ def test_misspelled_config_key_is_rejected(tmp_path):
     # delta, the radius of a retired exclusion ball, names no field either.
     path.write_text("[run]\nproblem = p1\n\n[twostep]\ndelta = 0.1\n")
     with pytest.raises(ValueError, match="delta"):
+        harness.read_config(path)
+    assert cli.main(["run", "--config", str(path)]) == 2
+
+
+def test_invalid_config_value_exits_with_usage_error(tmp_path):
+    """A step_A of 0 would divide by zero on the first SGA step; the config
+    refuses it, so the run stops with the usage-error code before it starts."""
+    path = tmp_path / "config.ini"
+    path.write_text("[run]\nproblem = p1\npolicy = twostep\n\n[twostep]\nstep_A = 0\n")
+    with pytest.raises(ValueError, match="step_A"):
         harness.read_config(path)
     assert cli.main(["run", "--config", str(path)]) == 2
 
@@ -97,3 +108,21 @@ def test_diagnose_saa_writes_both_surfaces(tmp_path):
 
     assert largest_step("1") > 0.5
     assert largest_step("256") < 0.05
+
+
+def test_oracle_command_prints_and_caches(tmp_path, capsys, monkeypatch):
+    """oracle prints the value and the point; a second call is served from
+    the cache, without computing anything."""
+    argv = ["oracle", "--problem", "p1", "--resolution", "40", "--polish", "2"]
+    argv += ["--cache", str(tmp_path / "oracle_cache.ini")]
+    assert cli.main(argv) == 0
+    first = capsys.readouterr().out
+    assert first.startswith("p1 constrained_optimum: value=")
+    assert " point=(" in first
+
+    def computed(*args, **kwargs):
+        raise AssertionError("the oracle ran on a cached entry")
+
+    monkeypatch.setattr(harness, "constrained_optimum_oracle", computed)
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == first

@@ -1,4 +1,5 @@
-"""The GP and sampling layers sit below the rest of the package."""
+"""The GP and sampling layers sit below the rest of the package, and the
+command line reaches the program through the harness and the problems only."""
 
 import ast
 from pathlib import Path
@@ -28,3 +29,8 @@ def _package_imports(tree):
 def test_low_layers_import_no_package_module_but_sampling(module):
     tree = ast.parse((SRC / module).read_text())
     assert _package_imports(tree) <= {"sampling"}
+
+
+def test_cli_imports_only_the_harness_and_problems():
+    tree = ast.parse((SRC / "cli.py").read_text())
+    assert _package_imports(tree) <= {"harness", "problems"}

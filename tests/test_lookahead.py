@@ -5,18 +5,22 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.stats import multivariate_normal
 
 from oracle_utils import anchored_x1, make_gp_instance, posterior_joint, TwoStepOracle
 from twostep_cbo.acquisition import PosteriorBundle, batch_eic_mc, ei, maximize_eic, pf
-from twostep_cbo.gp import GPModel, KernelParams
+from twostep_cbo.gp import JITTER_INITIAL, GPModel, KernelParams
 from twostep_cbo.lookahead import (
+    SEPARATION_TOL,
     CandidateBatch,
     FantasyEngine,
     TwoStepConfig,
+    _enforce_separation,
     alpha,
     estimate_value,
     optimize,
 )
+from twostep_cbo.problems import get_problem
 
 CFG = TwoStepConfig()
 SMALL = TwoStepConfig(
@@ -55,32 +59,84 @@ def test_config_validation():
         TwoStepConfig(step_gamma=0.4)
     with pytest.raises(ValueError, match="step_a"):
         TwoStepConfig(step_a=-1.0)
+    for step_A in (0.0, -1.0):
+        with pytest.raises(ValueError, match="step_A"):
+            TwoStepConfig(step_A=step_A)
+
+
+def test_separation_nudge_stays_in_the_box():
+    """Coincident points move toward the centre of the box: down from the
+    upper corner of p3's box, up from the lower corner, one nudge per
+    coincidence, so every batch stays in the box and is separated."""
+    bounds = get_problem("p3").bounds
+    lo, hi = bounds[:, 0], bounds[:, 1]
+    step = (hi - lo) * 100 * SEPARATION_TOL
+    for q in (2, 3):
+        down = _enforce_separation(np.tile(hi, (q, 1)), lo, hi)
+        np.testing.assert_array_equal(down, [hi, hi - step, hi - step - step][:q])
+        up = _enforce_separation(np.tile(lo, (q, 1)), lo, hi)
+        np.testing.assert_array_equal(up, [lo, lo + step, lo + step + step][:q])
+        for X in (down, up):
+            assert np.all((lo <= X) & (X <= hi))
+            assert CandidateBatch(X).q == q
 
 
 def test_prior_log_density():
-    # no data, unit prior, outcome at the mean: product of two standard
-    # normal densities up to the diagonal jitter
+    # no data, unit prior: each block's fantasy is a standard normal up to the
+    # diagonal jitter, and at its mean the score vanishes
     engine = FantasyEngine(_prior_bundle(), np.array([[0.3]]))
     batch = engine.batch_from_values([np.zeros(1), np.zeros(1)])
-    assert batch.logp[0] == pytest.approx(-np.log(2.0 * np.pi), abs=1e-6)
+    for blk in engine.blocks:
+        assert blk.mu0[0, 0] == 0.0
+        assert blk.Lc[0, 0, 0] ** 2 == pytest.approx(1.0, abs=1e-6)
     np.testing.assert_allclose(engine.score(batch)[0], 0.0, atol=1e-12)
 
 
+def _log_density(bundle, X1, Y):
+    """log p(Y; X1) from scipy: per model the normal density of its fantasy
+    rows under the joint state-0 posterior at X1 plus the initial jitter."""
+    total = 0.0
+    for model, Yb in zip([bundle.objective, *bundle.active_constraints], Y):
+        mean, cov = posterior_joint(model, X1)
+        cov = cov + JITTER_INITIAL * model.kernel.signal_variance * np.eye(len(X1))
+        total = total + multivariate_normal(mean, cov).logpdf(Yb)
+    return total
+
+
+def _central_difference_score(bundle, X1, Y, h):
+    """d log p(Y; X1) / dX1 by central differences, shape (count, q, d)."""
+    fd = np.zeros((len(Y[0]),) + X1.shape)
+    for i, j in np.ndindex(X1.shape):
+        dx = np.zeros_like(X1)
+        dx[i, j] = h
+        up, down = _log_density(bundle, X1 + dx, Y), _log_density(bundle, X1 - dx, Y)
+        fd[:, i, j] = (up - down) / (2 * h)
+    return fd
+
+
 def test_score_matches_density_finite_difference():
-    """Move X1 with the outcome fixed and difference the log density: a stack
-    of the batches x1, x1 + h and x1 - h scores the same values at each."""
-    h = 1e-5
+    """Move X1 with the outcome fixed and difference scipy's log density of
+    the fantasy: at q = 1 with one constraint, and at q = 2 with two, where
+    the score's cross-batch terms come in."""
+    h = 3e-6  # near the balance of O(h**2) truncation and O(eps / h) rounding
     for seed in range(10):
         bundle, bounds = make_gp_instance(seed)
         rng = np.random.default_rng(np.random.SeedSequence((seed, 1033)))
         x1 = np.array([[bounds[0, 0] + 0.37 * (bounds[0, 1] - bounds[0, 0])]])
         mu_f, _ = bundle.objective.posterior_many(x1)
-        y_f = mu_f + 0.5 * rng.standard_normal(1)
-        y_g = rng.standard_normal((1, 1))
-        engine = FantasyEngine(bundle, np.stack([x1, x1 + h, x1 - h]))
-        batch = engine.batch_from_values([y_f, *y_g])
-        fd = (batch.logp[1] - batch.logp[2]) / (2 * h)
-        np.testing.assert_allclose(engine.score(batch)[0, 0, 0], fd, rtol=1e-4, atol=1e-8)
+        Y = [np.atleast_2d(mu_f + 0.5 * rng.standard_normal(1)), rng.standard_normal((1, 1))]
+        engine = FantasyEngine(bundle, x1)
+        score = engine.score(engine.batch_from_values(Y))
+        fd = _central_difference_score(bundle, x1, Y, h)
+        np.testing.assert_allclose(score, fd, rtol=1e-4, atol=1e-8)
+    for seed in range(6):
+        bundle, bounds = make_gp_instance(seed, n_constraints=2)
+        x1 = bounds[0, 0] + np.array([[0.31], [0.67]]) * (bounds[0, 1] - bounds[0, 0])
+        engine = FantasyEngine(bundle, x1)
+        assert engine.n_blocks == 3
+        batch = engine.sample(16, (seed, 1401))
+        fd = _central_difference_score(bundle, x1, batch.Y, h)
+        np.testing.assert_allclose(engine.score(batch), fd, rtol=1e-4, atol=1e-8)
 
 
 def test_score_mean_is_zero():
@@ -513,23 +569,3 @@ def test_optimize_all_degenerate_falls_back(monkeypatch):
     assert any("degenerate" in str(w.message) for w in caught)
     assert bounds[0, 0] <= res.batch.points[0, 0] <= bounds[0, 1]
     np.testing.assert_array_equal(res.batch.points[0], maximize_eic(bundle, bounds, 1))
-
-
-def test_log_density_matches_scipy_at_q2_with_two_constraints():
-    """The fantasy log density is the sum over blocks of the normal log
-    density with mean mu0 and covariance Lc Lc^T, also for a batch whose
-    points are 1e-6 apart (where the jitter carries the covariance)."""
-    from scipy.stats import multivariate_normal
-
-    for seed in range(6):
-        bundle, bounds = make_gp_instance(seed, n_constraints=2)
-        x1 = bounds[0, 0] + np.array([[0.31], [0.67]]) * (bounds[0, 1] - bounds[0, 0])
-        for X1 in (x1, np.vstack([x1[0], x1[0] + 1e-6])):
-            engine = FantasyEngine(bundle, X1)
-            assert engine.n_blocks == 3
-            batch = engine.sample(16, (seed, 1401))
-            ref = np.zeros(batch.n)
-            for Y, blk in zip(batch.Y, engine.blocks):
-                cov = blk.Lc[0] @ blk.Lc[0].T
-                ref += multivariate_normal(blk.mu0[0], cov).logpdf(Y)
-            np.testing.assert_allclose(batch.logp, ref, rtol=1e-8)
