@@ -235,8 +235,8 @@ def batch_eic_mc(
     bundle.require_incumbent()
     X = np.atleast_2d(np.asarray(X, dtype=float))
     engine = FantasyEngine(bundle, X)
-    batch = engine.sample(n_samples, seed)
-    return mean_and_se((engine.f0 - batch.f1).reshape(engine.E, n_samples), X.ndim == 2)
+    f1 = engine.sample_f1(n_samples, seed)
+    return mean_and_se((engine.f0 - f1).reshape(engine.E, n_samples), X.ndim == 2)
 
 
 def mean_and_se(values: np.ndarray, single: bool):

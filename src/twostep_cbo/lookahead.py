@@ -247,13 +247,18 @@ class FantasyEngine:
 
         Z is (count, n_blocks*q), shared by every batch, or (E, count,
         n_blocks*q); the fantasies come out batch-major."""
+        return self._finish_batch(*self._values(Z))
+
+    def _values(self, Z: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+        """The fantasies of batch_from_normals, one (count, q) array per
+        block, and the batch of each."""
         Z, e = self._stacked(Z)
         q = self.q
         Y = []
         for b, blk in enumerate(self.blocks):
             Zb = Z[:, b * q : (b + 1) * q]
             Y.append(blk.mu0[e] + np.einsum("fq,fpq->fp", Zb, blk.Lc[e]))
-        return self._finish_batch(Y, e)
+        return Y, e
 
     def batch_from_values(self, Y: list[np.ndarray]) -> _FantasyBatch:
         """Fantasies from their values: per block, (count, q) rows shared by
@@ -261,23 +266,31 @@ class FantasyEngine:
         stacked = [self._stacked(np.atleast_2d(Yb)) for Yb in Y]
         return self._finish_batch([Yb for Yb, _ in stacked], stacked[0][1])
 
-    def _finish_batch(self, Y: list[np.ndarray], e: np.ndarray) -> _FantasyBatch:
-        feasible = np.ones((len(e), self.q), dtype=bool)
+    def _f1(self, Y: list[np.ndarray]) -> np.ndarray:
+        """f1* of each fantasy: the incumbent or its best feasible value."""
+        feasible = np.ones(Y[0].shape, dtype=bool)
         for Yg in Y[1:]:
             feasible &= Yg <= 0
-        best_fantasy = np.min(np.where(feasible, Y[0], np.inf), axis=1)
-        f1 = np.minimum(self.f0, best_fantasy)
+        return np.minimum(self.f0, np.min(np.where(feasible, Y[0], np.inf), axis=1))
+
+    def _finish_batch(self, Y: list[np.ndarray], e: np.ndarray) -> _FantasyBatch:
         # Cinv is symmetric, so each row of U is Cinv (y - mu0).
         U = [
             np.einsum("fpq,fq->fp", blk.Cinv[e], Yb - blk.mu0[e])
             for Yb, blk in zip(Y, self.blocks)
         ]
-        return _FantasyBatch(Y, f1, U, e)
+        return _FantasyBatch(Y, self._f1(Y), U, e)
 
     def sample(self, count: int, seed) -> _FantasyBatch:
         """count fantasies at every batch, all batches from the same normals."""
         Z = sobol_normal(self.n_blocks * self.q, count, seed)
         return self.batch_from_normals(Z)
+
+    def sample_f1(self, count: int, seed) -> np.ndarray:
+        """f1* of the fantasies that sample(count, seed) draws, without the
+        rest of their record (no whitened residuals)."""
+        Y, _ = self._values(sobol_normal(self.n_blocks * self.q, count, seed))
+        return self._f1(Y)
 
     def score(self, batch: _FantasyBatch) -> np.ndarray:
         """Gradient of log p(y; X1) with respect to the fantasy's batch X1,

@@ -5,9 +5,17 @@ constraints g(x) <= 0, plus oracles for the true constrained optimum and the
 domain maximum of the objective. Oracles scan a dense regular grid in chunks of
 a bounded number of rows: each chunk gets the objective first, then, once the
 scan holds enough feasible cells, a threshold at the current k-th best value,
-and only the cells below it go to the constraints. The leading feasible cells
-are then polished with SLSQP, whose finite-difference gradients evaluate a
-point and its forward steps in one call.
+and only the cells below it go to the constraints. The kept cells are then
+polished once per basin: each joins the basin of its best-ranked better
+neighbour among the kept cells (every grid index within one step), so the
+local minima of the kept set head the basins, and a start is skipped once its
+basin has an accepted end point. Finite-difference gradients of the polish
+evaluate a point and its forward steps in one call.
+
+Basins are only as fine as the grid: a basin with no kept cell that is a
+local minimum (narrower than a grid step, say) joins a neighbouring basin and
+is not polished from a neighbouring cell, so a grid that does not resolve the
+deepest basin can miss it.
 """
 
 from __future__ import annotations
@@ -174,6 +182,40 @@ def _grid_scan(problem: ConstrainedProblem, resolution: int, keep: int, feasible
     return vals[order], pts[order]
 
 
+def _basins(cells: np.ndarray) -> np.ndarray:
+    """Basin label of each grid cell, given as integer grid indices (n, d)
+    ranked best first: a cell joins the basin of its first-ranked earlier
+    neighbour (every index within one step), and a cell with none heads a
+    basin labelled by its rank."""
+    label = np.arange(len(cells))
+    for i in range(1, len(cells)):
+        near = np.flatnonzero(np.max(np.abs(cells[:i] - cells[i]), axis=1) <= 1)
+        if near.size:
+            label[i] = label[near[0]]
+    return label
+
+
+def _polish_by_basin(problem, resolution, cells, extra, polish, val, pt):
+    """The lowest of the fallback (val, pt) and the accepted end points
+    (value, point) or None that polish returns, from the `_grid_scan` cells,
+    best first, then `extra`, jittered copies of the leading cells in their
+    cells' basins; a start is skipped once its basin has an end point."""
+    lo, wid = problem.bounds[:, 0], problem.widths
+    index = np.rint((cells - lo) / np.where(wid > 0, wid, 1.0) * (resolution - 1))
+    labels = _basins(index.astype(np.int64))
+    done = set()
+    for s, b in zip([*cells, *extra], [*labels, *labels[: len(extra)]]):
+        if b in done:
+            continue
+        end = polish(s)
+        if end is None:
+            continue
+        done.add(b)
+        if end[0] < val:
+            val, pt = end
+    return val, pt
+
+
 def _fd_jac(fun: Callable[[np.ndarray], np.ndarray], upper: np.ndarray):
     """A `jac` for scipy's `minimize`: the forward-difference derivative of the
     row function `fun` ((n, d) -> (n,) or (n, m)), from one call on x and its
@@ -197,9 +239,12 @@ def constrained_optimum_oracle(
 ) -> OracleResult:
     """True constrained minimum via dense grid scan plus SLSQP polishing.
 
-    Polish starts are the best feasible grid cells plus seeded perturbations
-    of them. A polished point is accepted only if it stays feasible within
-    tolerance; the grid value is a fallback, so the result never regresses.
+    The starts are the `n_polish` best feasible grid cells, best first, then
+    seeded perturbations of the leading `n_polish // 2`, each in its cell's
+    basin. A start is polished only while its basin (module docstring) has
+    no finite end point feasible within tolerance; a basin the grid does not
+    resolve is not polished. The grid value is a fallback, so the result
+    never regresses.
     """
     grid_vals, starts = _grid_scan(problem, resolution, max(n_polish, 1))
     if grid_vals.size == 0:
@@ -217,8 +262,8 @@ def constrained_optimum_oracle(
         "jac": _fd_jac(lambda X: -problem.constraints(X), upper),
     }
     jac = _fd_jac(problem.objective, upper)
-    val, pt = float(grid_vals[0]), starts[0].copy()
-    for s in [*starts, *extra]:
+
+    def polish(s):
         res = minimize(
             lambda x: float(problem.objective(np.atleast_2d(x))[0]),
             s,
@@ -229,10 +274,13 @@ def constrained_optimum_oracle(
             options={"maxiter": 200, "ftol": 1e-12},
         )
         if not np.all(np.isfinite(res.x)):
-            continue
+            return None
         g = problem.constraints(np.atleast_2d(res.x))[0]
-        if np.max(g) <= FEASIBILITY_TOL and res.fun < val:
-            val, pt = float(res.fun), res.x.copy()
+        return (float(res.fun), res.x.copy()) if np.max(g) <= FEASIBILITY_TOL else None
+
+    val, pt = _polish_by_basin(
+        problem, resolution, starts, extra, polish, float(grid_vals[0]), starts[0].copy()
+    )
     provenance = {
         "problem": problem.name,
         "kind": "constrained_optimum",
@@ -246,12 +294,18 @@ def constrained_optimum_oracle(
 def domain_max_oracle(
     problem: ConstrainedProblem, resolution: int = 800, n_polish: int = 10
 ) -> OracleResult:
-    """Maximum of the objective over the box, ignoring constraints."""
+    """Maximum of the objective over the box, ignoring constraints.
+
+    The `n_polish` best grid cells, best first, are polished with L-BFGS-B,
+    each only while its basin (module docstring) has no finite end point; a
+    basin the grid does not resolve is not polished. The grid value is a
+    fallback.
+    """
     negated = replace(problem, objective=lambda X: -problem.objective(X))
     grid_vals, starts = _grid_scan(negated, resolution, max(n_polish, 1), feasible_only=False)
-    val, pt = float(-grid_vals[0]), starts[0].copy()
     jac = _fd_jac(negated.objective, problem.bounds[:, 1])
-    for s in starts:
+
+    def polish(s):
         res = minimize(
             lambda x: float(negated.objective(np.atleast_2d(x))[0]),
             s,
@@ -259,8 +313,12 @@ def domain_max_oracle(
             method="L-BFGS-B",
             bounds=problem.bounds,
         )
-        if np.all(np.isfinite(res.x)) and -res.fun > val:
-            val, pt = float(-res.fun), res.x.copy()
+        return (float(res.fun), res.x.copy()) if np.all(np.isfinite(res.x)) else None
+
+    neg_val, pt = _polish_by_basin(
+        problem, resolution, starts, [], polish, float(grid_vals[0]), starts[0].copy()
+    )
+    val = -neg_val
     provenance = {
         "problem": problem.name,
         "kind": "domain_max",

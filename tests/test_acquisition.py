@@ -344,3 +344,20 @@ def test_greedy_batch_eic_matches_per_candidate_loop(q, monkeypatch):
         np.testing.assert_array_equal(got, ref)
         # one stacked call per slot; the chosen points drop out of the candidates
         assert calls == [(256 - slot, slot + 1, 2) for slot in range(q)], seed
+
+
+def test_batch_eic_mc_reads_f1_without_whitening(monkeypatch):
+    """sample_f1 gives the f1* of sample() bit for bit, and batch_eic_mc
+    draws through it, building no whitened residuals."""
+    from twostep_cbo.lookahead import FantasyEngine
+
+    for seed in range(4):
+        bundle, bounds = make_gp_instance(seed, d=2, n_constraints=2)
+        X = np.stack([random_x1(seed * 10 + k, bounds, 2, bundle) for k in range(3)])
+        engine = FantasyEngine(bundle, X)
+        f1 = engine.sample_f1(64, (seed, 1302))
+        np.testing.assert_array_equal(f1, engine.sample(64, (seed, 1302)).f1)
+        monkeypatch.setattr(FantasyEngine, "_finish_batch", None)
+        est, _ = batch_eic_mc(bundle, X, n_samples=64, seed=(seed, 1302))
+        monkeypatch.undo()
+        np.testing.assert_array_equal(est, np.mean((engine.f0 - f1).reshape(3, 64), axis=1))

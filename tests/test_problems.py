@@ -359,3 +359,86 @@ def test_oracle_provenance_recorded():
     assert res.provenance["resolution"] == 300
     assert res.provenance["n_polish"] == 5
     assert res.provenance["seed"] == 3
+
+
+def test_basins_of_hand_made_cells():
+    # ranked best first: two local minima, (0, 0) and (5, 5), head two basins;
+    # (3, 3) touches (2, 2) and (4, 4) and joins the better-ranked (4, 4)
+    cells = np.array([[0, 0], [5, 5], [1, 1], [4, 4], [2, 2], [3, 3], [9, 0]])
+    np.testing.assert_array_equal(problems._basins(cells), [0, 1, 0, 1, 0, 1, 6])
+    # a cell joins only a neighbour ranked before it, never a later one
+    np.testing.assert_array_equal(problems._basins(cells[::-1]), [0, 1, 1, 1, 1, 1, 1])
+
+
+def _record_starts(monkeypatch):
+    starts = []
+
+    def recording(fun, x0, *args, **kwargs):
+        starts.append(np.array(x0, dtype=float))
+        return minimize(fun, x0, *args, **kwargs)
+
+    monkeypatch.setattr(problems, "minimize", recording)
+    return starts
+
+
+def test_tied_minima_polish_in_grid_order(monkeypatch):
+    # two wells of equal depth at grid cells 0.2 and 0.8: the scan ranks the
+    # tie in grid order, each well is a basin of its own and is polished once
+    prob = ConstrainedProblem(
+        "two-wells",
+        np.array([[0.0, 1.0]]),
+        lambda X: np.minimum(np.abs(X[:, 0] - 0.2), np.abs(X[:, 0] - 0.8)),
+        lambda X: np.full((X.shape[0], 1), -1.0),
+        1,
+    )
+    vals, cells = problems._grid_scan(prob, 11, 6)
+    np.testing.assert_array_equal(cells[:2, 0], [0.2, 0.8])
+    index = np.rint(cells * 10).astype(np.int64)
+    labels = problems._basins(index)
+    assert labels[0] == 0 and labels[1] == 1 and set(labels) == {0, 1}
+    starts = _record_starts(monkeypatch)
+    res = constrained_optimum_oracle(prob, resolution=11, n_polish=6)
+    np.testing.assert_array_equal(np.concatenate(starts), [0.2, 0.8])
+    assert res.value == 0.0 and res.point[0] == 0.2
+
+
+def _well_problem():
+    # a broad well of depth 1 at the grid point (0.3, 0.3) and a narrow,
+    # deeper one of depth 1.2 between grid points, at (0.755, 0.755)
+    def objective(X):
+        r1 = np.sum((X - 0.3) ** 2, axis=1)
+        r2 = np.sum((X - 0.755) ** 2, axis=1)
+        return -np.exp(-r1 / 0.02) - 1.2 * np.exp(-r2 / 0.0002)
+
+    return ConstrainedProblem(
+        "wells",
+        np.array([[0.0, 1.0], [0.0, 1.0]]),
+        objective,
+        lambda X: np.full((X.shape[0], 1), -1.0),
+        1,
+    )
+
+
+def test_resolved_narrow_basin_is_polished(monkeypatch):
+    # at step 0.02 the narrow well's best cell (0.76, 0.76) reads -0.93, worse
+    # than the broad well's -1, but it has no better kept neighbour, so its
+    # basin is polished too: two polishes, the deeper minimum wins
+    prob = _well_problem()
+    starts = _record_starts(monkeypatch)
+    res = constrained_optimum_oracle(prob, resolution=51, n_polish=20)
+    assert len(starts) == 2
+    assert res.value < -1.19
+    np.testing.assert_allclose(res.point, [0.755, 0.755], atol=1e-3)
+    # at step 0.1 no cell resolves the narrow well: the resolution limit
+    starts.clear()
+    coarse = constrained_optimum_oracle(prob, resolution=11, n_polish=20)
+    assert len(starts) == 1
+    assert coarse.value == pytest.approx(-1.0, abs=1e-9)
+
+
+def test_p3_oracle_polishes_one_basin_once(monkeypatch):
+    # the 200 best cells at resolution 60 form one basin around the optimum
+    starts = _record_starts(monkeypatch)
+    res = constrained_optimum_oracle(get_problem("p3"), resolution=60, n_polish=200)
+    assert len(starts) == 1
+    assert res.value == pytest.approx(-156.66466281508565, rel=1e-12, abs=0.0)

@@ -12,7 +12,9 @@ side that runs first alternates from pair to pair, so a drift of the host's
 speed does not favour either side. The record holds both git
 revisions, the command, and for every run its environment line, its summary
 line (the last line ``perfbench/run.py`` prints) and its exit code, plus, per
-workload and metric, the medians and the pairs the change won.
+workload and metric, the medians and the pairs the change won, and the
+largest relative change of ``answer_value`` within a pair (0.0 when every
+answer is bit-identical).
 
 The runs are sequential, one process at a time; BLAS threads are pinned by
 ``perfbench/run.py`` itself.
@@ -23,6 +25,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import statistics
 import subprocess
 import sys
@@ -94,9 +97,18 @@ def metric(run: dict, name: str) -> float | None:
     return summary["metrics"][name]["value"]
 
 
+def rel_change(a: float, b: float) -> float:
+    """|b - a| / |a|: 0.0 when the two are bit-identical, inf when only a is 0."""
+    if a == b:
+        return 0.0
+    return abs(b - a) / abs(a) if a else math.inf
+
+
 def digest(pairs: list[dict], better: dict[str, str]) -> dict:
     """Per workload and end-to-end metric: each side's median and the pairs
-    in which the change reads better (ties count for neither side)."""
+    in which the change reads better (ties count for neither side); for
+    answer_value also the largest relative change between the two sides of
+    a pair, so a record shows whether answers moved."""
     out = {}
     for workload in dict.fromkeys(p["workload"] for p in pairs):
         rows = [p for p in pairs if p["workload"] == workload]
@@ -113,6 +125,8 @@ def digest(pairs: list[dict], better: dict[str, str]) -> dict:
                 "change_better": sum(sign * (a - b) > 0 for a, b in values),
                 "pairs": len(values),
             }
+            if name == "answer_value":
+                out[workload][name]["max_rel_change"] = max(rel_change(a, b) for a, b in values)
     return out
 
 
