@@ -195,14 +195,15 @@ def _basins(cells: np.ndarray) -> np.ndarray:
     return label
 
 
-def _polish_by_basin(problem, resolution, cells, extra, polish, val, pt):
-    """The lowest of the fallback (val, pt) and the accepted end points
-    (value, point) or None that polish returns, from the `_grid_scan` cells,
-    best first, then `extra`, jittered copies of the leading cells in their
+def _polish_by_basin(problem, resolution, grid_vals, cells, extra, polish):
+    """The lowest of the best grid cell and the accepted end points (value,
+    point) or None that polish returns, from the `_grid_scan` cells, best
+    first, then `extra`, jittered copies of the leading cells in their
     cells' basins; a start is skipped once its basin has an end point."""
     lo, wid = problem.bounds[:, 0], problem.widths
     index = np.rint((cells - lo) / np.where(wid > 0, wid, 1.0) * (resolution - 1))
     labels = _basins(index.astype(np.int64))
+    val, pt = float(grid_vals[0]), cells[0].copy()
     done = set()
     for s, b in zip([*cells, *extra], [*labels, *labels[: len(extra)]]):
         if b in done:
@@ -278,9 +279,7 @@ def constrained_optimum_oracle(
         g = problem.constraints(np.atleast_2d(res.x))[0]
         return (float(res.fun), res.x.copy()) if np.max(g) <= FEASIBILITY_TOL else None
 
-    val, pt = _polish_by_basin(
-        problem, resolution, starts, extra, polish, float(grid_vals[0]), starts[0].copy()
-    )
+    val, pt = _polish_by_basin(problem, resolution, grid_vals, starts, extra, polish)
     provenance = {
         "problem": problem.name,
         "kind": "constrained_optimum",
@@ -315,14 +314,11 @@ def domain_max_oracle(
         )
         return (float(res.fun), res.x.copy()) if np.all(np.isfinite(res.x)) else None
 
-    neg_val, pt = _polish_by_basin(
-        problem, resolution, starts, [], polish, float(grid_vals[0]), starts[0].copy()
-    )
-    val = -neg_val
+    neg_val, pt = _polish_by_basin(problem, resolution, grid_vals, starts, [], polish)
     provenance = {
         "problem": problem.name,
         "kind": "domain_max",
         "resolution": resolution,
         "n_polish": n_polish,
     }
-    return OracleResult(val, pt, provenance)
+    return OracleResult(-neg_val, pt, provenance)
