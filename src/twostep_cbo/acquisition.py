@@ -7,9 +7,10 @@ version, and the projected backtracking ascent that every maximizer in the
 package uses. ei_pf is the one implementation of EI times PF with the sigma
 floor and its gradient; eic_many, eic_grad and the two-step engine call it.
 eic_grad returns the values with the gradient, the bits of eic_many, from
-one posterior pass per model (GPModel.posterior_grads), so
-maximize_eic's gradient steps evaluate each row once; its value-only steps
-go through eic_many. The batch estimator draws its fantasies through the
+one posterior pass per model (GPModel.posterior_grads). maximize_eic scores
+each candidate through eic_many and takes the gradients of the accepted ones
+from the posterior terms that pass kept (eic_grad fed those terms), so no row
+meets the kernel twice. The batch estimator draws its fantasies through the
 two-step FantasyEngine, so the joint posterior at a batch is sampled in one
 place. Constraints whose observations are all identical and feasible are
 treated as certainly feasible and contribute a factor of exactly one, which
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .gp import GPModel, SIGMA_FLOOR, sq_dist
+from .gp import GPModel, SIGMA_FLOOR, sq_dist, take_rows
 from .sampling import latin_hypercube
 
 
@@ -106,6 +107,8 @@ class PosteriorBundle:
         constraints = tuple(constraints)
         feas = np.ones(objective.n_train, dtype=bool)
         for c in constraints:
+            if not np.array_equal(c.train_inputs, objective.train_inputs):
+                raise ValueError("every constraint model must share the objective's train_inputs")
             feas &= c.train_targets <= 0
         value, point = None, None
         if np.any(feas):
@@ -130,14 +133,17 @@ def eic(bundle: PosteriorBundle, x: np.ndarray) -> float:
     return float(eic_many(bundle, np.atleast_2d(x))[0])
 
 
-def eic_many(bundle: PosteriorBundle, X: np.ndarray) -> np.ndarray:
-    """Vectorized eic over rows of X."""
+def eic_many(bundle: PosteriorBundle, X: np.ndarray, with_terms: bool = False):
+    """Vectorized eic over rows of X. with_terms also returns the posterior
+    terms of each model, objective first (GPModel.posterior_many), from which
+    eic_grad continues."""
     best = bundle.require_incumbent()
     X = np.atleast_2d(X)
-    mu, var = bundle.objective.posterior_many(X)
-    moments = (c.posterior_many(X) for c in bundle.active_constraints)
-    cons = [(mc, np.sqrt(vc)) for mc, vc in moments]
-    return ei_pf((best - mu, np.sqrt(var)), cons)
+    mu, var, terms = bundle.objective.posterior_many(X, with_terms=True)
+    passes = [c.posterior_many(X, with_terms=True) for c in bundle.active_constraints]
+    cons = [(mc, np.sqrt(vc)) for mc, vc, _ in passes]
+    values = ei_pf((best - mu, np.sqrt(var)), cons)
+    return (values, [terms, *(t for _, _, t in passes)]) if with_terms else values
 
 
 def ei_pf(improvement, constraints=(), derivs=None):
@@ -196,19 +202,22 @@ def ei_pf(improvement, constraints=(), derivs=None):
     return values, grad, ~np.logical_and.reduce(above_floor)
 
 
-def eic_grad(bundle: PosteriorBundle, x: np.ndarray):
+def eic_grad(bundle: PosteriorBundle, x: np.ndarray, terms: list[dict] | None = None):
     """Value and gradient of eic at a point (d,) or at rows (m, d), with a
     degenerate flag (a mask for rows) set when any posterior standard
     deviation sits below the floor or near a data point (those factors
     contribute zero): (values, gradient, degenerate). The values are the
-    bits of eic_many."""
+    bits of eic_many. terms, those of eic_many(..., with_terms=True) at these
+    rows, skips the value pass of every model."""
     best = bundle.require_incumbent()
     x = np.asarray(x, dtype=float)
     X = np.atleast_2d(x)
-    mu, var, dmu, dsig, degen = bundle.objective.posterior_grads(X)
+    if terms is None:
+        terms = [None] * (1 + len(bundle.active_constraints))
+    mu, var, dmu, dsig, degen = bundle.objective.posterior_grads(X, terms[0])
     cons, dcons = [], []
-    for c in bundle.active_constraints:
-        mc, vc, dmc, dsc, cdegen = c.posterior_grads(X)
+    for c, t in zip(bundle.active_constraints, terms[1:]):
+        mc, vc, dmc, dsc, cdegen = c.posterior_grads(X, t)
         cons.append((mc, np.sqrt(vc)))
         dcons.append((dmc, dsc))
         degen = degen | cdegen
@@ -251,22 +260,25 @@ def mean_and_se(values: np.ndarray, single: bool):
 def projected_ascent(evaluate, P, bounds, first_move, steps):
     """Projected backtracking gradient ascent, all rows of P in lock step.
 
-    evaluate(X, rows, grads) returns the values at the rows of X, which are
-    the rows `rows` of P, or (values, gradients) when grads is True. Steps are
+    evaluate(X, rows) runs one value pass at the rows of X, which are the
+    rows `rows` of P, and returns (values, grad): grad(keep) gives the
+    gradients at the rows X[keep] (keep a boolean mask over the rows of X)
+    from the terms that pass already holds, so an accepted candidate is
+    never evaluated a second time. The ascent calls grad once on the
+    starting rows and once per step on the accepted candidates. Steps are
     taken in box-width units: the first moves first_move of the box along the
     largest gradient component, an accepted step grows by 1.6 and a rejected
     one halves, and a row retires once its proposed move falls below 1e-8 of
     the box. Both rules are free of the scale of the values, so the ascent
     reaches the same points whatever their units; a row whose gradient is
     zero, or too small to divide by, proposes no move and retires after its
-    first iteration. Candidates are clipped to the box and get a value-only
-    evaluation; accepted ones get values and gradients. Returns the final
+    first iteration. Candidates are clipped to the box. Returns the final
     points and their values.
     """
     lo, wid = bounds[:, 0], bounds[:, 1] - bounds[:, 0]
     U = (P - lo) / wid
-    vals, grads = evaluate(P, np.arange(len(P)), True)
-    gU = grads * wid
+    vals, grad = evaluate(P, np.arange(len(P)))
+    gU = grad(np.ones(len(P), dtype=bool)) * wid
     g_inf = np.max(np.abs(gU), axis=1)
     step = first_move / np.where(g_inf > np.finfo(float).tiny, g_inf, 1.0)
     active = np.arange(len(P))
@@ -274,13 +286,13 @@ def projected_ascent(evaluate, P, bounds, first_move, steps):
         if active.size == 0:
             break
         cand_U = np.clip(U[active] + step[active, None] * gU[active], 0.0, 1.0)
-        cand = lo + cand_U * wid
-        hit = evaluate(cand, active, False) > vals[active]
+        cand_vals, grad = evaluate(lo + cand_U * wid, active)
+        hit = cand_vals > vals[active]
         acc = active[hit]
         if acc.size:
-            vals[acc], agrads = evaluate(cand[hit], acc, True)
+            vals[acc] = cand_vals[hit]
             U[acc] = cand_U[hit]
-            gU[acc] = agrads * wid
+            gU[acc] = grad(hit) * wid
         step[acc] *= 1.6
         step[active[~hit]] *= 0.5
         move = step[active] * np.max(np.abs(gU[active]), axis=1)
@@ -288,18 +300,26 @@ def projected_ascent(evaluate, P, bounds, first_move, steps):
     return lo + U * wid, vals
 
 
+def _eic_pass(bundle: PosteriorBundle, X: np.ndarray):
+    """The evaluate of maximize_eic's ascent (projected_ascent): eic at rows
+    of X through eic_many, and grad(keep), the eic gradient at X[keep]
+    through eic_grad fed the posterior terms of this pass."""
+    values, terms = eic_many(bundle, X, with_terms=True)
+
+    def grad(keep):
+        return eic_grad(bundle, X[keep], [take_rows(t, keep) for t in terms])[1]
+
+    return values, grad
+
+
 def maximize_eic(bundle: PosteriorBundle, bounds: np.ndarray, seed: int) -> np.ndarray:
     """Multistart ascent of the analytic acquisition; incumbent joins the starts."""
     starts = latin_hypercube(20, bounds, np.random.SeedSequence((seed, 19)))
     if bundle.incumbent_point is not None:
         starts = np.vstack([starts, bundle.incumbent_point])
-
-    def evaluate(X, rows, grads):
-        if not grads:
-            return eic_many(bundle, X)
-        return eic_grad(bundle, X)[:2]
-
-    X, vals = projected_ascent(evaluate, starts, bounds, first_move=0.15, steps=60)
+    X, vals = projected_ascent(
+        lambda X, rows: _eic_pass(bundle, X), starts, bounds, first_move=0.15, steps=60
+    )
     return X[int(np.argmax(vals))]
 
 

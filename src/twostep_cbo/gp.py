@@ -19,8 +19,11 @@ recommendation (its mean polish and its pick) uses on its own. GPModel.rows
 builds the variance and its derivative on top of it and is shared by
 posterior_many, posterior_grads (and through them the myopic EIC) and the
 fantasy engine. It reaches L^{-1} by row products, so a row's numbers do not
-depend on the rows sharing the call. Hyperparameters are fit by multistart
-L-BFGS-B on the log marginal likelihood in log-parameter space; the
+depend on the rows sharing the call. Each has a gradient half
+(mean_row_grads, row_grads) that extends its value terms, so a maximizer
+takes the gradients of the candidates it accepts from the rows of its value
+pass (take_rows), with the bits of a fresh call. Hyperparameters are fit by
+multistart L-BFGS-B on the log marginal likelihood in log-parameter space; the
 likelihood factorizes and solves with LAPACK's potrf/potrs directly, the
 routines under scipy's cholesky and cho_solve, whose per-call checks cost
 more than the work at these sizes.
@@ -145,11 +148,16 @@ def _nearest(X: np.ndarray, points: np.ndarray) -> np.ndarray:
     return np.sqrt(np.min(d2, axis=1, initial=np.inf))
 
 
-def _moments(r: dict, dist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and variance from GPModel.rows r at distances dist from the data,
-    the variance snapped to zero at a data point and clipped at zero."""
-    var = r["var"]
-    var[dist <= DUPLICATE_TOL] = 0.0
+def take_rows(terms: dict, keep) -> dict:
+    """The rows keep (a mask or indices) of every array in a dict of row
+    terms, such as GPModel.rows returns."""
+    return {key: value[keep] for key, value in terms.items()}
+
+
+def _moments(r: dict) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and variance from the terms r of GPModel.posterior_many, the
+    variance snapped to zero at a data point and clipped at zero."""
+    var = np.where(r["dist"] <= DUPLICATE_TOL, 0.0, r["var"])
     return r["mean"], np.maximum(var, 0.0)
 
 
@@ -201,40 +209,59 @@ class GPModel:
 
     def mean_rows(self, X: np.ndarray, grads: bool = False) -> dict:
         """Posterior mean at rows of X against the data D: K = k(X, D) and
-        mean; with grads also J = d k(X, D) / dX of shape (rows, n, d) and
-        dmean, shape (rows, d). Row r is independent of every other row."""
+        mean; with grads also the terms of mean_row_grads. Row r is
+        independent of every other row."""
         X = np.atleast_2d(X)
         K = kernel_matrix(self.kernel, X, self.train_inputs)
         out = dict(K=K, mean=np.einsum("rn,n->r", K, self.weights))
-        if grads:
-            J = kernel_grad_first_from(self.kernel, X, self.train_inputs, K)
-            out.update(J=J, dmean=self.weights @ J)
-        return out
+        return self.mean_row_grads(X, out) if grads else out
+
+    def mean_row_grads(self, X: np.ndarray, terms: dict) -> dict:
+        """The gradient half of mean_rows: its terms at rows of X plus J =
+        d k(X, D) / dX of shape (rows, n, d) and dmean, shape (rows, d), from
+        the kernel rows terms["K"] already holds (a new dict)."""
+        J = kernel_grad_first_from(self.kernel, X, self.train_inputs, terms["K"])
+        return dict(terms, J=J, dmean=self.weights @ J)
 
     def rows(self, X: np.ndarray, grads: bool = False) -> dict:
         """Posterior terms at rows of X, row r independent of every other row:
         mean_rows plus V = rows of L^{-1} k(D, X) and the unclipped variance
-        var; with grads also A = rows of K_D^{-1} k(D, X) and dvar, shape
-        (rows, d). A model without data gives the prior."""
-        out = self.mean_rows(X, grads)
+        var; with grads also the terms of row_grads. A model without data
+        gives the prior."""
+        out = self.mean_rows(X)
         # Row products, not a many-column triangular solve, whose bits for
         # one row depend on the other rows of the call.
         V = (out["K"][:, None, :] @ self.chol_inv.T)[:, 0]
         out.update(V=V, var=self.kernel.signal_variance - np.einsum("rn,rn->r", V, V))
-        if grads:
-            A = (V[:, None, :] @ self.chol_inv)[:, 0]
-            out.update(A=A, dvar=-2.0 * (A[:, None, :] @ out["J"])[:, 0])
+        return self.row_grads(X, out) if grads else out
+
+    def row_grads(self, X: np.ndarray, terms: dict) -> dict:
+        """The gradient half of rows: its terms at rows of X plus those of
+        mean_row_grads, A = rows of K_D^{-1} k(D, X) and dvar, shape (rows,
+        d), from the rows terms already holds (a new dict). A subset of the
+        value terms (take_rows) gives the bits of a fresh call on its rows."""
+        out = self.mean_row_grads(X, terms)
+        A = (out["V"][:, None, :] @ self.chol_inv)[:, 0]
+        out.update(A=A, dvar=-2.0 * (A[:, None, :] @ out["J"])[:, 0])
         return out
 
-    def posterior_many(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _value_terms(self, X: np.ndarray) -> dict:
+        """rows at X with dist, each row's distance to the nearest data point."""
+        return dict(self.rows(X), dist=_nearest(X, self.train_inputs))
+
+    def posterior_many(self, X: np.ndarray, with_terms: bool = False):
         """Posterior means and variances at rows of X. Variances clipped at zero.
 
         Noise-free observations interpolate exactly, so the variance is snapped
         to zero at points coinciding with a training input; the jitter used for
-        factorization stability would otherwise leak in at that scale.
+        factorization stability would otherwise leak in at that scale. With
+        with_terms also the terms they came from (rows plus dist), from which
+        posterior_grads continues.
         """
         X = np.atleast_2d(X)
-        return _moments(self.rows(X), _nearest(X, self.train_inputs))
+        terms = self._value_terms(X)
+        mean, var = _moments(terms)
+        return (mean, var, terms) if with_terms else (mean, var)
 
     def condition_on_fantasy(self, X1: np.ndarray, y1: np.ndarray) -> "GPModel":
         """Model conditioned on hypothetical observations (X1, y1); kernel unchanged."""
@@ -246,7 +273,7 @@ class GPModel:
         targets = np.concatenate([self.train_targets, y1])
         return GPModel.fit(stacked, targets, self.kernel)
 
-    def posterior_grads(self, x: np.ndarray):
+    def posterior_grads(self, x: np.ndarray, terms: dict | None = None):
         """Posterior moments with the gradients of the mean and standard
         deviation at a point (d,) or at rows (m, d).
 
@@ -254,16 +281,17 @@ class GPModel:
         are the bits of posterior_many. Shaped (), (), (d,), (d,) and a bool
         for a point, (m,), (m,), (m, d), (m, d) and (m,) for rows. Degenerate
         within NEAR_DATA_TOL of a data point or where the standard deviation
-        is at or below SIGMA_FLOOR; there the sigma gradient is zeros.
+        is at or below SIGMA_FLOOR; there the sigma gradient is zeros. terms,
+        those of posterior_many(..., with_terms=True) at these rows, skips
+        the value pass: only the gradient half (row_grads) runs.
         """
         x = np.asarray(x, dtype=float)
         X = np.atleast_2d(x)
-        r = self.rows(X, grads=True)
-        dist = _nearest(X, self.train_inputs)
-        mean, var = _moments(r, dist)
+        r = self.row_grads(X, self._value_terms(X) if terms is None else terms)
+        mean, var = _moments(r)
         # Where the snap above zeroed var, near holds too.
         sigma = np.sqrt(var)
-        near = dist < NEAR_DATA_TOL
+        near = r["dist"] < NEAR_DATA_TOL
         degenerate = near | (sigma <= SIGMA_FLOOR)
         dsigma = np.where(near[:, None], 0.0, sd_grad(sigma, r["dvar"]))
         out = (mean, var, r["dmean"], dsigma, degenerate)

@@ -59,6 +59,7 @@ from .gp import (
     kernel_paired,
     sd_grad,
     sq_dist,
+    take_rows,
 )
 from .sampling import halton_design, latin_hypercube, sobol_normal
 
@@ -307,27 +308,36 @@ class FantasyEngine:
 
     # -- stage-1 posterior rows ----------------------------------------------
 
-    def _stage1(self, blk: _Block, P: np.ndarray, e: np.ndarray, grads: bool):
+    def _stage1(
+        self, blk: _Block, P: np.ndarray, e: np.ndarray, grads: bool, terms: dict | None = None
+    ):
         """Stage-1 terms at rows of P, row r against the data and its own
         batch e[r] only. The stage-1 moments are affine in the fantasy:
         conditioning on a fantasy with whitened residual u gives mean mu0 +
         cross . u and the standard deviation s1, which does not depend on the
-        fantasy. Returns the model's rows at P (GPModel.rows) plus the row
-        arrays cross = Sigma0(P, X1), s1, B = cross Cinv and K_own = k(P, X1);
-        with grads also the x2-derivatives dcross and ds1. Every row's numbers
-        are independent of the other rows."""
+        fantasy. The value half gives the model's rows at P (GPModel.rows)
+        plus the row arrays cross = Sigma0(P, X1), s1, B = cross Cinv and
+        K_own = k(P, X1). The gradient half, with grads, extends them with
+        the model's row gradients (GPModel.row_grads: J, dmean, A, dvar) and
+        the x2-derivatives dcross and ds1. terms, the value terms of an
+        earlier call at these rows, skip the value half. Every row's numbers
+        are independent of the other rows, so the accepted rows of a value
+        pass (take_rows) give the bits of a fresh call on them."""
         kern = blk.model.kernel
-        out = blk.model.rows(P, grads)
         X1 = self.X1[e]  # (rows, q, d)
-        K_own = kernel_paired(kern, P[:, None, :], X1)  # (rows, q)
-        cross = K_own - np.einsum("rn,rqn->rq", out["V"], blk.V1[e])
-        B = np.einsum("rq,rpq->rp", cross, blk.Cinv[e])  # Cinv symmetric
-        s1 = np.sqrt(np.maximum(out["var"] - np.einsum("rq,rq->r", B, cross), 0.0))
-        out.update(cross=cross, s1=s1, B=B, K_own=K_own)
-        if grads:
-            dcross = kernel_grad_paired(kern, P[:, None, :], X1, K_own) - blk.A1[e] @ out["J"]
-            out["dcross"] = dcross
-            out["ds1"] = sd_grad(s1, out["dvar"] - 2.0 * np.einsum("rqd,rq->rd", dcross, B))
+        if terms is None:
+            terms = blk.model.rows(P)
+            K_own = kernel_paired(kern, P[:, None, :], X1)  # (rows, q)
+            cross = K_own - np.einsum("rn,rqn->rq", terms["V"], blk.V1[e])
+            B = np.einsum("rq,rpq->rp", cross, blk.Cinv[e])  # Cinv symmetric
+            s1 = np.sqrt(np.maximum(terms["var"] - np.einsum("rq,rq->r", B, cross), 0.0))
+            terms.update(cross=cross, s1=s1, B=B, K_own=K_own)
+        if not grads:
+            return terms
+        out = blk.model.row_grads(P, terms)
+        dcross = kernel_grad_paired(kern, P[:, None, :], X1, out["K_own"]) - blk.A1[e] @ out["J"]
+        dvar1 = out["dvar"] - 2.0 * np.einsum("rqd,rq->rd", dcross, out["B"])
+        out.update(dcross=dcross, ds1=sd_grad(out["s1"], dvar1))
         return out
 
     def stage1_x1_grads(self, b: int, X2: np.ndarray, U: np.ndarray, e: np.ndarray):
@@ -357,17 +367,20 @@ class FantasyEngine:
         return mu1, st["s1"], dmu1, sd_grad(st["s1"], dvar1)
 
     def alpha_rows(
-        self, P: np.ndarray, idx: np.ndarray, batch: _FantasyBatch, grads: bool = False
+        self, P: np.ndarray, idx: np.ndarray, batch: _FantasyBatch, grads: bool = False, terms=None
     ):
         """Two-step integrand alpha at query rows P, row r belonging to
         fantasy idx[r]. With grads=True also returns d alpha / d x2 rows and a
-        degeneracy mask."""
+        degeneracy mask. terms, the value terms of _stage1 per block at these
+        rows from an earlier pass, skip the value half of every block."""
         P = np.atleast_2d(P)
         idx = np.asarray(idx, dtype=int)
         e = batch.e[idx]
         moments, derivs = [], []
         for b, blk in enumerate(self.blocks):
-            st = self._stage1(blk, P, e, grads)
+            st = None if terms is None else terms[b]
+            if st is None or grads:
+                st = self._stage1(blk, P, e, grads, st)
             U = batch.U[b][idx]
             moments.append((st["mean"] + np.einsum("rq,rq->r", st["cross"], U), st["s1"]))
             if grads:
@@ -380,6 +393,21 @@ class FantasyEngine:
         (dmu, ds), *dcons = derivs
         values, grad, degen = ei_pf((f1 - mu, s), cons, [(-dmu, ds), *dcons])
         return (self.f0 - f1) + values, grad, degen
+
+    def _alpha_pass(self, batch: _FantasyBatch, idx: np.ndarray, X: np.ndarray):
+        """The evaluate of the inner solve's ascent (projected_ascent) at rows
+        X of fantasies idx: one value pass of _stage1 per block, alpha_rows
+        on those terms, and grad(keep), the x2-gradients of alpha_rows at
+        X[keep] from the kept rows of the same terms."""
+        e = batch.e[idx]
+        terms = [self._stage1(blk, X, e, False) for blk in self.blocks]
+        values = self.alpha_rows(X, idx, batch, terms=terms)
+
+        def grad(keep):
+            kept = [take_rows(t, keep) for t in terms]
+            return self.alpha_rows(X[keep], idx[keep], batch, True, kept)[1]
+
+        return values, grad
 
     def probe_values(self, probes: np.ndarray, batch: _FantasyBatch) -> np.ndarray:
         """alpha of every fantasy at every probe: probes is (n_probes, d),
@@ -440,7 +468,9 @@ class FantasyEngine:
 
         The ascent is projected_ascent, whose step rules are free of the
         scale of alpha, with a first move of 0.15 of the box and
-        config.inner_steps steps. Each fantasy starts from the fixed starts,
+        config.inner_steps steps; each step scores its candidates in one
+        value pass and takes the accepted ones' gradients from its terms
+        (_alpha_pass). Each fantasy starts from the fixed starts,
         then its probe picks, then its warm start; the first maximum wins.
 
         A huge realized improvement (f1* far below f0) is not special-cased:
@@ -475,12 +505,12 @@ class FantasyEngine:
         k = P.shape[1]
         idx = np.repeat(np.arange(count), k)
 
-        def evaluate(X, rows, grads):
-            out = self.alpha_rows(X, idx[rows], batch, grads)
-            return out[:2] if grads else out
-
         P, vals = projected_ascent(
-            evaluate, P.reshape(-1, self.d), bounds, first_move=0.15, steps=config.inner_steps
+            lambda X, rows: self._alpha_pass(batch, idx[rows], X),
+            P.reshape(-1, self.d),
+            bounds,
+            first_move=0.15,
+            steps=config.inner_steps,
         )
         winners = np.arange(count) * k + np.argmax(vals.reshape(count, k), axis=1)
         X2 = P[winners]

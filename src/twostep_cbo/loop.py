@@ -17,7 +17,7 @@ import numpy as np
 
 from . import lookahead
 from .acquisition import PosteriorBundle, greedy_batch_eic, maximize_eic, projected_ascent
-from .gp import FactorizationError, GPModel, fit_hyperparameters
+from .gp import FactorizationError, GPModel, fit_hyperparameters, take_rows
 from .lookahead import TwoStepConfig
 from .problems import ConstrainedProblem
 from .sampling import latin_hypercube
@@ -122,16 +122,25 @@ def _key(*parts) -> int:
     return int(np.random.SeedSequence(tuple(int(p) for p in parts)).generate_state(1)[0])
 
 
+def _neg_mean_pass(model: GPModel, X: np.ndarray):
+    """The evaluate of the mean polish's ascent (projected_ascent): minus the
+    posterior mean at rows of X, and grad(keep), minus its gradient at X[keep]
+    from the kernel rows of this pass (GPModel.mean_row_grads)."""
+    r = model.mean_rows(X)
+
+    def grad(keep):
+        return -model.mean_row_grads(X[keep], take_rows(r, keep))["dmean"]
+
+    return -r["mean"], grad
+
+
 def _polish_mean_descent(
     model: GPModel, cand: np.ndarray, bounds: np.ndarray, steps: int = 20
 ) -> np.ndarray:
     """Projected gradient descent of the posterior mean, all rows in lock step."""
-
-    def neg_mean(X, rows, grads):
-        r = model.mean_rows(X, grads)
-        return (-r["mean"], -r["dmean"]) if grads else -r["mean"]
-
-    X, _ = projected_ascent(neg_mean, cand, bounds, first_move=0.1, steps=steps)
+    X, _ = projected_ascent(
+        lambda X, rows: _neg_mean_pass(model, X), cand, bounds, first_move=0.1, steps=steps
+    )
     return X
 
 

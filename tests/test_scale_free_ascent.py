@@ -47,9 +47,8 @@ def test_maximize_eic_is_scale_free(seed):
 def _climb_parabola(c, starts):
     """Ascent of -c (x - 2)^2 on [0, 6] with the polish's settings."""
 
-    def evaluate(X, rows, grads):
-        values = -c * (X[:, 0] - 2.0) ** 2
-        return (values, -2.0 * c * (X - 2.0)) if grads else values
+    def evaluate(X, rows):
+        return -c * (X[:, 0] - 2.0) ** 2, lambda keep: -2.0 * c * (X[keep] - 2.0)
 
     bounds = np.array([[0.0, 6.0]])
     return projected_ascent(evaluate, starts, bounds, first_move=0.1, steps=20)[0]

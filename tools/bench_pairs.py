@@ -12,9 +12,11 @@ side that runs first alternates from pair to pair, so a drift of the host's
 speed does not favour either side. The record holds both git
 revisions, the command, and for every run its environment line, its summary
 line (the last line ``perfbench/run.py`` prints) and its exit code, plus, per
-workload and metric, the medians and the pairs the change won, and the
-largest relative change of ``answer_value`` within a pair (0.0 when every
-answer is bit-identical).
+workload and metric, the medians, the quartiles and the pairs the change
+won, the parent's interquartile spread, and the largest relative change of
+``answer_value`` within a pair (0.0 when every answer is bit-identical). A
+claimed gain can be read from the record: the change wins at least nine of
+ten pairs, and the medians differ by more than the parent's spread.
 
 The runs are sequential, one process at a time; BLAS threads are pinned by
 ``perfbench/run.py`` itself.
@@ -104,11 +106,20 @@ def rel_change(a: float, b: float) -> float:
     return abs(b - a) / abs(a) if a else math.inf
 
 
+def quartiles(values: list[float]) -> list[float]:
+    """The three quartiles of values, the median among them, by the
+    inclusive method; a single value is its own quartiles."""
+    if len(values) == 1:
+        return list(values) * 3
+    return statistics.quantiles(values, n=4, method="inclusive")
+
+
 def digest(pairs: list[dict], better: dict[str, str]) -> dict:
-    """Per workload and end-to-end metric: each side's median and the pairs
-    in which the change reads better (ties count for neither side); for
-    answer_value also the largest relative change between the two sides of
-    a pair, so a record shows whether answers moved."""
+    """Per workload and end-to-end metric: each side's median and quartiles,
+    the parent's interquartile spread (its third quartile minus its first)
+    and the pairs in which the change reads better (ties count for neither
+    side); for answer_value also the largest relative change between the
+    two sides of a pair, so a record shows whether answers moved."""
     out = {}
     for workload in dict.fromkeys(p["workload"] for p in pairs):
         rows = [p for p in pairs if p["workload"] == workload]
@@ -119,9 +130,13 @@ def digest(pairs: list[dict], better: dict[str, str]) -> dict:
             if not values:
                 continue
             sign = 1.0 if direction == "lower" else -1.0
+            parent_q = quartiles([a for a, _ in values])
             out[workload][name] = {
                 "parent_median": statistics.median(a for a, _ in values),
                 "change_median": statistics.median(b for _, b in values),
+                "parent_quartiles": parent_q,
+                "change_quartiles": quartiles([b for _, b in values]),
+                "parent_iqr": parent_q[2] - parent_q[0],
                 "change_better": sum(sign * (a - b) > 0 for a, b in values),
                 "pairs": len(values),
             }
