@@ -257,6 +257,15 @@ def mean_and_se(values: np.ndarray, single: bool):
     return (float(est[0]), float(se[0])) if single else (est, se)
 
 
+def _row_max_abs(G: np.ndarray) -> np.ndarray:
+    """max_j |G[:, j]| of each row, one column at a time: the bits of
+    np.max(np.abs(G), axis=1) without a reduction along a short last axis."""
+    out = np.abs(G[:, 0])
+    for j in range(1, G.shape[1]):
+        np.maximum(out, np.abs(G[:, j]), out=out)
+    return out
+
+
 def projected_ascent(evaluate, P, bounds, first_move, steps):
     """Projected backtracking gradient ascent, all rows of P in lock step.
 
@@ -274,29 +283,38 @@ def projected_ascent(evaluate, P, bounds, first_move, steps):
     zero, or too small to divide by, proposes no move and retires after its
     first iteration. Candidates are clipped to the box. Returns the final
     points and their values.
+
+    The active rows' points, gradients, steps and values are kept compact,
+    in rows order, and written back only as rows retire, so a step does no
+    gathers or scatters over all of P; the arithmetic of every row is the
+    same, bit for bit, as with indexed updates of the full arrays.
     """
     lo, wid = bounds[:, 0], bounds[:, 1] - bounds[:, 0]
     U = (P - lo) / wid
     vals, grad = evaluate(P, np.arange(len(P)))
     gU = grad(np.ones(len(P), dtype=bool)) * wid
-    g_inf = np.max(np.abs(gU), axis=1)
+    g_inf = _row_max_abs(gU)
     step = first_move / np.where(g_inf > np.finfo(float).tiny, g_inf, 1.0)
-    active = np.arange(len(P))
+    rows = np.arange(len(P))
+    aU, agU, astep, avals = U, gU, step, vals  # the active rows, compact
     for _ in range(steps):
-        if active.size == 0:
+        if rows.size == 0:
             break
-        cand_U = np.clip(U[active] + step[active, None] * gU[active], 0.0, 1.0)
-        cand_vals, grad = evaluate(lo + cand_U * wid, active)
-        hit = cand_vals > vals[active]
-        acc = active[hit]
-        if acc.size:
-            vals[acc] = cand_vals[hit]
-            U[acc] = cand_U[hit]
-            gU[acc] = grad(hit) * wid
-        step[acc] *= 1.6
-        step[active[~hit]] *= 0.5
-        move = step[active] * np.max(np.abs(gU[active]), axis=1)
-        active = active[move >= 1e-8]
+        cand = aU + astep[:, None] * agU
+        np.clip(cand, 0.0, 1.0, out=cand)
+        cand_vals, grad = evaluate(lo + cand * wid, rows)
+        hit = cand_vals > avals
+        if hit.any():
+            np.copyto(avals, cand_vals, where=hit)
+            np.copyto(aU, cand, where=hit[:, None])
+            agU[hit] = grad(hit) * wid
+        astep *= np.where(hit, 1.6, 0.5)
+        keep = astep * _row_max_abs(agU) >= 1e-8
+        if not keep.all():
+            done = ~keep
+            U[rows[done]], vals[rows[done]] = aU[done], avals[done]
+            rows, aU, agU, astep, avals = (a[keep] for a in (rows, aU, agU, astep, avals))
+    U[rows], vals[rows] = aU, avals
     return lo + U * wid, vals
 
 

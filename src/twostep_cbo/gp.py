@@ -26,7 +26,12 @@ pass (take_rows), with the bits of a fresh call. Hyperparameters are fit by
 multistart L-BFGS-B on the log marginal likelihood in log-parameter space; the
 likelihood factorizes and solves with LAPACK's potrf/potrs directly, the
 routines under scipy's cholesky and cho_solve, whose per-call checks cost
-more than the work at these sizes.
+more than the work at these sizes. For the same reason a fit builds the
+likelihood's difference planes and identity once (_nll_constants), each
+evaluation adds the jitter to the diagonal and folds its gradient planes in
+place, and the fit keeps the last theta it evaluated, so the check after each
+restart at the point L-BFGS-B has just evaluated costs nothing; the bits are
+those of a fresh evaluation.
 """
 
 from __future__ import annotations
@@ -143,9 +148,12 @@ def sd_grad(sd: np.ndarray, dvar: np.ndarray) -> np.ndarray:
 
 
 def _nearest(X: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Distance from each row of X to the nearest of points; inf when there are none."""
-    d2 = sq_dist(X[:, None, :], points[None, :, :])
-    return np.sqrt(np.min(d2, axis=1, initial=np.inf))
+    """Distance from each row of X to the nearest of points; inf when there
+    are none. The squared distances are laid out points-major, (points,
+    rows), so the minimum runs across planes of rows rather than along a
+    short last axis; (p - x)^2 has the bits of (x - p)^2."""
+    d2 = sq_dist(points[:, None, :], X[None, :, :])
+    return np.sqrt(np.min(d2, axis=0, initial=np.inf))
 
 
 def take_rows(terms: dict, keep) -> dict:
@@ -319,40 +327,42 @@ def jittered_cholesky(C: np.ndarray, scale: float) -> tuple[np.ndarray, float]:
                 ) from None
 
 
-def log_marginal_likelihood(params: KernelParams, inputs: np.ndarray, targets: np.ndarray) -> float:
-    """Log marginal likelihood of the data under the jittered kernel: minus
-    the objective that fit_hyperparameters minimizes, -inf where the kernel
-    matrix does not factorize at the initial jitter."""
-    X = np.atleast_2d(np.asarray(inputs, dtype=float))
-    if params.lengthscales.shape[0] != X.shape[1]:
-        raise ValueError("point dimension does not match kernel lengthscales")
-    theta = np.log(np.concatenate([[params.signal_variance], params.lengthscales]))
-    return -_nll_and_grad(theta, X, np.asarray(targets, dtype=float).ravel(), JITTER_INITIAL)[0]
+def _nll_constants(X):
+    """The constants _nll_and_grad needs on inputs X whatever theta: the
+    difference planes X_j - X_j^T, j = 0..d-1, and the identity."""
+    return [X[:, None, j] - X[None, :, j] for j in range(X.shape[1])], np.eye(X.shape[0])
 
 
-def _nll_and_grad(theta, X, y, jit_rel):
+def _nll_and_grad(theta, X, y, jit_rel, consts=None):
     """Negative log marginal likelihood and gradient in log-parameter space;
     (inf, zeros) where the jittered kernel matrix is not finite or does not
-    factorize."""
+    factorize. consts, _nll_constants(X), is built once per fit; each plane
+    is scaled, squared and then folded into its gradient term in place."""
+    diffs, eye = _nll_constants(X) if consts is None else consts
     sv = np.exp(theta[0])
     ls = np.exp(theta[1:])
     n = X.shape[0]
-    sq = list(sq_planes(X[:, None, :], X[None, :, :], ls))  # d planes (n, n)
+    sq = [diff / s for diff, s in zip(diffs, ls)]  # d planes (n, n), as sq_planes gives them
+    for plane in sq:
+        plane *= plane
     Kc = sv * np.exp(-0.5 * sum(sq[1:], sq[0]))  # added in order, as in sq_dist
-    eye = np.eye(n)
-    K = Kc + jit_rel * sv * eye
+    K = Kc.copy()
+    K.ravel()[:: n + 1] += jit_rel * sv
     # potrf reports no error on a matrix holding inf or NaN.
     L, info = dpotrf(K, lower=1)
     if info != 0 or not np.isfinite(K).all():
         return np.inf, np.zeros_like(theta)
     w = dpotrs(L, y, lower=1)[0]
-    nll = 0.5 * y @ w + np.sum(np.log(np.diag(L))) + 0.5 * n * np.log(2.0 * np.pi)
-    Kinv = dpotrs(L, eye, lower=1)[0]
-    S = np.outer(w, w) - Kinv
+    nll = 0.5 * y @ w + np.log(L.diagonal()).sum() + 0.5 * n * np.log(2.0 * np.pi)
+    S = w[:, None] * w  # np.outer(w, w)
+    S -= dpotrs(L, eye, lower=1)[0]
     grad = np.empty_like(theta)
-    grad[0] = -0.5 * np.sum(S * K)  # dK/dlog sv = K (jitter scales with sv)
+    K *= S
+    grad[0] = -0.5 * K.sum()  # dK/dlog sv = K (jitter scales with sv)
     for j, plane in enumerate(sq):  # dKc/dlog ls_j = Kc * sq_j
-        grad[1 + j] = -0.5 * np.sum(S * (Kc * plane))
+        plane *= Kc
+        plane *= S
+        grad[1 + j] = -0.5 * plane.sum()
     return float(nll), grad
 
 
@@ -371,6 +381,12 @@ def fit_hyperparameters(
     [1e-4, 1e4] times the target variance. Degenerate targets (all identical,
     or fewer than two points) short-circuit to fallback parameters. When a warm
     start is supplied the result never has lower likelihood than it.
+
+    The likelihood's per-fit constants (_nll_constants) are built once. Each
+    evaluation goes through the module's _nll_and_grad, except a repeat of
+    the last theta evaluated, which is served from a memo keyed on its bytes
+    (a fresh copy of the gradient): the check at res.x after each restart is
+    most often the point L-BFGS-B evaluated last.
     """
     X = np.atleast_2d(np.asarray(inputs, dtype=float))
     y = np.asarray(targets, dtype=float).ravel()
@@ -395,24 +411,31 @@ def fit_hyperparameters(
 
     from scipy.optimize import minimize
 
+    consts = _nll_constants(X)
+    last = {}  # the last theta evaluated, keyed on its bytes
+
+    def nll(theta):
+        # Through the module name on every evaluation, so a wrapper set on
+        # _nll_and_grad sees each one.
+        key = theta.tobytes()
+        if key not in last:
+            last.clear()
+            last[key] = _nll_and_grad(theta, X, y, JITTER_INITIAL, consts)
+        value, grad = last[key]
+        return value, grad.copy()
+
     best_theta, best_nll = None, np.inf
     for theta0 in starts:
-        res = minimize(
-            _nll_and_grad,
-            theta0,
-            args=(X, y, JITTER_INITIAL),
-            jac=True,
-            method="L-BFGS-B",
-            bounds=list(zip(lo, hi)),
-        )
-        cand_nll, _ = _nll_and_grad(res.x, X, y, JITTER_INITIAL)
+        res = minimize(nll, theta0, jac=True, method="L-BFGS-B", bounds=list(zip(lo, hi)))
+        cand_nll, _ = nll(res.x)
         if cand_nll < best_nll:
             best_theta, best_nll = res.x, cand_nll
     if warm_start is not None:
-        warm_nll, _ = _nll_and_grad(np.clip(theta_w, lo, hi), X, y, JITTER_INITIAL)
+        theta_w = np.clip(theta_w, lo, hi)
+        warm_nll, _ = nll(theta_w)
         # Never regress below the warm start (clipped into the box).
         if warm_nll < best_nll:
-            best_theta, best_nll = np.clip(theta_w, lo, hi), warm_nll
+            best_theta, best_nll = theta_w, warm_nll
     if best_theta is None or not np.isfinite(best_nll):
         return KernelParams(max(vy, 1e-6), widths.copy())
     return KernelParams(float(np.exp(best_theta[0])), np.exp(best_theta[1:]))

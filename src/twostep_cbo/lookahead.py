@@ -261,12 +261,6 @@ class FantasyEngine:
             Y.append(blk.mu0[e] + np.einsum("fq,fpq->fp", Zb, blk.Lc[e]))
         return Y, e
 
-    def batch_from_values(self, Y: list[np.ndarray]) -> _FantasyBatch:
-        """Fantasies from their values: per block, (count, q) rows shared by
-        every batch or (E, count, q); batch-major like batch_from_normals."""
-        stacked = [self._stacked(np.atleast_2d(Yb)) for Yb in Y]
-        return self._finish_batch([Yb for Yb, _ in stacked], stacked[0][1])
-
     def _f1(self, Y: list[np.ndarray]) -> np.ndarray:
         """f1* of each fantasy: the incumbent or its best feasible value."""
         feasible = np.ones(Y[0].shape, dtype=bool)

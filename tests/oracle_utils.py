@@ -20,6 +20,7 @@ from twostep_cbo.gp import (
     GPModel,
     KernelParams,
     _min_pairwise_distance,
+    _nll_and_grad,
     jittered_cholesky,
     kernel_grad_first_from,
     kernel_matrix,
@@ -111,9 +112,56 @@ def ref_nll_and_grad(theta, X, y, jit_rel):
     return float(nll), grad
 
 
+def log_marginal_likelihood(params: KernelParams, inputs: np.ndarray, targets: np.ndarray) -> float:
+    """Log marginal likelihood of the data under the jittered kernel: minus
+    the objective that fit_hyperparameters minimizes, -inf where the kernel
+    matrix does not factorize at the initial jitter."""
+    X = np.atleast_2d(np.asarray(inputs, dtype=float))
+    if params.lengthscales.shape[0] != X.shape[1]:
+        raise ValueError("point dimension does not match kernel lengthscales")
+    theta = np.log(np.concatenate([[params.signal_variance], params.lengthscales]))
+    return -_nll_and_grad(theta, X, np.asarray(targets, dtype=float).ravel(), JITTER_INITIAL)[0]
+
+
+def ref_projected_ascent(evaluate, P, bounds, first_move, steps):
+    """acquisition.projected_ascent with indexed updates of the full arrays:
+    each step gathers the active rows and scatters the accepted ones back."""
+    lo, wid = bounds[:, 0], bounds[:, 1] - bounds[:, 0]
+    U = (P - lo) / wid
+    vals, grad = evaluate(P, np.arange(len(P)))
+    gU = grad(np.ones(len(P), dtype=bool)) * wid
+    g_inf = np.max(np.abs(gU), axis=1)
+    step = first_move / np.where(g_inf > np.finfo(float).tiny, g_inf, 1.0)
+    active = np.arange(len(P))
+    for _ in range(steps):
+        if active.size == 0:
+            break
+        cand_U = np.clip(U[active] + step[active, None] * gU[active], 0.0, 1.0)
+        cand_vals, grad = evaluate(lo + cand_U * wid, active)
+        hit = cand_vals > vals[active]
+        acc = active[hit]
+        if acc.size:
+            vals[acc] = cand_vals[hit]
+            U[acc] = cand_U[hit]
+            gU[acc] = grad(hit) * wid
+        step[acc] *= 1.6
+        step[active[~hit]] *= 0.5
+        move = step[active] * np.max(np.abs(gU[active]), axis=1)
+        active = active[move >= 1e-8]
+    return lo + U * wid, vals
+
+
 def kernel_grad_first(params, A, B):
     """Derivative of k(a_i, b_j) with respect to a_i, shape (m, n, d)."""
     return kernel_grad_first_from(params, A, B, kernel_matrix(params, A, B))
+
+
+def batch_from_values(engine, Y):
+    """A FantasyEngine's fantasies from their values: per block, (count, q)
+    rows shared by every batch or (E, count, q); batch-major like
+    engine.batch_from_normals."""
+    stacked = [engine._stacked(np.atleast_2d(Yb)) for Yb in Y]
+    return engine._finish_batch([Yb for Yb, _ in stacked], stacked[0][1])
 
 
 def posterior_joint(model, X):

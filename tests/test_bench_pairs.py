@@ -42,6 +42,7 @@ def test_digest_records_medians_quartiles_spread_and_wins():
     assert op["parent_iqr"] == pytest.approx(0.0275)
     # the gain rule reads off the record
     assert op["parent_median"] - op["change_median"] > op["parent_iqr"]
+    assert op["gain_shown"]
     assert out["acq"]["answer_value"]["max_rel_change"] == pytest.approx(1e-9)
     assert "absent" not in out["acq"]
     single = out["oracle"]["op_s"]
@@ -49,3 +50,21 @@ def test_digest_records_medians_quartiles_spread_and_wins():
     assert single["parent_iqr"] == 0.0
     assert single["change_better"] == 0
     assert out["oracle"]["answer_value"]["max_rel_change"] == 0.0
+
+
+def test_gain_shown_needs_the_medians_apart_by_more_than_the_parent_spread():
+    parent = [0.50, 0.46, 0.48, 0.47, 0.49, 0.52, 0.45, 0.48, 0.47, 0.51]
+    # 10 of 10 wins, but the medians are 0.02 apart against a spread of 0.0275
+    close = [a - 0.02 for a in parent]
+    far = [a - 0.03 for a in parent]
+    better = {"op_s": "lower", "answer_value": "higher"}
+    assert not bench_pairs.digest(_pairs("acq", parent, close), better)["acq"]["op_s"]["gain_shown"]
+    shown = bench_pairs.digest(_pairs("acq", parent, far), better)["acq"]["op_s"]
+    assert shown["change_better"] == 10
+    assert shown["gain_shown"]
+    # 8 of 10 wins fall short of nine tenths, however far apart the medians
+    eight = [b if i < 8 else a + 0.1 for i, (a, b) in enumerate(zip(parent, far))]
+    assert not bench_pairs.digest(_pairs("acq", parent, eight), better)["acq"]["op_s"]["gain_shown"]
+    # answers that read the same show no gain
+    answers = bench_pairs.digest(_pairs("acq", parent, far), better)["acq"]["answer_value"]
+    assert not answers["gain_shown"]

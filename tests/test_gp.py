@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracle_utils import (
+    batch_from_values,
     kernel_grad_first,
+    log_marginal_likelihood,
     numeric_grad,
     posterior_joint,
     ref_kernel_grad_paired,
@@ -15,6 +17,7 @@ from oracle_utils import (
     ref_nearest,
     ref_nll_and_grad,
 )
+from twostep_cbo import gp
 from twostep_cbo.acquisition import PosteriorBundle
 from twostep_cbo.gp import (
     DUPLICATE_TOL,
@@ -25,6 +28,7 @@ from twostep_cbo.gp import (
     GPModel,
     KernelParams,
     _nll_and_grad,
+    _nll_constants,
     fit_hyperparameters,
     _min_pairwise_distance,
     _nearest,
@@ -32,7 +36,6 @@ from twostep_cbo.gp import (
     kernel_grad_paired,
     kernel_matrix,
     kernel_paired,
-    log_marginal_likelihood,
     sq_dist,
 )
 from twostep_cbo.lookahead import FantasyEngine
@@ -283,18 +286,139 @@ def test_log_marginal_likelihood_rejects_mismatched_lengthscales():
         log_marginal_likelihood(KernelParams(1.0, np.ones(2)), X[:, :1], y)
 
 
+NON_FINITE_CASES = [
+    (np.zeros(2), np.array([[0.0], [np.nan]])),  # NaN input
+    (np.zeros(2), np.array([[0.0], [np.inf]])),  # inf - inf on the diagonal
+    (np.array([800.0, 0.0]), np.array([[0.0], [1.0]])),  # signal variance overflows to inf
+]
+
+
 def test_nll_of_a_non_finite_kernel_matrix_is_inf_with_zero_gradient():
-    X, y = np.array([[0.0], [1.0]]), np.array([1.0, -1.0])
-    cases = [
-        (np.zeros(2), np.array([[0.0], [np.nan]])),  # NaN input
-        (np.zeros(2), np.array([[0.0], [np.inf]])),  # inf - inf on the diagonal
-        (np.array([800.0, 0.0]), X),  # signal variance overflows to inf
-    ]
-    for theta, inputs in cases:
+    y = np.array([1.0, -1.0])
+    for theta, inputs in NON_FINITE_CASES:
         with np.errstate(over="ignore", invalid="ignore"):
             nll, grad = _nll_and_grad(theta, inputs, y, JITTER_INITIAL)
         assert nll == np.inf
         np.testing.assert_array_equal(grad, np.zeros(2))
+
+
+@pytest.mark.parametrize("d", [1, 2, 4])
+def test_nll_on_per_fit_constants_has_the_bits_of_a_fresh_call(d):
+    """One set of constants serves every evaluation of a fit: the in-place
+    work of an evaluation must leave them as they were."""
+    rng = np.random.default_rng(60 + d)
+    X = rng.uniform(0.0, 3.0, size=(12, d))
+    y = np.sin(X).sum(axis=1)
+    consts = _nll_constants(X)
+    for _ in range(50):
+        theta = np.concatenate([[rng.uniform(-4.0, 4.0)], rng.uniform(-3.0, 2.0, size=d)])
+        nll, grad = _nll_and_grad(theta, X, y, JITTER_INITIAL, consts)
+        want_nll, want_grad = _nll_and_grad(theta, X, y, JITTER_INITIAL)
+        assert nll == want_nll
+        np.testing.assert_array_equal(grad, want_grad)
+        if d <= 2:
+            want_nll, want_grad = ref_nll_and_grad(theta, X, y, JITTER_INITIAL)
+            assert nll == want_nll
+            np.testing.assert_array_equal(grad, want_grad)
+    y = np.array([1.0, -1.0])
+    for theta, inputs in NON_FINITE_CASES:
+        with np.errstate(over="ignore", invalid="ignore"):
+            nll, grad = _nll_and_grad(theta, inputs, y, JITTER_INITIAL, _nll_constants(inputs))
+        assert nll == np.inf
+        np.testing.assert_array_equal(grad, np.zeros(2))
+
+
+def _fit_data(d, seed):
+    rng = np.random.default_rng((seed, 61, d))
+    X = rng.uniform(0.0, 2.0, size=(8 + 4 * seed, d))
+    return X, np.sin(2.0 * X).sum(axis=1) + 0.1 * rng.standard_normal(len(X))
+
+
+def _watch_minimize(monkeypatch, on_result=None):
+    """Record, per L-BFGS-B run of a fit, the thetas it evaluated and its
+    result; on_result(fun, res) runs after each."""
+    import scipy.optimize
+
+    runs = []
+    original = scipy.optimize.minimize
+
+    def watched(fun, x0, **kwargs):
+        thetas = []
+
+        def logged(theta):
+            thetas.append(theta.copy())
+            return fun(theta)
+
+        res = original(logged, x0, **kwargs)
+        runs.append((thetas, res.x.copy()))
+        if on_result is not None:
+            on_result(fun, res)
+        return res
+
+    monkeypatch.setattr(scipy.optimize, "minimize", watched)
+    return runs
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_fit_evaluates_through_the_module_likelihood_but_for_memo_hits(d, monkeypatch):
+    """Every evaluation a fit makes reaches gp._nll_and_grad, the name a
+    tracer wraps, except a repeat of the theta evaluated just before it."""
+    seen = []
+    original = gp._nll_and_grad
+
+    def counting(theta, *args):
+        seen.append(theta.copy())
+        return original(theta, *args)
+
+    monkeypatch.setattr(gp, "_nll_and_grad", counting)
+    runs = _watch_minimize(monkeypatch)
+    X, y = _fit_data(d, 1)
+    warm = KernelParams(0.7, np.full(d, 0.4))  # inside the box
+    fit_hyperparameters(X, y, widths=np.full(d, 2.0), seed=3, warm_start=warm)
+    # The evaluations the fit asks for, in order: each run's, the check at
+    # its result, then the warm start.
+    asked = [theta for thetas, x in runs for theta in (*thetas, x)]
+    asked.append(np.log(np.concatenate([[0.7], np.full(d, 0.4)])))
+    hits = [i for i in range(1, len(asked)) if np.array_equal(asked[i], asked[i - 1])]
+    want = [theta for i, theta in enumerate(asked) if i not in hits]
+    assert len(seen) == len(want)
+    for got, theta in zip(seen, want):
+        np.testing.assert_array_equal(got, theta)
+    assert hits  # the check after a run is most often the point it evaluated last
+
+
+def test_fit_memo_hands_out_a_fresh_gradient(monkeypatch):
+    X, y = _fit_data(2, 0)
+    checked = []
+
+    def spoil_then_repeat(fun, res):
+        _, grad = fun(res.x)
+        want = grad.copy()
+        grad[:] = np.nan
+        _, again = fun(res.x)
+        np.testing.assert_array_equal(again, want)
+        checked.append(True)
+
+    _watch_minimize(monkeypatch, spoil_then_repeat)
+    fit_hyperparameters(X, y, widths=np.array([2.0, 2.0]), seed=1)
+    assert checked
+
+
+def _ref_nll(theta, X, y, jit_rel, consts):
+    return ref_nll_and_grad(theta, X, y, jit_rel)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_fit_returns_the_bits_of_a_fit_on_the_reference_likelihood(d, monkeypatch):
+    for seed in range(3):
+        X, y = _fit_data(d, seed)
+        warm = KernelParams(1.3, np.full(d, 0.6)) if seed else None
+        got = fit_hyperparameters(X, y, widths=np.full(d, 2.0), seed=seed, warm_start=warm)
+        with monkeypatch.context() as m:
+            m.setattr(gp, "_nll_and_grad", _ref_nll)
+            want = fit_hyperparameters(X, y, widths=np.full(d, 2.0), seed=seed, warm_start=warm)
+        assert got.signal_variance == want.signal_variance
+        np.testing.assert_array_equal(got.lengthscales, want.lengthscales)
 
 
 # -- posterior --------------------------------------------------------------------
@@ -469,7 +593,7 @@ def test_fantasy_grads_vanish_far_away():
     X1 = model.train_inputs[:1] + 30.0 * model.kernel.lengthscales[0]
     x2 = model.train_inputs[0] + np.array([0.37])
     engine = FantasyEngine(PosteriorBundle.from_models(model, []), X1)
-    batch = engine.batch_from_values([[0.2]])
+    batch = batch_from_values(engine, [[0.2]])
     _, s1, (dmu,), (dsig,) = engine.stage1_x1_grads(0, x2[None], batch.U[0], batch.e)
     assert s1[0] > SIGMA_FLOOR
     assert np.max(np.abs(dmu)) <= 1e-6
@@ -488,7 +612,7 @@ def test_fantasy_grads_match_fd_1d():
             continue
         y1 = rng.standard_normal(1)
         engine = FantasyEngine(PosteriorBundle.from_models(model, []), X1)
-        batch = engine.batch_from_values([y1])
+        batch = batch_from_values(engine, [y1])
         _, s1, (dmu,), (dsig,) = engine.stage1_x1_grads(0, x2[None], batch.U[0], batch.e)
         if s1[0] <= SIGMA_FLOOR:
             continue
@@ -503,7 +627,7 @@ def test_fantasy_grads_antipode_batch():
     x2 = np.array([0.5])
     X1 = np.array([[0.9], [25.0]])  # second batch point far from x2
     engine = FantasyEngine(PosteriorBundle.from_models(model, []), X1)
-    batch = engine.batch_from_values([[0.3, -0.2]])
+    batch = batch_from_values(engine, [[0.3, -0.2]])
     _, _, (dmu,), _ = engine.stage1_x1_grads(0, x2[None], batch.U[0], batch.e)
     assert np.max(np.abs(dmu[1])) <= 1e-6
     assert np.max(np.abs(dmu[0])) > 10 * np.max(np.abs(dmu[1]))

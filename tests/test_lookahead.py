@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 from scipy.stats import multivariate_normal
 
-from oracle_utils import anchored_x1, make_gp_instance, posterior_joint, TwoStepOracle
+from oracle_utils import (
+    anchored_x1,
+    batch_from_values,
+    make_gp_instance,
+    posterior_joint,
+    TwoStepOracle,
+)
 from twostep_cbo.acquisition import PosteriorBundle, batch_eic_mc, ei, maximize_eic, pf
 from twostep_cbo.gp import JITTER_INITIAL, GPModel, KernelParams
 from twostep_cbo.lookahead import (
@@ -85,7 +91,7 @@ def test_prior_log_density():
     # no data, unit prior: each block's fantasy is a standard normal up to the
     # diagonal jitter, and at its mean the score vanishes
     engine = FantasyEngine(_prior_bundle(), np.array([[0.3]]))
-    batch = engine.batch_from_values([np.zeros(1), np.zeros(1)])
+    batch = batch_from_values(engine, [np.zeros(1), np.zeros(1)])
     for blk in engine.blocks:
         assert blk.mu0[0, 0] == 0.0
         assert blk.Lc[0, 0, 0] ** 2 == pytest.approx(1.0, abs=1e-6)
@@ -126,7 +132,7 @@ def test_score_matches_density_finite_difference():
         mu_f, _ = bundle.objective.posterior_many(x1)
         Y = [np.atleast_2d(mu_f + 0.5 * rng.standard_normal(1)), rng.standard_normal((1, 1))]
         engine = FantasyEngine(bundle, x1)
-        score = engine.score(engine.batch_from_values(Y))
+        score = engine.score(batch_from_values(engine, Y))
         fd = _central_difference_score(bundle, x1, Y, h)
         np.testing.assert_allclose(score, fd, rtol=1e-4, atol=1e-8)
     for seed in range(6):
@@ -310,7 +316,7 @@ def test_inner_maximize_saturates_on_huge_realized_improvement():
     y_f, y_g = np.array([-1e6]), np.array([[-1.0]])
     x1 = np.array([[2.0]])
     engine = FantasyEngine(bundle, x1)
-    batch = engine.batch_from_values([y_f, *y_g])
+    batch = batch_from_values(engine, [y_f, *y_g])
     assert batch.f1[0] == -1e6
     _, (value,), _ = engine.solve_inner_batch(batch, bounds, CFG)
     grid = np.linspace(bounds[0, 0], bounds[0, 1], 6001)

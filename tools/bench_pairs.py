@@ -16,7 +16,8 @@ workload and metric, the medians, the quartiles and the pairs the change
 won, the parent's interquartile spread, and the largest relative change of
 ``answer_value`` within a pair (0.0 when every answer is bit-identical). A
 claimed gain can be read from the record: the change wins at least nine of
-ten pairs, and the medians differ by more than the parent's spread.
+ten pairs, and the medians differ by more than the parent's spread, in the
+direction the change won. ``gain_shown`` applies that rule.
 
 The runs are sequential, one process at a time; BLAS threads are pinned by
 ``perfbench/run.py`` itself.
@@ -119,7 +120,9 @@ def digest(pairs: list[dict], better: dict[str, str]) -> dict:
     the parent's interquartile spread (its third quartile minus its first)
     and the pairs in which the change reads better (ties count for neither
     side); for answer_value also the largest relative change between the
-    two sides of a pair, so a record shows whether answers moved."""
+    two sides of a pair, so a record shows whether answers moved. gain_shown
+    is the gain rule: the change wins at least nine tenths of the pairs and
+    its median is better than the parent's by more than parent_iqr."""
     out = {}
     for workload in dict.fromkeys(p["workload"] for p in pairs):
         rows = [p for p in pairs if p["workload"] == workload]
@@ -131,14 +134,19 @@ def digest(pairs: list[dict], better: dict[str, str]) -> dict:
                 continue
             sign = 1.0 if direction == "lower" else -1.0
             parent_q = quartiles([a for a, _ in values])
+            parent_median = statistics.median(a for a, _ in values)
+            change_median = statistics.median(b for _, b in values)
+            wins = sum(sign * (a - b) > 0 for a, b in values)
             out[workload][name] = {
-                "parent_median": statistics.median(a for a, _ in values),
-                "change_median": statistics.median(b for _, b in values),
+                "parent_median": parent_median,
+                "change_median": change_median,
                 "parent_quartiles": parent_q,
                 "change_quartiles": quartiles([b for _, b in values]),
                 "parent_iqr": parent_q[2] - parent_q[0],
-                "change_better": sum(sign * (a - b) > 0 for a, b in values),
+                "change_better": wins,
                 "pairs": len(values),
+                "gain_shown": 10 * wins >= 9 * len(values)
+                and sign * (parent_median - change_median) > parent_q[2] - parent_q[0],
             }
             if name == "answer_value":
                 out[workload][name]["max_rel_change"] = max(rel_change(a, b) for a, b in values)
