@@ -5,7 +5,8 @@ expected improvement over the best feasible observation), the analytic
 gradient of that product, a quasi-Monte Carlo estimator of the batch
 version, and the projected backtracking ascent that every maximizer in the
 package uses. ei_pf is the one implementation of EI times PF with the sigma
-floor and its gradient; eic_many, eic_grad and the two-step engine call it.
+floor and its gradient; eic_many, eic_grad and the two-step engine call it,
+and ei and pf are its two factors, validated wrappers with the same floor.
 eic_grad returns the values with the gradient, the bits of eic_many, from
 one posterior pass per model (GPModel.posterior_grads). maximize_eic scores
 each candidate through eic_many and takes the gradients of the accepted ones
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .gp import GPModel, SIGMA_FLOOR, sq_dist, take_rows
+from .gp import GPModel, SIGMA_FLOOR, _nearest, take_rows
 from .sampling import latin_hypercube
 
 
@@ -42,42 +43,29 @@ def _Phi(z):
     return special.ndtr(z)
 
 
-def ei(mean_improvement, variance):
-    """Expected value of max(N(m, v), 0).
-
-    Accepts scalars or arrays. Zero variance degenerates to max(m, 0);
-    negative variance raises ValueError.
-    """
-    m = np.asarray(mean_improvement, dtype=float)
+def _sd(variance):
+    """The standard deviation of a variance that must be nonnegative."""
     v = np.asarray(variance, dtype=float)
     if np.any(v < 0):
         raise ValueError("variance must be nonnegative")
-    scalar = m.ndim == 0 and v.ndim == 0
-    m, v = np.atleast_1d(*np.broadcast_arrays(m, v))
-    out = np.maximum(m, 0.0)
-    pos = v > 0
-    if np.any(pos):
-        s = np.sqrt(v[pos])
-        u = m[pos] / s
-        out = out.copy()
-        out[pos] = m[pos] * _Phi(u) + s * _phi(u)
-    return float(out[0]) if scalar else out
+    return np.sqrt(v)
+
+
+def ei(mean_improvement, variance):
+    """Expected value of max(N(m, v), 0): the EI factor of ei_pf.
+
+    Accepts scalars or arrays. At or below the sigma floor the value is
+    max(m, 0); negative variance raises ValueError.
+    """
+    out = ei_pf((np.asarray(mean_improvement, dtype=float), _sd(variance)))
+    return float(out) if out.ndim == 0 else out
 
 
 def pf(mean, variance):
-    """Probability that N(mean, variance) is nonpositive."""
-    m = np.asarray(mean, dtype=float)
-    v = np.asarray(variance, dtype=float)
-    if np.any(v < 0):
-        raise ValueError("variance must be nonnegative")
-    scalar = m.ndim == 0 and v.ndim == 0
-    m, v = np.atleast_1d(*np.broadcast_arrays(m, v))
-    out = (m <= 0).astype(float)
-    pos = v > 0
-    if np.any(pos):
-        out = out.copy()
-        out[pos] = _Phi(-m[pos] / np.sqrt(v[pos]))
-    return float(out[0]) if scalar else out
+    """Probability that N(mean, variance) is nonpositive: ei_pf at a sure
+    improvement of one. At or below the sigma floor it is 1{mean <= 0}."""
+    out = ei_pf((1.0, 0.0), [(np.asarray(mean, dtype=float), _sd(variance))])
+    return float(out) if out.ndim == 0 else out
 
 
 def certainly_feasible(model: GPModel) -> bool:
@@ -354,8 +342,7 @@ def greedy_batch_eic(bundle: PosteriorBundle, bounds: np.ndarray, q: int, seed: 
     chosen = np.zeros((0, cand.shape[1]))
     for slot in range(q):
         slot_seed = int(np.random.SeedSequence((seed, 31, slot)).generate_state(1)[0])
-        dist = np.sqrt(sq_dist(cand[:, None, :], chosen[None, :, :]))
-        free = cand[np.all(dist >= 1e-6, axis=1)]
+        free = cand[_nearest(cand, chosen) >= 1e-6]
         stack = np.concatenate(
             [np.broadcast_to(chosen, (len(free),) + chosen.shape), free[:, None, :]], axis=1
         )

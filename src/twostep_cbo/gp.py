@@ -12,26 +12,26 @@ takes the operations of the (..., d) broadcast form the tests keep as the
 reference, so the bits are the same for d <= 2 and for every distance; for
 d >= 3 einsum added the squares in another order, an ulp of the sum apart.
 
-The model is a frozen dataclass holding the Cholesky factor L of the
-jittered kernel matrix and its inverse. GPModel.mean_rows is the one home of
-the posterior mean at query rows and of its x-derivative, which the loop's
+The model is a frozen dataclass holding the Cholesky factor L of the jittered
+kernel matrix and its inverse. GPModel.mean_rows is the one home of the
+posterior mean at query rows and of its x-derivative, which the loop's
 recommendation (its mean polish and its pick) uses on its own. GPModel.rows
 builds the variance and its derivative on top of it and is shared by
 posterior_many, posterior_grads (and through them the myopic EIC) and the
 fantasy engine. It reaches L^{-1} by row products, so a row's numbers do not
-depend on the rows sharing the call. Each has a gradient half
-(mean_row_grads, row_grads) that extends its value terms, so a maximizer
-takes the gradients of the candidates it accepts from the rows of its value
-pass (take_rows), with the bits of a fresh call. Hyperparameters are fit by
-multistart L-BFGS-B on the log marginal likelihood in log-parameter space; the
-likelihood factorizes and solves with LAPACK's potrf/potrs directly, the
-routines under scipy's cholesky and cho_solve, whose per-call checks cost
-more than the work at these sizes. For the same reason a fit builds the
-likelihood's difference planes and identity once (_nll_constants), each
-evaluation adds the jitter to the diagonal and folds its gradient planes in
-place, and the fit keeps the last theta it evaluated, so the check after each
-restart at the point L-BFGS-B has just evaluated costs nothing; the bits are
-those of a fresh evaluation.
+depend on the rows sharing the call. Both give value terms only; their
+gradient halves (mean_row_grads, row_grads) are the one way to the derivatives
+and extend those terms, so a maximizer takes the gradients of the candidates
+it accepts from the rows of its value pass (take_rows), with the bits of a
+fresh call. Hyperparameters are fit by multistart L-BFGS-B on the log marginal
+likelihood in log-parameter space; the likelihood factorizes and solves with
+LAPACK's potrf/potrs directly, the routines under scipy's cholesky and
+cho_solve, whose per-call checks cost more than the work at these sizes. For
+the same reason a fit builds the likelihood's difference planes and identity
+once (_nll_constants), each evaluation adds the jitter to the diagonal and
+folds its gradient planes in place, and the fit keeps the last theta it
+evaluated, so the check after each restart at the point L-BFGS-B has just
+evaluated costs nothing; the bits are those of a fresh evaluation.
 """
 
 from __future__ import annotations
@@ -215,14 +215,12 @@ class GPModel:
         m, v = self.posterior_many(np.atleast_2d(x))
         return float(m[0]), float(v[0])
 
-    def mean_rows(self, X: np.ndarray, grads: bool = False) -> dict:
+    def mean_rows(self, X: np.ndarray) -> dict:
         """Posterior mean at rows of X against the data D: K = k(X, D) and
-        mean; with grads also the terms of mean_row_grads. Row r is
+        mean, the value terms that mean_row_grads extends. Row r is
         independent of every other row."""
-        X = np.atleast_2d(X)
         K = kernel_matrix(self.kernel, X, self.train_inputs)
-        out = dict(K=K, mean=np.einsum("rn,n->r", K, self.weights))
-        return self.mean_row_grads(X, out) if grads else out
+        return dict(K=K, mean=np.einsum("rn,n->r", K, self.weights))
 
     def mean_row_grads(self, X: np.ndarray, terms: dict) -> dict:
         """The gradient half of mean_rows: its terms at rows of X plus J =
@@ -231,17 +229,21 @@ class GPModel:
         J = kernel_grad_first_from(self.kernel, X, self.train_inputs, terms["K"])
         return dict(terms, J=J, dmean=self.weights @ J)
 
-    def rows(self, X: np.ndarray, grads: bool = False) -> dict:
+    def rows(self, X: np.ndarray) -> dict:
         """Posterior terms at rows of X, row r independent of every other row:
         mean_rows plus V = rows of L^{-1} k(D, X) and the unclipped variance
-        var; with grads also the terms of row_grads. A model without data
+        var, the value terms that row_grads extends. A model without data
         gives the prior."""
         out = self.mean_rows(X)
         # Row products, not a many-column triangular solve, whose bits for
         # one row depend on the other rows of the call.
         V = (out["K"][:, None, :] @ self.chol_inv.T)[:, 0]
         out.update(V=V, var=self.kernel.signal_variance - np.einsum("rn,rn->r", V, V))
-        return self.row_grads(X, out) if grads else out
+        return out
+
+    def solve_rows(self, V: np.ndarray) -> np.ndarray:
+        """A = rows of K_D^{-1} k(D, X) from the rows V of L^{-1} k(D, X)."""
+        return (V[:, None, :] @ self.chol_inv)[:, 0]
 
     def row_grads(self, X: np.ndarray, terms: dict) -> dict:
         """The gradient half of rows: its terms at rows of X plus those of
@@ -249,7 +251,7 @@ class GPModel:
         d), from the rows terms already holds (a new dict). A subset of the
         value terms (take_rows) gives the bits of a fresh call on its rows."""
         out = self.mean_row_grads(X, terms)
-        A = (out["V"][:, None, :] @ self.chol_inv)[:, 0]
+        A = self.solve_rows(out["V"])
         out.update(A=A, dvar=-2.0 * (A[:, None, :] @ out["J"])[:, 0])
         return out
 

@@ -54,6 +54,7 @@ from .acquisition import (
 from .gp import (
     JITTER_INITIAL,
     GPModel,
+    _min_pairwise_distance,
     jittered_cholesky,
     kernel_grad_paired,
     kernel_paired,
@@ -123,11 +124,8 @@ class CandidateBatch:
         object.__setattr__(self, "points", pts)
         if not np.all(np.isfinite(pts)):
             raise ValueError("batch points must be finite")
-        if pts.shape[0] > 1:
-            d2 = sq_dist(pts[:, None, :], pts[None, :, :])
-            iu = np.triu_indices(pts.shape[0], k=1)
-            if np.sqrt(np.min(d2[iu])) < SEPARATION_TOL:
-                raise ValueError("batch points closer than the separation tolerance")
+        if _min_pairwise_distance(pts) < SEPARATION_TOL:
+            raise ValueError("batch points closer than the separation tolerance")
 
     @property
     def q(self) -> int:
@@ -178,7 +176,8 @@ class _Block:
         self.model = model
         kern = model.kernel
         E, q, d = X1.shape
-        r = model.rows(X1.reshape(-1, d), grads=True)
+        flat = X1.reshape(-1, d)
+        r = model.row_grads(flat, model.rows(flat))
         # Rows of L^{-1} k(D, X1) and of K_D^{-1} k(D, X1), each (E, q, n).
         self.V1 = r["V"].reshape(E, q, -1)
         self.A1 = r["A"].reshape(E, q, -1)
@@ -341,23 +340,23 @@ class FantasyEngine:
         values. Returns (mu1, s1, dmu1, ds1), the derivatives of shape
         (rows, q, d)."""
         blk = self.blocks[b]
-        st = self._stage1(blk, X2, e, True)  # for A; the x2-derivatives go unused
-        V = st["B"]  # Cinv cross, (rows, q)
+        st = self._stage1(blk, X2, e, False)  # the value half: no x2-derivative is read
+        A, B = blk.model.solve_rows(st["V"]), st["B"]  # B = Cinv cross, (rows, q)
         mu1 = st["mean"] + np.einsum("rq,rq->r", st["cross"], U)
         # First-argument derivative of the state-0 covariance between each
         # batch point and each row: dc[f, i, j] = d Sigma0(x_i, X2_f) / d x_ij.
         dc = kernel_grad_paired(blk.model.kernel, self.X1[e], X2[:, None, :], st["K_own"])
-        dc = dc - np.einsum("fqnd,fn->fqd", blk.J_X1_D[e], st["A"])
+        dc = dc - np.einsum("fqnd,fn->fqd", blk.J_X1_D[e], A)
         Dk0 = blk.Dk0[e]
         rv_u = np.einsum("fibj,fb->fij", Dk0, U)
-        rv_v = np.einsum("fibj,fb->fij", Dk0, V)
+        rv_b = np.einsum("fibj,fb->fij", Dk0, B)
         dmu1 = (
             dc * U[:, :, None]
-            - V[:, :, None] * rv_u
-            - rv_v * U[:, :, None]
-            - V[:, :, None] * blk.dmu0[e]
+            - B[:, :, None] * rv_u
+            - rv_b * U[:, :, None]
+            - B[:, :, None] * blk.dmu0[e]
         )
-        dvar1 = -2.0 * dc * V[:, :, None] + 2.0 * V[:, :, None] * rv_v
+        dvar1 = -2.0 * dc * B[:, :, None] + 2.0 * B[:, :, None] * rv_b
         return mu1, st["s1"], dmu1, sd_grad(st["s1"], dvar1)
 
     def alpha_rows(

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lookahead
-from .acquisition import PosteriorBundle, greedy_batch_eic, maximize_eic, projected_ascent
+from .acquisition import PosteriorBundle, greedy_batch_eic, maximize_eic, pf, projected_ascent
 from .gp import FactorizationError, GPModel, fit_hyperparameters, take_rows
 from .lookahead import TwoStepConfig
 from .problems import ConstrainedProblem
@@ -95,25 +95,15 @@ def fit_bundle(
     iteration: int,
     warm: list | None = None,
 ) -> tuple[PosteriorBundle, list]:
-    """Fit kernel hyperparameters for every output and assemble the bundle."""
-    widths = problem.widths
-    params = []
+    """Fit every output k (the objective, then the constraints; seed
+    _key(seed, 7, iteration, k), warm start warm[k]) and assemble the bundle."""
     prev = warm if warm is not None else [None] * (1 + problem.n_constraints)
-    p_obj = fit_hyperparameters(
-        history.X, history.f, widths=widths, seed=_key(seed, 7, iteration, 0), warm_start=prev[0]
-    )
-    params.append(p_obj)
-    models = [GPModel.fit(history.X, history.f, p_obj)]
-    for m in range(problem.n_constraints):
-        p_con = fit_hyperparameters(
-            history.X,
-            history.G[:, m],
-            widths=widths,
-            seed=_key(seed, 7, iteration, 1 + m),
-            warm_start=prev[1 + m],
-        )
-        params.append(p_con)
-        models.append(GPModel.fit(history.X, history.G[:, m], p_con))
+    params, models = [], []
+    for k, y in enumerate([history.f, *history.G.T]):
+        key = _key(seed, 7, iteration, k)
+        p = fit_hyperparameters(history.X, y, widths=problem.widths, seed=key, warm_start=prev[k])
+        params.append(p)
+        models.append(GPModel.fit(history.X, y, p))
     return PosteriorBundle.from_models(models[0], models[1:]), params
 
 
@@ -151,8 +141,6 @@ def recommend(bundle: PosteriorBundle, bounds: np.ndarray, seed: int) -> np.ndar
     Candidates are the evaluated inputs plus a seeded space-filling design,
     kept both as drawn and after 20 steps of projected posterior-mean descent.
     """
-    from .acquisition import pf
-
     X_obs = bundle.objective.train_inputs
     base = np.vstack(
         [X_obs, latin_hypercube(2048, bounds, np.random.SeedSequence((seed, 13)))]
@@ -217,8 +205,6 @@ def utility_gap(f_score: float, f_star: float) -> float:
 
 def _maximize_feasibility(bundle: PosteriorBundle, bounds: np.ndarray, seed: int) -> np.ndarray:
     """Fallback when no incumbent exists: chase the feasibility product."""
-    from .acquisition import pf
-
     cand = latin_hypercube(4096, bounds, np.random.SeedSequence((seed, 23)))
     prod = np.ones(cand.shape[0])
     for c in bundle.active_constraints:

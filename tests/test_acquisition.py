@@ -11,12 +11,13 @@ from twostep_cbo.acquisition import (
     PosteriorBundle,
     batch_eic_mc,
     ei,
+    ei_pf,
     eic,
     eic_grad,
     eic_many,
     pf,
 )
-from twostep_cbo.gp import GPModel, KernelParams
+from twostep_cbo.gp import SIGMA_FLOOR, GPModel, KernelParams
 from twostep_cbo.sampling import halton_design
 
 from oracle_utils import (
@@ -66,6 +67,22 @@ def test_pf_degenerate_limit():
 def test_pf_rejects_negative_variance():
     with pytest.raises(ValueError):
         pf(0.0, -1.0)
+
+
+def test_ei_and_pf_are_the_factors_of_ei_pf_with_its_floor():
+    """Below the sigma floor each factor takes its zero-variance limit, and
+    EI times PF is ei_pf bit for bit, scalar and array alike."""
+    assert ei(0.0, 1e-22) == 0.0
+    for v in (1e-300, 1e-22, SIGMA_FLOOR**2):
+        for m in (-1e-12, 0.0, 1e-12, 0.7):
+            assert ei(m, v) == max(m, 0.0)
+            assert pf(m, v) == float(m <= 0)
+    rng = np.random.default_rng(17)
+    m, mc = rng.normal(size=(2, 200))
+    s, sc = np.exp(rng.uniform(-30.0, 1.0, size=(2, 200)))
+    np.testing.assert_array_equal(ei(m, s * s) * pf(mc, sc * sc), ei_pf((m, s), [(mc, sc)]))
+    for i in range(20):
+        assert ei(m[i], s[i] ** 2) * pf(mc[i], sc[i] ** 2) == ei_pf((m[i], s[i]), [(mc[i], sc[i])])
 
 
 @given(
@@ -200,9 +217,10 @@ def test_rows_match_per_point_calls():
             mu_g, var_g, dmu, dsig, degen = model.posterior_grads(X)
             np.testing.assert_array_equal(mu_g, mu)
             np.testing.assert_array_equal(var_g, var)
-            rows = model.rows(X, grads=True)
+            rows = model.row_grads(X, model.rows(X))
             for grads in (False, True):
-                mean_rows = model.mean_rows(X, grads)
+                mean_rows = model.mean_rows(X)
+                mean_rows = model.mean_row_grads(X, mean_rows) if grads else mean_rows
                 keys = ("K", "mean", "J", "dmean") if grads else ("K", "mean")
                 assert sorted(mean_rows) == sorted(keys)
                 for key in keys:

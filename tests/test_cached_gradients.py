@@ -58,7 +58,8 @@ def test_mean_polish_pass_gradients_equal_a_fresh_mean_rows():
         values, grad = _neg_mean_pass(model, X)
         np.testing.assert_array_equal(values, -model.mean_rows(X)["mean"])
         keep = _keep(seed, len(X))
-        np.testing.assert_array_equal(grad(keep), -model.mean_rows(X[keep], True)["dmean"])
+        fresh = model.mean_row_grads(X[keep], model.mean_rows(X[keep]))
+        np.testing.assert_array_equal(grad(keep), -fresh["dmean"])
 
 
 def _count_data_kernel_rows(monkeypatch, models):
@@ -102,6 +103,27 @@ def test_inner_solve_meets_the_kernel_once_per_value_row(monkeypatch):
     engine.solve_inner_batch(batch, bounds, TwoStepConfig(inner_steps=20))
     assert value_rows[0] > 0
     assert state["rows"] == engine.n_blocks * value_rows[0]
+
+
+def test_lr_gradients_make_no_data_kernel_gradient_call(monkeypatch):
+    """The LR rows take the value half of _stage1 and A: on a built engine,
+    lr_gradients meets no kernel gradient against the training inputs."""
+    bundle, bounds = make_gp_instance(3, d=2, n_constraints=2)
+    calls = [0]
+    original = gp.kernel_grad_first_from
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(gp, "kernel_grad_first_from", counting)
+    engine = FantasyEngine(bundle, random_x1(3, bounds, 2, bundle))
+    assert calls[0] == engine.n_blocks  # the engine's own rows are counted
+    batch = engine.sample(6, (3, 94))
+    calls[0] = 0
+    G = engine.lr_gradients(batch, halton_design(batch.n, bounds))
+    assert calls[0] == 0
+    assert G.shape == (batch.n, 2, 2) and np.all(np.isfinite(G))
 
 
 def test_maximize_eic_meets_the_kernel_once_per_value_row(monkeypatch):

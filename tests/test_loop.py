@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from twostep_cbo.acquisition import PosteriorBundle, pf
-from twostep_cbo.gp import FactorizationError, GPModel, KernelParams
+from twostep_cbo.gp import FactorizationError, GPModel, KernelParams, fit_hyperparameters
 from twostep_cbo.lookahead import TwoStepConfig
 from twostep_cbo.loop import (
     History,
     InitializationError,
+    _key,
     fit_bundle,
     initialize,
     recommend,
@@ -77,6 +78,25 @@ def _hand_bundle_1d():
     obj = GPModel.fit(X, np.array([-2.0, -1.0]), params)
     con = GPModel.fit(X, np.array([3.0, -2.0]), params)
     return PosteriorBundle(obj, (con,), -1.0, X[1].copy(), (False,))
+
+
+def test_fit_bundle_seeds_and_warm_starts_each_output_on_its_own():
+    """Output k (the objective at k = 0, constraint m at 1 + m) gets the fit
+    seeded with _key(seed, 7, iteration, k) and warm-started at warm[k]."""
+    problem = get_problem("p2")
+    history = initialize(problem, 8, seed=5)
+    warm = [KernelParams(0.5 + k, problem.widths * (0.2 + 0.3 * k)) for k in range(3)]
+    bundle, params = fit_bundle(history, problem, 5, 3, warm)
+    models = [bundle.objective, *bundle.constraints]
+    assert len(params) == len(models) == 3
+    for k, y in enumerate([history.f, history.G[:, 0], history.G[:, 1]]):
+        want = fit_hyperparameters(
+            history.X, y, problem.widths, seed=_key(5, 7, 3, k), warm_start=warm[k]
+        )
+        assert params[k].signal_variance == want.signal_variance
+        np.testing.assert_array_equal(params[k].lengthscales, want.lengthscales)
+        assert models[k].kernel == params[k]
+        np.testing.assert_array_equal(models[k].train_targets, y)
 
 
 def test_recommend_prefers_confident_feasible_point():
