@@ -32,6 +32,15 @@ once (_nll_constants), each evaluation adds the jitter to the diagonal and
 folds its gradient planes in place, and the fit keeps the last theta it
 evaluated, so the check after each restart at the point L-BFGS-B has just
 evaluated costs nothing; the bits are those of a fresh evaluation.
+
+L-BFGS-B runs through _lbfgsb, which drives scipy's private
+reverse-communication routine scipy.optimize._lbfgsb.setulb (with the
+signature of scipy 1.17, the floor pyproject.toml sets) with the loop and
+defaults of scipy.optimize.minimize. At these sizes the objects minimize
+builds around each run and each evaluation cost about as much as the
+likelihood; the driver gives minimize's iterates bit for bit without them.
+The tests keep minimize as the reference, so a scipy release that changes the
+routine fails them rather than moving the fits.
 """
 
 from __future__ import annotations
@@ -42,6 +51,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy import linalg
 from scipy.linalg.lapack import dpotrf, dpotrs
+from scipy.optimize._lbfgsb import setulb
 
 JITTER_INITIAL = 1e-8
 JITTER_MAX = 1e-2
@@ -368,6 +378,41 @@ def _nll_and_grad(theta, X, y, jit_rel, consts=None):
     return float(nll), grad
 
 
+def _lbfgsb(fun, x0, lo, hi):
+    """Minimize fun, which returns (value, gradient), over the finite box
+    [lo, hi] from x0 clipped into it, with L-BFGS-B; returns the last
+    iterate. It is the loop of minimize(fun, x0, jac=True, method="L-BFGS-B",
+    bounds=...) over setulb with minimize's defaults, and gives its iterates
+    bit for bit. fun gets a copy of each theta setulb asks for."""
+    m, maxiter, maxfun, maxls = 10, 15000, 15000, 20
+    factr = 2.2204460492503131e-09 / np.finfo(float).eps  # minimize's ftol, as it converts it
+    n = x0.size
+    x = np.clip(x0, lo, hi)
+    f = np.array(0.0)
+    g = np.zeros(n)
+    nbd = np.full(n, 2, np.int32)  # bounded below and above
+    wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
+    iwa = np.zeros(3 * n, np.int32)
+    task, ln_task, lsave = np.zeros(2, np.int32), np.zeros(2, np.int32), np.zeros(4, np.int32)
+    isave, dsave = np.zeros(44, np.int32), np.zeros(29)
+    nfev = nit = 0
+    while True:
+        setulb(
+            m, x, lo, hi, nbd, f, g, factr, 1e-5, wa, iwa, task, lsave, isave, dsave, maxls, ln_task
+        )
+        if task[0] == 3:  # wants f and g at x
+            f, g = fun(x.copy())
+            nfev += 1  # repeats too, unlike minimize: they part only past maxfun
+        elif task[0] == 1:  # a new iterate; stop as minimize does
+            nit += 1
+            if nit >= maxiter:
+                task[:] = 5, 504
+            elif nfev > maxfun:
+                task[:] = 5, 502
+        else:
+            return x
+
+
 def fit_hyperparameters(
     inputs: np.ndarray,
     targets: np.ndarray,
@@ -384,11 +429,13 @@ def fit_hyperparameters(
     or fewer than two points) short-circuit to fallback parameters. When a warm
     start is supplied the result never has lower likelihood than it.
 
-    The likelihood's per-fit constants (_nll_constants) are built once. Each
+    Each restart is one run of _lbfgsb, called by its module name. The
+    likelihood's per-fit constants (_nll_constants) are built once. Each
     evaluation goes through the module's _nll_and_grad, except a repeat of
     the last theta evaluated, which is served from a memo keyed on its bytes
-    (a fresh copy of the gradient): the check at res.x after each restart is
-    most often the point L-BFGS-B evaluated last.
+    (a fresh copy of the gradient): the check at a run's result is most often
+    the point L-BFGS-B evaluated last, and the routine can ask for one theta
+    twice in a row.
     """
     X = np.atleast_2d(np.asarray(inputs, dtype=float))
     y = np.asarray(targets, dtype=float).ravel()
@@ -411,8 +458,6 @@ def fit_hyperparameters(
         )
         starts = np.vstack([np.clip(theta_w, lo, hi), starts])
 
-    from scipy.optimize import minimize
-
     consts = _nll_constants(X)
     last = {}  # the last theta evaluated, keyed on its bytes
 
@@ -428,10 +473,10 @@ def fit_hyperparameters(
 
     best_theta, best_nll = None, np.inf
     for theta0 in starts:
-        res = minimize(nll, theta0, jac=True, method="L-BFGS-B", bounds=list(zip(lo, hi)))
-        cand_nll, _ = nll(res.x)
+        x = _lbfgsb(nll, theta0, lo, hi)
+        cand_nll, _ = nll(x)
         if cand_nll < best_nll:
-            best_theta, best_nll = res.x, cand_nll
+            best_theta, best_nll = x, cand_nll
     if warm_start is not None:
         theta_w = np.clip(theta_w, lo, hi)
         warm_nll, _ = nll(theta_w)

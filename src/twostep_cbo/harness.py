@@ -232,9 +232,13 @@ def _run_replication(args) -> tuple[int, list]:
 
 
 def resolve_workers(cli_value: int | None = None) -> int:
-    """The worker count: cli_value when positive, else os.cpu_count()."""
+    """The worker count: cli_value when positive, else the CPUs this process
+    may run on (its affinity mask, which a taskset narrows; os.cpu_count()
+    counts the host's, where the platform reports no mask)."""
     if cli_value is not None and cli_value > 0:
         return cli_value
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 

@@ -334,28 +334,82 @@ def _fit_data(d, seed):
     return X, np.sin(2.0 * X).sum(axis=1) + 0.1 * rng.standard_normal(len(X))
 
 
-def _watch_minimize(monkeypatch, on_result=None):
+def _fit_box(y, widths):
+    vy = float(np.var(y))
+    lo = np.concatenate([[np.log(1e-4 * vy)], np.log(1e-3 * widths)])
+    hi = np.concatenate([[np.log(1e4 * vy)], np.log(10.0 * widths)])
+    return lo, hi
+
+
+def _lbfgsb_cases():
+    """(likelihood, x0, lo, hi): Sobol starts in the fit's box on _fit_data
+    for d = 1, 2, 4, starts on the bounds and outside the box, and a start
+    at zero jitter from which the run meets kernels that do not factorize."""
+    for d in (1, 2, 4):
+        for seed in range(2):
+            X, y = _fit_data(d, seed)
+            lo, hi = _fit_box(y, np.full(d, 2.0))
+            fun = lambda theta, X=X, y=y: _nll_and_grad(theta, X, y, JITTER_INITIAL)
+            for x0 in lo + sobol_unit(d + 1, 3, seed) * (hi - lo):
+                yield fun, x0, lo, hi
+            yield fun, np.where(np.arange(d + 1) % 2, lo, hi), lo, hi
+            yield fun, np.where(np.arange(d + 1) % 2, hi, lo), lo, hi
+            yield fun, hi + 1.0, lo, hi
+    X, y = _fit_data(1, 0)
+    lo, hi = _fit_box(y, np.array([2.0]))
+    yield lambda theta: _nll_and_grad(theta, X, y, 0.0), lo + 0.7 * (hi - lo), lo, hi
+
+
+def test_lbfgsb_driver_matches_scipy_minimize_bit_for_bit():
+    """gp._lbfgsb runs the loop of scipy's L-BFGS-B with minimize's defaults:
+    the same result bits and the same evaluations in the same order. The
+    routine can ask twice in a row for one theta; minimize serves the repeat
+    from its cache and the fit from its memo, so a repeat is no evaluation."""
+    from scipy.optimize import minimize
+
+    met_inf = False
+    for fun, x0, lo, hi in _lbfgsb_cases():
+        seen = {"driver": [], "minimize": []}
+
+        def logged(key):
+            def f(theta):
+                if not seen[key] or not np.array_equal(theta, seen[key][-1]):
+                    seen[key].append(theta.copy())
+                return fun(theta)
+
+            return f
+
+        got = gp._lbfgsb(logged("driver"), x0, lo, hi)
+        bounds = list(zip(lo, hi))
+        res = minimize(logged("minimize"), x0, jac=True, method="L-BFGS-B", bounds=bounds)
+        np.testing.assert_array_equal(got, res.x)
+        assert len(seen["driver"]) == len(seen["minimize"])
+        for a, b in zip(seen["driver"], seen["minimize"]):
+            np.testing.assert_array_equal(a, b)
+        met_inf |= any(np.isinf(fun(theta)[0]) for theta in seen["driver"])
+    assert met_inf
+
+
+def _watch_lbfgsb(monkeypatch, on_result=None):
     """Record, per L-BFGS-B run of a fit, the thetas it evaluated and its
-    result; on_result(fun, res) runs after each."""
-    import scipy.optimize
-
+    result; on_result(fun, x) runs after each."""
     runs = []
-    original = scipy.optimize.minimize
+    original = gp._lbfgsb
 
-    def watched(fun, x0, **kwargs):
+    def watched(fun, x0, lo, hi):
         thetas = []
 
         def logged(theta):
             thetas.append(theta.copy())
             return fun(theta)
 
-        res = original(logged, x0, **kwargs)
-        runs.append((thetas, res.x.copy()))
+        x = original(logged, x0, lo, hi)
+        runs.append((thetas, x.copy()))
         if on_result is not None:
-            on_result(fun, res)
-        return res
+            on_result(fun, x)
+        return x
 
-    monkeypatch.setattr(scipy.optimize, "minimize", watched)
+    monkeypatch.setattr(gp, "_lbfgsb", watched)
     return runs
 
 
@@ -371,7 +425,7 @@ def test_fit_evaluates_through_the_module_likelihood_but_for_memo_hits(d, monkey
         return original(theta, *args)
 
     monkeypatch.setattr(gp, "_nll_and_grad", counting)
-    runs = _watch_minimize(monkeypatch)
+    runs = _watch_lbfgsb(monkeypatch)
     X, y = _fit_data(d, 1)
     warm = KernelParams(0.7, np.full(d, 0.4))  # inside the box
     fit_hyperparameters(X, y, widths=np.full(d, 2.0), seed=3, warm_start=warm)
@@ -391,17 +445,42 @@ def test_fit_memo_hands_out_a_fresh_gradient(monkeypatch):
     X, y = _fit_data(2, 0)
     checked = []
 
-    def spoil_then_repeat(fun, res):
-        _, grad = fun(res.x)
+    def spoil_then_repeat(fun, x):
+        _, grad = fun(x)
         want = grad.copy()
         grad[:] = np.nan
-        _, again = fun(res.x)
+        _, again = fun(x)
         np.testing.assert_array_equal(again, want)
         checked.append(True)
 
-    _watch_minimize(monkeypatch, spoil_then_repeat)
+    _watch_lbfgsb(monkeypatch, spoil_then_repeat)
     fit_hyperparameters(X, y, widths=np.array([2.0, 2.0]), seed=1)
     assert checked
+
+
+def test_fit_never_falls_below_a_warm_start_outside_the_box(monkeypatch):
+    """The result is at least as likely as the warm start clipped into the
+    box; when the search ends somewhere worse, the fit returns that point."""
+    X, y = _fit_data(2, 1)
+    widths = np.full(2, 2.0)
+    lo, hi = _fit_box(y, widths)
+    warm = KernelParams(1e6 * float(np.var(y)), 1e-5 * widths)  # above and below the box
+    theta_raw = np.log(np.concatenate([[warm.signal_variance], warm.lengthscales]))
+    theta_w = np.clip(theta_raw, lo, hi)
+    assert np.all(theta_w != theta_raw)
+    warm_nll = _nll_and_grad(theta_w, X, y, JITTER_INITIAL)[0]
+
+    got = fit_hyperparameters(X, y, widths=widths, restarts=1, seed=2, warm_start=warm)
+    theta = np.log(np.concatenate([[got.signal_variance], got.lengthscales]))
+    assert np.all(theta >= lo - 1e-12) and np.all(theta <= hi + 1e-12)
+    assert _nll_and_grad(theta, X, y, JITTER_INITIAL)[0] <= warm_nll
+
+    # A search that ends at the upper corner, which is less likely.
+    assert _nll_and_grad(hi, X, y, JITTER_INITIAL)[0] > warm_nll
+    monkeypatch.setattr(gp, "_lbfgsb", lambda fun, x0, lo, hi: hi.copy())
+    got = fit_hyperparameters(X, y, widths=widths, restarts=1, seed=2, warm_start=warm)
+    assert got.signal_variance == np.exp(theta_w[0])
+    np.testing.assert_array_equal(got.lengthscales, np.exp(theta_w[1:]))
 
 
 def _ref_nll(theta, X, y, jit_rel, consts):

@@ -54,6 +54,18 @@ def test_invalid_config_value_exits_with_usage_error(tmp_path):
     assert cli.main(["run", "--config", str(path)]) == 2
 
 
+def test_default_workers_are_the_cpus_this_process_may_run_on(monkeypatch):
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
+    assert harness.resolve_workers() == 2
+    assert harness.resolve_workers(0) == 2
+    assert harness.resolve_workers(5) == 5
+    monkeypatch.delattr(harness.os, "sched_getaffinity")
+    assert harness.resolve_workers() == 64
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: None)
+    assert harness.resolve_workers() == 1
+
+
 def test_experiment_runs_end_to_end(tmp_path):
     """A small eic experiment: results.csv has the same bytes from one worker
     and from two, a rerun without force and a run on a missing oracle entry
