@@ -4,23 +4,25 @@ Expected improvement, probability of feasibility, their product (constrained
 expected improvement over the best feasible observation), the analytic
 gradient of that product, a quasi-Monte Carlo estimator of the batch
 version, and the projected backtracking ascent that every maximizer in the
-package uses. ei_pf is the one implementation of EI times PF with the sigma
-floor and its gradient; eic_many, eic_grad and the two-step engine call it,
-and ei and pf are its two factors, validated wrappers with the same floor.
-eic_grad returns the values with the gradient, the bits of eic_many, from
-one posterior pass per model (GPModel.posterior_grads). maximize_eic scores
-each candidate through eic_many and takes the gradients of the accepted ones
-from the posterior terms that pass kept (eic_grad fed those terms), so no row
-meets the kernel twice. The batch estimator draws its fantasies through the
-two-step FantasyEngine, so the joint posterior at a batch is sampled in one
-place. Constraints whose observations are all identical and feasible are
-treated as certainly feasible and contribute a factor of exactly one, which
-keeps the remaining computation byte-identical to the unconstrained case.
+package uses. EI times PF with the sigma floor has one implementation, a value
+half (ei_pf_factors; ei_pf is its values) and a gradient half (ei_pf_grad)
+that continues from its factors; ei and pf are its factors, validated
+wrappers. eic_many and eic_grad make one posterior pass over the objective
+and the active constraints as one stack (PosteriorBundle.stacked), and agree
+bit for bit. maximize_eic scores candidates through eic_many and takes the
+accepted ones' gradients from the terms and factors that pass kept (eic_grad
+fed them), so no row meets the kernel twice. The batch estimator draws its
+fantasies through the two-step FantasyEngine, so the joint posterior at a
+batch is sampled in one place. Constraints whose observations are all
+identical and feasible are treated as certainly feasible and contribute a
+factor of exactly one, which keeps the remaining computation byte-identical
+to the unconstrained case.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import special
@@ -110,6 +112,11 @@ class PosteriorBundle:
     def active_constraints(self) -> tuple[GPModel, ...]:
         return tuple(c for c, skip in zip(self.constraints, self.feasible_flags) if not skip)
 
+    @cached_property
+    def stacked(self) -> GPModel:
+        """The objective and the active constraints on one model axis."""
+        return GPModel.stack([self.objective, *self.active_constraints])
+
     def require_incumbent(self) -> float:
         if self.incumbent_value is None:
             raise MissingIncumbentError("no feasible observation in the bundle")
@@ -122,95 +129,88 @@ def eic(bundle: PosteriorBundle, x: np.ndarray) -> float:
 
 
 def eic_many(bundle: PosteriorBundle, X: np.ndarray, with_terms: bool = False):
-    """Vectorized eic over rows of X. with_terms also returns the posterior
-    terms of each model, objective first (GPModel.posterior_many), from which
-    eic_grad continues."""
+    """Vectorized eic over rows of X, from one posterior pass of the bundle's
+    stacked models. with_terms also returns the pair (that pass's terms, the
+    ei_pf factors) from which eic_grad continues."""
     best = bundle.require_incumbent()
     X = np.atleast_2d(X)
-    mu, var, terms = bundle.objective.posterior_many(X, with_terms=True)
-    passes = [c.posterior_many(X, with_terms=True) for c in bundle.active_constraints]
-    cons = [(mc, np.sqrt(vc)) for mc, vc, _ in passes]
-    values = ei_pf((best - mu, np.sqrt(var)), cons)
-    return (values, [terms, *(t for _, _, t in passes)]) if with_terms else values
+    mean, var, terms = bundle.stacked.posterior_many(X, with_terms=True)
+    sd = np.sqrt(var)
+    values, factors = ei_pf_factors((best - mean[0], sd[0]), list(zip(mean[1:], sd[1:])))
+    return (values, (terms, factors)) if with_terms else values
 
 
-def ei_pf(improvement, constraints=(), derivs=None):
-    """EI(m, s^2) times the product of PF(mc, sc^2) over the constraints.
+def ei_pf(improvement, constraints=()):
+    """EI(m, s^2) times the product of PF(mc, sc^2) over the constraints."""
+    return ei_pf_factors(improvement, constraints)[0]
+
+
+def ei_pf_factors(improvement, constraints=()):
+    """The value half of ei_pf: (values, factors).
 
     improvement is the pair (m, s): the mean improvement and its posterior
     standard deviation. constraints holds one (mean, sd) pair per constraint,
     each array shaped like m. A factor whose sd is at or below SIGMA_FLOOR
-    takes its zero-variance limit, max(m, 0) or 1{mean <= 0}, and contributes
-    no sd term to the gradient.
-
-    derivs, when given, holds the derivative pairs in the same order: (dm, ds)
-    for the improvement, then (dmean, dsd) per constraint, each shaped like m
-    plus any trailing axes. Returns the values, or (values, gradient,
-    degenerate) with the product-rule gradient of those trailing shapes and a
-    mask of rows where some factor sits at the floor.
+    takes its zero-variance limit, max(m, 0) or 1{mean <= 0}. factors holds
+    a dict of row arrays per factor, improvement first (value f, mask ok of
+    an sd above the floor, what ei_pf_grad reads), for take_rows to cut.
     """
     m, s = improvement
     ok = s > SIGMA_FLOOR
     u = np.where(ok, m / np.where(ok, s, 1.0), 0.0)
-    factors = [np.where(ok, m * _Phi(u) + s * _phi(u), np.maximum(m, 0.0))]
-    above_floor = [ok]
+    Phi, phi = _Phi(u), _phi(u)
+    f = np.where(ok, m * Phi + s * phi, np.maximum(m, 0.0))
+    factors = [dict(m=m, ok=ok, Phi=Phi, phi=phi, f=f)]
     for mc, sc in constraints:
         okc = sc > SIGMA_FLOOR
-        uc = np.where(okc, -mc / np.where(okc, sc, 1.0), 0.0)
-        factors.append(np.where(okc, _Phi(uc), mc <= 0))
-        above_floor.append(okc)
-    prod_pf = np.ones(np.shape(m))
-    for f in factors[1:]:
-        prod_pf = prod_pf * f
-    values = factors[0] * prod_pf
-    if derivs is None:
-        return values
-    (dm, ds), *dcons = derivs
-    tail = np.ndim(dm) - np.ndim(m)
-
-    def rows(a):
-        return np.reshape(a, np.shape(a) + (1,) * tail)
-
-    terms = [
-        rows(np.where(ok, _Phi(u), m > 0)) * dm
-        + rows(np.where(ok, _phi(u), 0.0)) * ds
-    ]
-    for (mc, sc), (dmc, dsc), okc in zip(constraints, dcons, above_floor[1:]):
         scs = np.where(okc, sc, 1.0)
         uc = np.where(okc, -mc / scs, 0.0)
-        dpf = rows(_phi(uc)) * (-dmc / rows(scs) + rows(mc / scs**2) * dsc)
-        terms.append(np.where(rows(okc), dpf, 0.0))
-    grad = np.zeros(np.shape(dm))
-    for k, term in enumerate(terms):
-        rest = np.ones(np.shape(m))
-        for j, f in enumerate(factors):
-            if j != k:
-                rest = rest * f
-        grad += term * rows(rest)
-    return values, grad, ~np.logical_and.reduce(above_floor)
+        factors.append(dict(m=mc, ok=okc, s=scs, u=uc, f=np.where(okc, _Phi(uc), mc <= 0)))
+    return factors[0]["f"] * _product(factors, 0), factors
 
 
-def eic_grad(bundle: PosteriorBundle, x: np.ndarray, terms: list[dict] | None = None):
+def _product(factors, skip):
+    """The product, in order, of the values of every factor but factor skip."""
+    out = np.ones(np.shape(factors[0]["m"]))
+    for f in factors[:skip] + factors[skip + 1 :]:
+        out = out * f["f"]
+    return out
+
+
+def ei_pf_grad(factors, derivs):
+    """The gradient half of ei_pf at the rows of factors (ei_pf_factors):
+    (values, gradient, degenerate). derivs holds the derivative pairs in the
+    factors' order, each shaped like m plus the gradient's trailing axes. A
+    factor at the floor has no sd term; degenerate masks the rows with one."""
+    (dm, ds), *dcons = derivs
+    first, ok = factors[0], factors[0]["ok"]
+    tail = (...,) + (None,) * (np.ndim(dm) - np.ndim(first["m"]))  # rows against trailing axes
+    terms = [
+        np.where(ok, first["Phi"], first["m"] > 0)[tail] * dm
+        + np.where(ok, first["phi"], 0.0)[tail] * ds
+    ]
+    for c, (dmc, dsc) in zip(factors[1:], dcons):
+        mc, scs = c["m"], c["s"]
+        dpf = _phi(c["u"])[tail] * (-dmc / scs[tail] + (mc / scs**2)[tail] * dsc)
+        terms.append(np.where(c["ok"][tail], dpf, 0.0))
+    rest = [_product(factors, k) for k in range(len(factors))]
+    grad = sum((term * r[tail] for term, r in zip(terms, rest)), np.zeros(np.shape(dm)))
+    return first["f"] * rest[0], grad, ~np.logical_and.reduce([f["ok"] for f in factors])
+
+
+def eic_grad(bundle: PosteriorBundle, x: np.ndarray, terms=None):
     """Value and gradient of eic at a point (d,) or at rows (m, d), with a
     degenerate flag (a mask for rows) set when any posterior standard
     deviation sits below the floor or near a data point (those factors
     contribute zero): (values, gradient, degenerate). The values are the
-    bits of eic_many. terms, those of eic_many(..., with_terms=True) at these
-    rows, skips the value pass of every model."""
-    best = bundle.require_incumbent()
+    bits of eic_many. terms, the pair eic_many(..., with_terms=True) gives
+    at these rows, skips its value pass: only the gradient halves run."""
     x = np.asarray(x, dtype=float)
     X = np.atleast_2d(x)
-    if terms is None:
-        terms = [None] * (1 + len(bundle.active_constraints))
-    mu, var, dmu, dsig, degen = bundle.objective.posterior_grads(X, terms[0])
-    cons, dcons = [], []
-    for c, t in zip(bundle.active_constraints, terms[1:]):
-        mc, vc, dmc, dsc, cdegen = c.posterior_grads(X, t)
-        cons.append((mc, np.sqrt(vc)))
-        dcons.append((dmc, dsc))
-        degen = degen | cdegen
-    vals, grad, at_floor = ei_pf((best - mu, np.sqrt(var)), cons, [(-dmu, dsig), *dcons])
-    degen = degen | at_floor
+    post, factors = eic_many(bundle, X, with_terms=True)[1] if terms is None else terms
+    _, _, dmean, dsd, degen = bundle.stacked.posterior_grads(X, post)
+    vals, grad, at_floor = ei_pf_grad(factors, [(-dmean[0], dsd[0]), *zip(dmean[1:], dsd[1:])])
+    degen = np.logical_or.reduce(degen) | at_floor
     return (vals, grad, degen) if x.ndim == 2 else (float(vals[0]), grad[0], bool(degen[0]))
 
 
@@ -309,11 +309,12 @@ def projected_ascent(evaluate, P, bounds, first_move, steps):
 def _eic_pass(bundle: PosteriorBundle, X: np.ndarray):
     """The evaluate of maximize_eic's ascent (projected_ascent): eic at rows
     of X through eic_many, and grad(keep), the eic gradient at X[keep]
-    through eic_grad fed the posterior terms of this pass."""
-    values, terms = eic_many(bundle, X, with_terms=True)
+    through eic_grad fed the posterior terms and ei_pf factors of this pass."""
+    values, (terms, factors) = eic_many(bundle, X, with_terms=True)
 
     def grad(keep):
-        return eic_grad(bundle, X[keep], [take_rows(t, keep) for t in terms])[1]
+        kept = take_rows(terms, keep, axis=1), [take_rows(f, keep) for f in factors]
+        return eic_grad(bundle, X[keep], kept)[1]
 
     return values, grad
 

@@ -23,7 +23,12 @@ depend on the rows sharing the call. Both give value terms only; their
 gradient halves (mean_row_grads, row_grads) are the one way to the derivatives
 and extend those terms, so a maximizer takes the gradients of the candidates
 it accepts from the rows of its value pass (take_rows), with the bits of a
-fresh call. Hyperparameters are fit by multistart L-BFGS-B on the log marginal
+fresh call. The row formulas broadcast over a leading model axis: one call on
+a stack of models on shared inputs (GPModel.stack, as the myopic EIC runs a
+bundle) serves them all, with one kernel call and one _nearest, and gives
+each model's slice the bits of its own call; one GPModel is the no-axis case.
+
+Hyperparameters are fit by multistart L-BFGS-B on the log marginal
 likelihood in log-parameter space; the likelihood factorizes and solves with
 LAPACK's potrf/potrs directly, the routines under scipy's cholesky and
 cho_solve, whose per-call checks cost more than the work at these sizes. For
@@ -47,6 +52,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
 
 import numpy as np
 from scipy import linalg
@@ -72,6 +78,8 @@ class KernelParams:
     """ARD squared-exponential kernel hyperparameters.
 
     k(x, z) = signal_variance * exp(-0.5 * sum_j ((x_j - z_j) / lengthscales_j)^2)
+
+    A stack of M kernels holds signal_variance (M,) and lengthscales (M, d).
     """
 
     signal_variance: float
@@ -80,14 +88,22 @@ class KernelParams:
     def __post_init__(self):
         ls = np.atleast_1d(np.asarray(self.lengthscales, dtype=float))
         object.__setattr__(self, "lengthscales", ls)
-        if not np.isfinite(self.signal_variance) or self.signal_variance <= 0:
+        sv = self.signal_variance
+        if not np.all(np.isfinite(sv)) or np.any(sv <= 0):
             raise ValueError("signal_variance must be finite and positive")
-        if ls.ndim != 1 or ls.size == 0 or not np.all(np.isfinite(ls)) or np.any(ls <= 0):
-            raise ValueError("lengthscales must be a non-empty 1-d array of finite positives")
+        if ls.shape[:-1] != np.shape(sv) or not ls.size or not np.all(np.isfinite(ls) & (ls > 0)):
+            raise ValueError("lengthscales must be a non-empty (..., d) array of finite positives")
 
     @property
     def dim(self) -> int:
-        return self.lengthscales.shape[0]
+        return self.lengthscales.shape[-1]
+
+    def leading(self, ndim: int):
+        """(signal_variance, lengthscales), ndim unit axes after any model axis."""
+        sv, ls = self.signal_variance, self.lengthscales
+        if ls.ndim == 1:
+            return sv, ls
+        return sv.reshape(sv.shape + (1,) * ndim), ls.reshape(ls.shape[:-1] + (1,) * ndim + (-1,))
 
 
 def sq_planes(A: np.ndarray, B: np.ndarray, scale=None):
@@ -97,7 +113,7 @@ def sq_planes(A: np.ndarray, B: np.ndarray, scale=None):
     for j in range(A.shape[-1]):
         t = A[..., j] - B[..., j]
         if scale is not None:
-            t = t / scale[j]
+            t = t / scale[..., j]
         t *= t
         yield t
 
@@ -114,26 +130,27 @@ def sq_dist(A: np.ndarray, B: np.ndarray, scale=None) -> np.ndarray:
 
 def kernel_paired(params: KernelParams, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """k(a, b) of the points of A and B paired by broadcasting over all axes
-    but the last; kernel_matrix is the all-pairs case."""
-    return params.signal_variance * np.exp(-0.5 * sq_dist(A, B, params.lengthscales))
+    but the last, after any model axis; kernel_matrix is the all-pairs case."""
+    sv, ls = params.leading(max(A.ndim, B.ndim) - 1)
+    return sv * np.exp(-0.5 * sq_dist(A, B, ls))
 
 
 def kernel_grad_paired(
     params: KernelParams, A: np.ndarray, B: np.ndarray, K: np.ndarray
 ) -> np.ndarray:
-    """Derivative in a of K = kernel_paired(params, A, B), shape (..., d),
-    filled one input dimension at a time with -K (a_j - b_j) / ls_j^2."""
+    """Derivative in a of K = kernel_paired(params, A, B), shape K.shape +
+    (d,), filled one input dimension at a time with -K (a_j - b_j) / ls_j^2."""
     d = A.shape[-1]
     out = np.empty(K.shape + (d,))
     neg_K = -K
-    ls2 = params.lengthscales**2
+    ls2 = params.leading(max(A.ndim, B.ndim) - 1)[1] ** 2
     for j in range(d):
-        out[..., j] = neg_K * (A[..., j] - B[..., j]) / ls2[j]
+        out[..., j] = neg_K * (A[..., j] - B[..., j]) / ls2[..., j]
     return out
 
 
 def kernel_matrix(params: KernelParams, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Kernel cross-matrix k(A, B), shape (len(A), len(B))."""
+    """Kernel cross-matrix k(A, B), shape (len(A), len(B)) after any model axis."""
     A = np.atleast_2d(A)
     B = np.atleast_2d(B)
     if A.shape[1] != params.dim or B.shape[1] != params.dim:
@@ -144,7 +161,7 @@ def kernel_matrix(params: KernelParams, A: np.ndarray, B: np.ndarray) -> np.ndar
 def kernel_grad_first_from(
     params: KernelParams, A: np.ndarray, B: np.ndarray, K: np.ndarray
 ) -> np.ndarray:
-    """Derivative of k(a_i, b_j) = K[i, j] with respect to a_i, shape (m, n, d)."""
+    """Derivative of k(a_i, b_j) = K[..., i, j] in a_i, shape K.shape + (d,)."""
     A, B = np.atleast_2d(A), np.atleast_2d(B)
     return kernel_grad_paired(params, A[:, None, :], B[None, :, :], K)
 
@@ -166,10 +183,11 @@ def _nearest(X: np.ndarray, points: np.ndarray) -> np.ndarray:
     return np.sqrt(np.min(d2, axis=0, initial=np.inf))
 
 
-def take_rows(terms: dict, keep) -> dict:
+def take_rows(terms: dict, keep, axis: int = 0) -> dict:
     """The rows keep (a mask or indices) of every array in a dict of row
-    terms, such as GPModel.rows returns."""
-    return {key: value[keep] for key, value in terms.items()}
+    terms, such as GPModel.rows returns, on axis axis (1 on a stack)."""
+    index = (slice(None),) * axis + (keep,)
+    return {key: value[index] for key, value in terms.items()}
 
 
 def _moments(r: dict) -> tuple[np.ndarray, np.ndarray]:
@@ -216,6 +234,17 @@ class GPModel:
         L_inv = linalg.solve_triangular(L, np.eye(len(L)), lower=True)
         return cls(params, X, y, L, L_inv, w, jit)
 
+    @classmethod
+    def stack(cls, models) -> "GPModel":
+        """The models, which share train_inputs, on a leading model axis."""
+        X = models[0].train_inputs
+        if any(not np.array_equal(m.train_inputs, X) for m in models):
+            raise ValueError("stacked models must share train_inputs")
+        get = attrgetter("kernel.signal_variance", "kernel.lengthscales", "train_targets", "chol",
+                         "chol_inv", "weights", "jitter")
+        sv, ls, *arrays = map(np.stack, zip(*map(get, models)))
+        return cls(KernelParams(sv, ls), X, *arrays)
+
     @property
     def n_train(self) -> int:
         return self.train_inputs.shape[0]
@@ -230,14 +259,15 @@ class GPModel:
         mean, the value terms that mean_row_grads extends. Row r is
         independent of every other row."""
         K = kernel_matrix(self.kernel, X, self.train_inputs)
-        return dict(K=K, mean=np.einsum("rn,n->r", K, self.weights))
+        return dict(K=K, mean=np.einsum("...rn,...n->...r", K, self.weights))
 
     def mean_row_grads(self, X: np.ndarray, terms: dict) -> dict:
         """The gradient half of mean_rows: its terms at rows of X plus J =
-        d k(X, D) / dX of shape (rows, n, d) and dmean, shape (rows, d), from
+        d k(X, D) / dX of shape (rows, n, d) and dmean, shape (rows, d), each
+        after any model axis, from
         the kernel rows terms["K"] already holds (a new dict)."""
         J = kernel_grad_first_from(self.kernel, X, self.train_inputs, terms["K"])
-        return dict(terms, J=J, dmean=self.weights @ J)
+        return dict(terms, J=J, dmean=(self.weights[..., None, None, :] @ J)[..., 0, :])
 
     def rows(self, X: np.ndarray) -> dict:
         """Posterior terms at rows of X, row r independent of every other row:
@@ -247,27 +277,31 @@ class GPModel:
         out = self.mean_rows(X)
         # Row products, not a many-column triangular solve, whose bits for
         # one row depend on the other rows of the call.
-        V = (out["K"][:, None, :] @ self.chol_inv.T)[:, 0]
-        out.update(V=V, var=self.kernel.signal_variance - np.einsum("rn,rn->r", V, V))
+        L_inv_T = np.swapaxes(self.chol_inv, -1, -2)[..., None, :, :]
+        V = (out["K"][..., None, :] @ L_inv_T)[..., 0, :]
+        out.update(V=V, var=self.kernel.leading(1)[0] - np.einsum("...rn,...rn->...r", V, V))
         return out
 
     def solve_rows(self, V: np.ndarray) -> np.ndarray:
         """A = rows of K_D^{-1} k(D, X) from the rows V of L^{-1} k(D, X)."""
-        return (V[:, None, :] @ self.chol_inv)[:, 0]
+        return (V[..., None, :] @ self.chol_inv[..., None, :, :])[..., 0, :]
 
     def row_grads(self, X: np.ndarray, terms: dict) -> dict:
         """The gradient half of rows: its terms at rows of X plus those of
         mean_row_grads, A = rows of K_D^{-1} k(D, X) and dvar, shape (rows,
-        d), from the rows terms already holds (a new dict). A subset of the
+        d) after any model axis, from the rows terms already holds (a new
+        dict). A subset of the
         value terms (take_rows) gives the bits of a fresh call on its rows."""
         out = self.mean_row_grads(X, terms)
         A = self.solve_rows(out["V"])
-        out.update(A=A, dvar=-2.0 * (A[:, None, :] @ out["J"])[:, 0])
+        out.update(A=A, dvar=-2.0 * (A[..., None, :] @ out["J"])[..., 0, :])
         return out
 
     def _value_terms(self, X: np.ndarray) -> dict:
         """rows at X with dist, each row's distance to the nearest data point."""
-        return dict(self.rows(X), dist=_nearest(X, self.train_inputs))
+        out = self.rows(X)
+        dist = _nearest(X, self.train_inputs)  # one for every model of a stack
+        return dict(out, dist=dist[(None,) * (out["var"].ndim - 1)])
 
     def posterior_many(self, X: np.ndarray, with_terms: bool = False):
         """Posterior means and variances at rows of X. Variances clipped at zero.
@@ -303,7 +337,8 @@ class GPModel:
         within NEAR_DATA_TOL of a data point or where the standard deviation
         is at or below SIGMA_FLOOR; there the sigma gradient is zeros. terms,
         those of posterior_many(..., with_terms=True) at these rows, skips
-        the value pass: only the gradient half (row_grads) runs.
+        the value pass: only the gradient half (row_grads) runs. A stack
+        takes rows, and every output carries its model axis first.
         """
         x = np.asarray(x, dtype=float)
         X = np.atleast_2d(x)
@@ -313,7 +348,7 @@ class GPModel:
         sigma = np.sqrt(var)
         near = r["dist"] < NEAR_DATA_TOL
         degenerate = near | (sigma <= SIGMA_FLOOR)
-        dsigma = np.where(near[:, None], 0.0, sd_grad(sigma, r["dvar"]))
+        dsigma = np.where(near[..., None], 0.0, sd_grad(sigma, r["dvar"]))
         out = (mean, var, r["dmean"], dsigma, degenerate)
         if x.ndim < 2:
             out = (*(a[0] for a in out[:4]), bool(degenerate[0]))

@@ -45,6 +45,8 @@ from .acquisition import (
     PosteriorBundle,
     ei,
     ei_pf,
+    ei_pf_factors,
+    ei_pf_grad,
     greedy_batch_eic,
     maximize_eic,
     mean_and_se,
@@ -384,7 +386,7 @@ class FantasyEngine:
         if not grads:
             return (self.f0 - f1) + ei_pf((f1 - mu, s), cons)
         (dmu, ds), *dcons = derivs
-        values, grad, degen = ei_pf((f1 - mu, s), cons, [(-dmu, ds), *dcons])
+        values, grad, degen = ei_pf_grad(ei_pf_factors((f1 - mu, s), cons)[1], [(-dmu, ds), *dcons])
         return (self.f0 - f1) + values, grad, degen
 
     def _alpha_pass(self, batch: _FantasyBatch, idx: np.ndarray, X: np.ndarray):
@@ -439,9 +441,8 @@ class FantasyEngine:
         (mu, s, dmu, ds), *cons = [
             self.stage1_x1_grads(b, X2, batch.U[b], batch.e) for b in range(self.n_blocks)
         ]
-        values, dalpha, _ = ei_pf(
-            (batch.f1 - mu, s), [c[:2] for c in cons], [(-dmu, ds), *(c[2:] for c in cons)]
-        )
+        _, factors = ei_pf_factors((batch.f1 - mu, s), [c[:2] for c in cons])
+        values, dalpha, _ = ei_pf_grad(factors, [(-dmu, ds), *(c[2:] for c in cons)])
         alpha_vals = (self.f0 - batch.f1) + values
         return alpha_vals[:, None, None] * self.score(batch) + dalpha
 

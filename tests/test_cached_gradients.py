@@ -63,14 +63,15 @@ def test_mean_polish_pass_gradients_equal_a_fresh_mean_rows():
 
 
 def _count_data_kernel_rows(monkeypatch, models):
-    """Count the rows that gp.kernel_matrix meets against the training inputs
-    of models while counting is switched on."""
+    """Count the model-rows that gp.kernel_matrix meets against the training
+    inputs of models while counting is switched on: a call on a stack of
+    models (a model axis on params) meets each row once per model."""
     state = {"on": False, "rows": 0}
     original = gp.kernel_matrix
 
     def counting(params, A, B):
         if state["on"] and any(B is m.train_inputs for m in models):
-            state["rows"] += len(np.atleast_2d(A))
+            state["rows"] += len(np.atleast_2d(A)) * np.size(params.signal_variance)
         return original(params, A, B)
 
     monkeypatch.setattr(gp, "kernel_matrix", counting)
