@@ -16,17 +16,28 @@ The model is a frozen dataclass holding the Cholesky factor L of the jittered
 kernel matrix and its inverse. GPModel.mean_rows is the one home of the
 posterior mean at query rows and of its x-derivative, which the loop's
 recommendation (its mean polish and its pick) uses on its own. GPModel.rows
-builds the variance and its derivative on top of it and is shared by
-posterior_many, posterior_grads (and through them the myopic EIC) and the
-fantasy engine. It reaches L^{-1} by row products, so a row's numbers do not
-depend on the rows sharing the call. Both give value terms only; their
-gradient halves (mean_row_grads, row_grads) are the one way to the derivatives
-and extend those terms, so a maximizer takes the gradients of the candidates
-it accepts from the rows of its value pass (take_rows), with the bits of a
-fresh call. The row formulas broadcast over a leading model axis: one call on
-a stack of models on shared inputs (GPModel.stack, as the myopic EIC runs a
-bundle) serves them all, with one kernel call and one _nearest, and gives
-each model's slice the bits of its own call; one GPModel is the no-axis case.
+builds the variance on top of it and is shared by posterior_many,
+posterior_grads (and through them the myopic EIC) and the fantasy engine.
+Both give value terms only; their gradient halves (mean_row_grads, row_grads)
+are the one way to the derivatives and extend those terms, so a maximizer
+takes the gradients of the candidates it accepts from the rows of its value
+pass (take_rows). The row formulas broadcast over a leading model axis: one
+call on a stack of models on shared inputs (GPModel.stack, as the myopic EIC
+runs a bundle) serves them all, with one kernel call and one _nearest, and
+gives each model's slice the bits of its own call; one GPModel is the no-axis
+case.
+
+The gradient halves build no (rows, n, d) kernel gradient: kernel_grad_sum
+contracts coefficient rows through the ARD kernel's input-derivative identity
+(Rasmussen & Williams, Gaussian Processes for Machine Learning, 2006), and
+row_grads takes dmean, dvar and a caller's further rows from one such call.
+Every product of the row path is one GEMM per model (_row_products), so a
+row's bits rest on the BLAS: with the second operand transposed (NT), the
+OpenBLAS 0.3.31 build measured (SkylakeX kernels) gives each row of a GEMM of
+two or more rows the same bits whatever rows share the call, for up to 31
+data points (from 32, or untransposed from 17, a row can move by an ulp).
+numpy sends one row to gemv, whose bits differ, so one row is padded to two.
+The row tests guard this on the BLAS they run on.
 
 Hyperparameters are fit by multistart L-BFGS-B on the log marginal
 likelihood in log-parameter space; the likelihood factorizes and solves with
@@ -52,6 +63,8 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, replace
+from functools import cached_property
+from math import prod
 from operator import attrgetter
 
 import numpy as np
@@ -185,9 +198,20 @@ def _nearest(X: np.ndarray, points: np.ndarray) -> np.ndarray:
 
 def take_rows(terms: dict, keep, axis: int = 0) -> dict:
     """The rows keep (a mask or indices) of every array in a dict of row
-    terms, such as GPModel.rows returns, on axis axis (1 on a stack)."""
-    index = (slice(None),) * axis + (keep,)
-    return {key: value[index] for key, value in terms.items()}
+    terms, such as GPModel.rows returns, on axis axis (1 on a stack): a mask
+    becomes one index array, and np.take copies every array with it."""
+    keep = np.asarray(keep)
+    if keep.dtype == bool:
+        keep = np.flatnonzero(keep)
+    return {key: value.take(keep, axis=axis) for key, value in terms.items()}
+
+
+def _row_products(A: np.ndarray, Bt: np.ndarray) -> np.ndarray:
+    """A @ Bt^T over the last two axes, one NT GEMM per model (Bt made
+    contiguous); one row is padded to two, away from gemv."""
+    if A.shape[-2] == 1:
+        return _row_products(np.concatenate([A, A], axis=-2), Bt)[..., :1, :]
+    return A @ np.ascontiguousarray(Bt).swapaxes(-1, -2)
 
 
 def _moments(r: dict) -> tuple[np.ndarray, np.ndarray]:
@@ -245,6 +269,17 @@ class GPModel:
         sv, ls, *arrays = map(np.stack, zip(*map(get, models)))
         return cls(KernelParams(sv, ls), X, *arrays)
 
+    @cached_property
+    def _gemm_operands(self):
+        """The row GEMMs' second operands, contiguous, built once: L^{-1},
+        L^{-T}, the centred data inputs transposed with a row of ones, and
+        the centre."""
+        D, L_inv = self.train_inputs, self.chol_inv
+        centre = D.sum(axis=0) / max(len(D), 1)
+        data = np.vstack([(D - centre).T, np.ones(len(D))])
+        L_inv_T = np.ascontiguousarray(L_inv.swapaxes(-1, -2))
+        return np.ascontiguousarray(L_inv), L_inv_T, data, centre
+
     @property
     def n_train(self) -> int:
         return self.train_inputs.shape[0]
@@ -262,39 +297,51 @@ class GPModel:
         return dict(K=K, mean=np.einsum("...rn,...n->...r", K, self.weights))
 
     def mean_row_grads(self, X: np.ndarray, terms: dict) -> dict:
-        """The gradient half of mean_rows: its terms at rows of X plus J =
-        d k(X, D) / dX of shape (rows, n, d) and dmean, shape (rows, d), each
-        after any model axis, from
-        the kernel rows terms["K"] already holds (a new dict)."""
-        J = kernel_grad_first_from(self.kernel, X, self.train_inputs, terms["K"])
-        return dict(terms, J=J, dmean=(self.weights[..., None, None, :] @ J)[..., 0, :])
+        """The gradient half of mean_rows: its terms at rows of X plus dmean,
+        shape (rows, d) after any model axis, from the kernel rows terms["K"]
+        already holds (a new dict)."""
+        C = self.weights[..., None, :] * terms["K"]
+        return dict(terms, dmean=self.kernel_grad_sum(X, C))
 
     def rows(self, X: np.ndarray) -> dict:
-        """Posterior terms at rows of X, row r independent of every other row:
-        mean_rows plus V = rows of L^{-1} k(D, X) and the unclipped variance
-        var, the value terms that row_grads extends. A model without data
-        gives the prior."""
+        """Posterior terms at rows of X: mean_rows plus V = rows of L^{-1}
+        k(D, X) and the unclipped variance var, the value terms that
+        row_grads extends. A model without data gives the prior."""
         out = self.mean_rows(X)
-        # Row products, not a many-column triangular solve, whose bits for
-        # one row depend on the other rows of the call.
-        L_inv_T = np.swapaxes(self.chol_inv, -1, -2)[..., None, :, :]
-        V = (out["K"][..., None, :] @ L_inv_T)[..., 0, :]
+        V = _row_products(out["K"], self._gemm_operands[0])
         out.update(V=V, var=self.kernel.leading(1)[0] - np.einsum("...rn,...rn->...r", V, V))
         return out
 
     def solve_rows(self, V: np.ndarray) -> np.ndarray:
         """A = rows of K_D^{-1} k(D, X) from the rows V of L^{-1} k(D, X)."""
-        return (V[..., None, :] @ self.chol_inv[..., None, :, :])[..., 0, :]
+        return _row_products(V, self._gemm_operands[1])
 
-    def row_grads(self, X: np.ndarray, terms: dict) -> dict:
-        """The gradient half of rows: its terms at rows of X plus those of
-        mean_row_grads, A = rows of K_D^{-1} k(D, X) and dvar, shape (rows,
-        d) after any model axis, from the rows terms already holds (a new
-        dict). A subset of the
-        value terms (take_rows) gives the bits of a fresh call on its rows."""
-        out = self.mean_row_grads(X, terms)
-        A = self.solve_rows(out["V"])
-        out.update(A=A, dvar=-2.0 * (A[..., None, :] @ out["J"])[..., 0, :])
+    def kernel_grad_sum(self, X: np.ndarray, C: np.ndarray) -> np.ndarray:
+        """sum_n c_n dk(x, d_n) / dx for coefficient rows given as C = c *
+        k(x, D), at the rows x of X they broadcast with (any model axis
+        first): shape C.shape[:-1] + (d,). As dk(x, z)/dx = -k(x, z) (x - z)
+        / ls^2, it is (C @ D - x sum_n C[..., n]) / ls^2, one GEMM against D
+        with a column of ones; D and x are taken about the data's centre, so
+        the subtraction loses only the bits of |x - d_n| against that."""
+        _, _, data, centre = self._gemm_operands
+        P = _row_products(C.reshape(prod(C.shape[:-1]), -1), data).reshape(C.shape[:-1] + (-1,))
+        return (P[..., :-1] - (X - centre) * P[..., -1:]) / self.kernel.leading(C.ndim - 2)[1] ** 2
+
+    def row_grads(self, X: np.ndarray, terms: dict, coef: np.ndarray | None = None) -> dict:
+        """The gradient half of rows: its terms at rows of X plus dmean, A =
+        rows of K_D^{-1} k(D, X) and dvar, shape (rows, d) after any model
+        axis, from the rows terms already holds (a new dict); with coef,
+        further coefficient rows (rows, k, n), also dcoef (rows, k, d), their
+        kernel_grad_sum, from the same call. A subset of the value terms
+        (take_rows) gives the bits of a fresh call on its rows."""
+        K, A = terms["K"], self.solve_rows(terms["V"])
+        C = np.stack([self.weights[..., None, :] * K, A * K], axis=-2)
+        if coef is not None:
+            C = np.concatenate([C, coef * K[..., None, :]], axis=-2)
+        g = self.kernel_grad_sum(X[:, None, :], C)
+        out = dict(terms, dmean=g[..., 0, :], A=A, dvar=-2.0 * g[..., 1, :])
+        if coef is not None:
+            out["dcoef"] = g[..., 2:, :]
         return out
 
     def _value_terms(self, X: np.ndarray) -> dict:

@@ -20,12 +20,15 @@ discontinuous f1*. Sampling, score and all posterior updates share
 one FantasyEngine, which caches the state-0 factorizations so that thousands
 of fantasies are processed with matrix products instead of refits. The
 state-0 posterior at batch points and query rows comes from GPModel.rows;
-the engine adds only the terms of each row's own batch. An engine
+the engine adds only the terms of each row's own batch, and its gradient
+half takes the batch's coefficient rows A1 through the same row_grads call,
+one GEMM per block with the bits the gp module describes. An engine
 holds a stack of batches X1, factorized at once, and each batch matches an
 engine of its own within 1e-12: optimize runs all its restarts through one
 engine per SGA step and screens all its candidates through one engine; the
 stage-1 moments are affine in the fantasy, so the value-only probe sweep of
-the inner solve computes the state-0 terms once per (batch, probe). A slower
+the inner solve computes the data terms once per probe and the own-batch
+terms once per (batch, probe). A slower
 reference path through GPModel.condition_on_fantasy backs the alpha() entry
 point and is cross-checked against the engine in the test suite.
 
@@ -53,6 +56,7 @@ from .acquisition import (
     pf,
     projected_ascent,
 )
+from . import gp
 from .gp import (
     JITTER_INITIAL,
     GPModel,
@@ -183,7 +187,9 @@ class _Block:
         # Rows of L^{-1} k(D, X1) and of K_D^{-1} k(D, X1), each (E, q, n).
         self.V1 = r["V"].reshape(E, q, -1)
         self.A1 = r["A"].reshape(E, q, -1)
-        self.J_X1_D = r["J"].reshape(E, q, -1, d)
+        # For Dk0 and the LR rows; through gp, so a wrapper set there sees it.
+        J = gp.kernel_grad_first_from(kern, flat, model.train_inputs, r["K"])
+        self.J_X1_D = J.reshape(E, q, -1, d)
         self.mu0 = r["mean"].reshape(E, q)
         self.dmu0 = r["dmean"].reshape(E, q, d)
         pairs = (X1[:, :, None, :], X1[:, None, :, :])
@@ -311,17 +317,19 @@ class FantasyEngine:
         conditioning on a fantasy with whitened residual u gives mean mu0 +
         cross . u and the standard deviation s1, which does not depend on the
         fantasy. The value half gives the model's rows at P (GPModel.rows)
-        plus the row arrays cross = Sigma0(P, X1), s1, B = cross Cinv and
-        K_own = k(P, X1). The gradient half, with grads, extends them with
-        the model's row gradients (GPModel.row_grads: J, dmean, A, dvar) and
-        the x2-derivatives dcross and ds1. terms, the value terms of an
-        earlier call at these rows, skip the value half. Every row's numbers
-        are independent of the other rows, so the accepted rows of a value
-        pass (take_rows) give the bits of a fresh call on them."""
+        plus the own-batch row arrays cross = Sigma0(P, X1), s1, B = cross
+        Cinv and K_own = k(P, X1). The gradient half, with grads, extends
+        them with the model's row gradients (GPModel.row_grads: dmean, A,
+        dvar) and the x2-derivatives dcross and ds1. terms, the value terms
+        of an earlier call at these rows, skip the value half; the model's
+        rows alone skip its data part. Every row's numbers are independent of
+        the other rows, so the accepted rows of a value pass (take_rows) give
+        the bits of a fresh call on them."""
         kern = blk.model.kernel
         X1 = self.X1[e]  # (rows, q, d)
         if terms is None:
             terms = blk.model.rows(P)
+        if "s1" not in terms:
             K_own = kernel_paired(kern, P[:, None, :], X1)  # (rows, q)
             cross = K_own - np.einsum("rn,rqn->rq", terms["V"], blk.V1[e])
             B = np.einsum("rq,rpq->rp", cross, blk.Cinv[e])  # Cinv symmetric
@@ -329,8 +337,9 @@ class FantasyEngine:
             terms.update(cross=cross, s1=s1, B=B, K_own=K_own)
         if not grads:
             return terms
-        out = blk.model.row_grads(P, terms)
-        dcross = kernel_grad_paired(kern, P[:, None, :], X1, out["K_own"]) - blk.A1[e] @ out["J"]
+        # dcoef: sum_n A1[e, i, n] dk(x2, d_n)/dx2 for every batch point i
+        out = blk.model.row_grads(P, terms, blk.A1[e])
+        dcross = kernel_grad_paired(kern, P[:, None, :], X1, out["K_own"]) - out["dcoef"]
         dvar1 = out["dvar"] - 2.0 * np.einsum("rqd,rq->rd", dcross, out["B"])
         out.update(dcross=dcross, ds1=sd_grad(out["s1"], dvar1))
         return out
@@ -409,12 +418,15 @@ class FantasyEngine:
         one design shared by every batch, the result (batch.n, n_probes).
 
         The same numbers as alpha_rows on the probes tiled across the
-        fantasies, but the state-0 terms are computed once per (batch, probe)
-        and each fantasy enters only through mu1 = mu0 + cross . u."""
+        fantasies, but the data terms (GPModel.rows) are computed once per
+        probe and the own-batch terms once per (batch, probe); each fantasy
+        enters only through mu1 = mu0 + cross . u."""
         flat, e_flat = self._stacked(probes)
+        tile = np.tile(np.arange(len(probes)), self.E)
         moments = []
         for b, blk in enumerate(self.blocks):
-            st = self._stage1(blk, flat, e_flat, False)
+            data = take_rows(blk.model.rows(probes), tile)
+            st = self._stage1(blk, flat, e_flat, False, data)
             cross = st["cross"].reshape(self.E, len(probes), self.q)[batch.e]
             mu1 = st["mean"].reshape(self.E, len(probes))[batch.e]
             mu1 = mu1 + np.einsum("fpq,fq->fp", cross, batch.U[b])

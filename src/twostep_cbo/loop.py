@@ -140,22 +140,23 @@ def recommend(bundle: PosteriorBundle, bounds: np.ndarray, seed: int) -> np.ndar
 
     Candidates are the evaluated inputs plus a seeded space-filling design,
     kept both as drawn and after 20 steps of projected posterior-mean descent.
+    The objective's mean and every active constraint's moments come from one
+    posterior call on the bundle's stacked models.
     """
     X_obs = bundle.objective.train_inputs
     base = np.vstack(
         [X_obs, latin_hypercube(2048, bounds, np.random.SeedSequence((seed, 13)))]
     )
     cand = np.vstack([base, _polish_mean_descent(bundle.objective, base, bounds)])
-    mu = bundle.objective.mean_rows(cand)["mean"]
+    mean, var = bundle.stacked.posterior_many(cand)
     min_pf = np.ones(cand.shape[0])
-    for c in bundle.active_constraints:
-        mc, vc = c.posterior_many(cand)
+    for mc, vc in zip(mean[1:], var[1:]):
         min_pf = np.minimum(min_pf, pf(mc, vc))
     ok = min_pf >= PF_THRESHOLD
     if not np.any(ok):
         return None
     idx = np.flatnonzero(ok)
-    return cand[idx[np.argmin(mu[idx])]].copy()
+    return cand[idx[np.argmin(mean[0][idx])]].copy()
 
 
 def score_recommendation(
@@ -204,11 +205,12 @@ def utility_gap(f_score: float, f_star: float) -> float:
 
 
 def _maximize_feasibility(bundle: PosteriorBundle, bounds: np.ndarray, seed: int) -> np.ndarray:
-    """Fallback when no incumbent exists: chase the feasibility product."""
+    """Fallback when no incumbent exists: chase the feasibility product, its
+    factors from one posterior call on the bundle's stacked models."""
     cand = latin_hypercube(4096, bounds, np.random.SeedSequence((seed, 23)))
+    mean, var = bundle.stacked.posterior_many(cand)
     prod = np.ones(cand.shape[0])
-    for c in bundle.active_constraints:
-        mc, vc = c.posterior_many(cand)
+    for mc, vc in zip(mean[1:], var[1:]):
         prod = prod * pf(mc, vc)
     return cand[int(np.argmax(prod))].copy()
 

@@ -203,9 +203,10 @@ def test_eic_grad_flat_in_saturated_tail():
 
 
 def test_rows_match_per_point_calls():
-    """posterior_many, posterior_grads and eic_grad on 64 rows give every row
-    the bits of a call on that row alone, at data points and 1e-5 from them
-    too: the posterior at query rows is built row by row. The moments and
+    """posterior_many, posterior_grads, GPModel.rows with row_grads and
+    eic_grad on 64 rows give every row the bits of a call on that row alone,
+    at data points and 1e-5 from them too: the row products are GEMMs whose
+    rows do not depend on each other, and one row is padded to two. The moments and
     values that come with the gradients are the bits of posterior_many and
     eic_many, and the mean-only rows those of GPModel.rows."""
     for seed in range(6):
@@ -221,13 +222,17 @@ def test_rows_match_per_point_calls():
             for grads in (False, True):
                 mean_rows = model.mean_rows(X)
                 mean_rows = model.mean_row_grads(X, mean_rows) if grads else mean_rows
-                keys = ("K", "mean", "J", "dmean") if grads else ("K", "mean")
+                keys = ("K", "mean", "dmean") if grads else ("K", "mean")
                 assert sorted(mean_rows) == sorted(keys)
                 for key in keys:
                     np.testing.assert_array_equal(mean_rows[key], rows[key])
             for i, x in enumerate(X):
                 mu1, var1 = model.posterior_many(x)
                 assert (mu1[0], var1[0]) == (mu[i], var[i])
+                one = model.row_grads(x[None], model.rows(x[None]))
+                assert sorted(one) == sorted(rows)
+                for key, value in one.items():
+                    np.testing.assert_array_equal(value[0], rows[key][i])
                 mu_g1, var_g1, dmu1, dsig1, degen1 = model.posterior_grads(x)
                 assert (mu_g1, var_g1) == (mu[i], var[i])
                 np.testing.assert_array_equal(dmu1, dmu[i])

@@ -33,6 +33,7 @@ from twostep_cbo.gp import (
     _min_pairwise_distance,
     _nearest,
     jittered_cholesky,
+    kernel_grad_first_from,
     kernel_grad_paired,
     kernel_matrix,
     kernel_paired,
@@ -648,6 +649,66 @@ def test_posterior_grads_degenerate_at_training_point():
     _, _, _, dsigma, degen = model.posterior_grads(model.train_inputs[0])
     assert degen
     np.testing.assert_allclose(dsigma, 0.0)
+
+
+@pytest.mark.parametrize("n,d", [(8, 2), (17, 2), (20, 4), (31, 4)])
+def test_row_terms_keep_their_bits_at_workload_sizes(n, d):
+    """GPModel.rows and row_grads take their row products by one GEMM; on
+    the workloads' data sizes (8 points on p1, 20 on p3, up to 31), every
+    row of a subset, and a single row, has the bits of the full call. The
+    tests' own instances hold at most six points."""
+    rng = np.random.default_rng((n, d, 72))
+    D = 6.0 * rng.random((n, d))
+    model = GPModel.fit(D, np.sin(D).sum(axis=1), KernelParams(1.1, rng.uniform(1.0, 3.0, d)))
+    X = 6.0 * rng.random((1280, d))
+    full = model.row_grads(X, model.rows(X))
+    for keep in (rng.random(len(X)) < 0.3, np.arange(len(X)) < 37, np.arange(len(X)) == 700):
+        part = model.row_grads(X[keep], model.rows(X[keep]))
+        for key, value in part.items():
+            np.testing.assert_array_equal(value, full[key][keep], err_msg=key)
+
+
+# GPModel.kernel_grad_sum against the kernel gradient it replaces: the
+# (rows, n, d) J of kernel_grad_first_from, contracted with the coefficients.
+# The helper subtracts terms of size |C_n| |x - centre| and |C_n| |d_n -
+# centre| (over ls^2), centre the data mean; where a row sits 1e-5 from a data
+# point at the smallest lengthscales they cancel to their difference, and the
+# error reaches about 4e-11 of the J form's largest term there (1.6e-15 at most
+# elsewhere). So the bound is 1e-12 of the largest term the helper subtracts.
+# A box far from the origin (offset 1e6) holds only because the terms are
+# taken about the data's centre: about the origin the error would be near
+# 1e-10 of the bound's terms. Subnormal kernel values carry no relative
+# precision, so the bound never falls below the smallest normal number.
+@pytest.mark.parametrize("d", [1, 2, 4])
+@pytest.mark.parametrize("ls_factor", [1e-3, 10.0])  # the ends of the fit's lengthscale box
+@pytest.mark.parametrize("offset", [0.0, 1e6])
+def test_kernel_grad_sum_matches_the_contracted_kernel_gradient(d, ls_factor, offset):
+    rng = np.random.default_rng((d, 71))
+    width, n = 6.0, 12
+    box = np.array([[offset, offset + width]] * d)
+    D = offset + width * rng.random((n, d))
+    models = [
+        GPModel.fit(D, np.sin(D).sum(axis=1) + k, KernelParams(sv, ls_factor * width * ls))
+        for k, (sv, ls) in enumerate([(1.3, rng.uniform(0.8, 1.0, d)), (0.7, np.ones(d))])
+    ]
+    far = D[:3] + 50 * width
+    X = np.vstack([halton_design(40, box), D + 1e-5, far])
+    centre = D.mean(axis=0)
+    stacked = GPModel.stack(models)
+    K_all = kernel_matrix(stacked.kernel, X, D)
+    c_all = rng.standard_normal((2, len(X), n))
+    got_all = stacked.kernel_grad_sum(X, c_all * K_all)
+    for model, c, K, got_stacked in zip(models, c_all, K_all, got_all):
+        params = model.kernel
+        np.testing.assert_array_equal(K, kernel_matrix(params, X, D))
+        got = model.kernel_grad_sum(X, c * K)
+        np.testing.assert_array_equal(got_stacked, got)
+        ref = np.einsum("rn,rnd->rd", c, kernel_grad_first_from(params, X, D, K))
+        C = np.abs(c * K)[:, :, None]
+        terms = C * (np.abs(X - centre)[:, None, :] + np.abs(D - centre)[None, :, :])
+        bound = 1e-12 * terms.max(axis=1) / params.lengthscales**2 + np.finfo(float).tiny
+        assert np.all(np.abs(got - ref) <= bound)
+        assert np.all(np.abs(got[-3:]) <= np.abs(ref[-3:]) + bound[-3:])
 
 
 # -- fantasy posterior gradients ------------------------------------------------------

@@ -10,6 +10,8 @@ from twostep_cbo.loop import (
     History,
     InitializationError,
     _key,
+    _maximize_feasibility,
+    _polish_mean_descent,
     fit_bundle,
     initialize,
     recommend,
@@ -115,34 +117,51 @@ def test_recommend_none_when_nothing_qualifies():
     assert recommend(bundle, np.array([[0.0, 1.0]]), seed=0) is None
 
 
-def test_recommend_threshold_and_mean_minimality():
-    """Recommendation beats every qualifying evaluated point on posterior mean."""
-    prob = get_problem("p1")
-    recs = run(prob, "random", 10, 1, 3, seed=4, f_star=-1.888751)
-    assert len(recs) == 8
-    hist = initialize(prob, 3, 4)
-    rng = np.random.default_rng(np.random.SeedSequence((4, 99)))
-    # replay the evaluated points from the records to rebuild the history
-    for r in recs[1:]:
-        hist.append(r.points, r.f_values, r.g_values)
-    bundle, _ = fit_bundle(hist, prob, 4, 0)
-    rec = recommend(bundle, prob.bounds, seed=12345)
-    assert rec is not None
-    mu_rec, _ = bundle.objective.posterior_many(np.atleast_2d(rec))
-    for x in hist.X:
-        ok = True
-        for c in bundle.active_constraints:
-            mc, vc = c.posterior_many(np.atleast_2d(x))
-            if pf(float(mc[0]), float(vc[0])) < 0.975:
-                ok = False
-        if ok:
-            mu_x, _ = bundle.objective.posterior_many(np.atleast_2d(x))
-            assert mu_rec[0] <= mu_x[0] + 1e-9
-    # safety: the recommendation itself clears the threshold
+def _recommend_per_model(bundle, bounds, seed):
+    """recommend with the objective's mean and each active constraint's
+    moments from calls on that model alone."""
+    X_obs = bundle.objective.train_inputs
+    base = np.vstack([X_obs, latin_hypercube(2048, bounds, np.random.SeedSequence((seed, 13)))])
+    cand = np.vstack([base, _polish_mean_descent(bundle.objective, base, bounds)])
+    mu = bundle.objective.mean_rows(cand)["mean"]
+    min_pf = np.ones(cand.shape[0])
     for c in bundle.active_constraints:
-        mc, vc = c.posterior_many(np.atleast_2d(rec))
-        assert pf(float(mc[0]), float(vc[0])) >= 0.975
-    del rng
+        min_pf = np.minimum(min_pf, pf(*c.posterior_many(cand)))
+    idx = np.flatnonzero(min_pf >= 0.975)
+    return cand[idx[np.argmin(mu[idx])]] if idx.size else None
+
+
+def test_recommend_threshold_and_mean_minimality():
+    """Recommendation beats every qualifying evaluated point on posterior mean.
+    It takes every model's moments from one call on the bundle's stacked
+    models, with the bits of a call per model (p2 has two constraints)."""
+    for name, f_star in (("p1", -1.888751), ("p2", 0.599788)):
+        prob = get_problem(name)
+        recs = run(prob, "random", 10, 1, 3, seed=4, f_star=f_star)
+        assert len(recs) == 8
+        hist = initialize(prob, 3, 4)
+        # replay the evaluated points from the records to rebuild the history
+        for r in recs[1:]:
+            hist.append(r.points, r.f_values, r.g_values)
+        bundle, _ = fit_bundle(hist, prob, 4, 0)
+        assert len(bundle.active_constraints) == prob.n_constraints
+        rec = recommend(bundle, prob.bounds, seed=12345)
+        assert rec is not None
+        np.testing.assert_array_equal(rec, _recommend_per_model(bundle, prob.bounds, 12345))
+        mu_rec, _ = bundle.objective.posterior_many(np.atleast_2d(rec))
+        for x in hist.X:
+            ok = True
+            for c in bundle.active_constraints:
+                mc, vc = c.posterior_many(np.atleast_2d(x))
+                if pf(float(mc[0]), float(vc[0])) < 0.975:
+                    ok = False
+            if ok:
+                mu_x, _ = bundle.objective.posterior_many(np.atleast_2d(x))
+                assert mu_rec[0] <= mu_x[0] + 1e-9
+        # safety: the recommendation itself clears the threshold
+        for c in bundle.active_constraints:
+            mc, vc = c.posterior_many(np.atleast_2d(rec))
+            assert pf(float(mc[0]), float(vc[0])) >= 0.975
 
 
 def _history_for_scoring():
@@ -296,13 +315,30 @@ def test_eic_certainly_feasible_matches_unconstrained():
 
 
 def test_select_batch_feasibility_search_before_incumbent():
-    """With no feasible observation the loop chases feasibility probability."""
-    prob = get_problem("p1")
-    X = np.array([[0.5, 0.5], [0.2, 0.4], [3.0, 3.0]])
-    hist = History(X, prob.objective(X), prob.constraints(X))
-    assert not np.any(hist.feasible_mask())
-    bundle, _ = fit_bundle(hist, prob, 0, 0)
-    assert bundle.incumbent_value is None
-    pts, flags = select_batch("eic", bundle, prob, 1, 0, 1, TINY)
-    assert pts.shape == (1, 2)
-    assert "feasibility_search" in flags
+    """With no feasible observation the loop chases feasibility probability;
+    the product's factors come from one call on the bundle's stacked models,
+    and the pick is the one per-model calls give (p2 has two constraints)."""
+    p2 = get_problem("p2")
+    design = latin_hypercube(256, p2.bounds, np.random.SeedSequence((5, 61)))
+    G = p2.constraints(design) > 0.0
+    designs = {
+        "p1": np.array([[0.5, 0.5], [0.2, 0.4], [3.0, 3.0]]),
+        # two points breaking only g1 and two breaking only g2: both factors bind
+        "p2": np.vstack([design[G[:, 0] & ~G[:, 1]][:2], design[G[:, 1] & ~G[:, 0]][:2]]),
+    }
+    for name, X in designs.items():
+        prob = get_problem(name)
+        hist = History(X, prob.objective(X), prob.constraints(X))
+        assert not np.any(hist.feasible_mask())
+        bundle, _ = fit_bundle(hist, prob, 0, 0)
+        assert bundle.incumbent_value is None
+        assert len(bundle.active_constraints) == prob.n_constraints
+        pts, flags = select_batch("eic", bundle, prob, 1, 0, 1, TINY)
+        assert pts.shape == (1, 2)
+        assert "feasibility_search" in flags
+        cand = latin_hypercube(4096, prob.bounds, np.random.SeedSequence((7, 23)))
+        prod = np.ones(len(cand))
+        for c in bundle.active_constraints:
+            prod = prod * pf(*c.posterior_many(cand))
+        pick = _maximize_feasibility(bundle, prob.bounds, 7)
+        np.testing.assert_array_equal(pick, cand[np.argmax(prod)])
