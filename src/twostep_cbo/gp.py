@@ -14,49 +14,35 @@ d >= 3 einsum added the squares in another order, an ulp of the sum apart.
 
 The model is a frozen dataclass holding the Cholesky factor L of the jittered
 kernel matrix and its inverse. GPModel.mean_rows is the one home of the
-posterior mean at query rows and of its x-derivative, which the loop's
-recommendation (its mean polish and its pick) uses on its own. GPModel.rows
-builds the variance on top of it and is shared by posterior_many,
+posterior mean at query rows, which the loop's recommendation uses on its
+own; GPModel.rows adds the variance and serves posterior_many,
 posterior_grads (and through them the myopic EIC) and the fantasy engine.
-Both give value terms only; their gradient halves (mean_row_grads, row_grads)
-are the one way to the derivatives and extend those terms, so a maximizer
-takes the gradients of the candidates it accepts from the rows of its value
-pass (take_rows). The row formulas broadcast over a leading model axis: one
-call on a stack of models on shared inputs (GPModel.stack, as the myopic EIC
-runs a bundle) serves them all, with one kernel call and one _nearest, and
-gives each model's slice the bits of its own call; one GPModel is the no-axis
-case.
+Both give value terms only. Their gradient halves (mean_row_grads,
+row_grads) extend those terms, so a maximizer takes the gradients of the
+candidates it accepts from the rows of its value pass (take_rows), and they
+contract coefficient rows through the ARD kernel's input-derivative identity
+(kernel_grad_sum; Rasmussen & Williams, Gaussian Processes for Machine
+Learning, 2006). The row formulas broadcast over a leading model axis: a call
+on a stack of models on shared inputs (GPModel.stack) gives each model's
+slice the bits of its own call; one GPModel is the no-axis case.
 
-The gradient halves build no (rows, n, d) kernel gradient: kernel_grad_sum
-contracts coefficient rows through the ARD kernel's input-derivative identity
-(Rasmussen & Williams, Gaussian Processes for Machine Learning, 2006), and
-row_grads takes dmean, dvar and a caller's further rows from one such call.
-Every product of the row path is one GEMM per model (_row_products), so a
-row's bits rest on the BLAS: with the second operand transposed (NT), the
-OpenBLAS 0.3.31 build measured (SkylakeX kernels) gives each row of a GEMM of
-two or more rows the same bits whatever rows share the call, for up to 31
-data points (from 32, or untransposed from 17, a row can move by an ulp).
-numpy sends one row to gemv, whose bits differ, so one row is padded to two.
-The row tests guard this on the BLAS they run on.
+Row contract. Every product of the row path is one GEMM per model with the
+second operand transposed (_row_products; one row is padded to two, away
+from gemv), so a row's bits rest on the BLAS. On the OpenBLAS build measured
+(ROADMAP.md, item 14), a row keeps its bits whatever rows share the call for
+up to 31 data points; from 32 on it can move by an ulp.
+test_row_terms_keep_their_bits_at_workload_sizes guards this on the BLAS the
+tests run on.
 
 Hyperparameters are fit by multistart L-BFGS-B on the log marginal
-likelihood in log-parameter space; the likelihood factorizes and solves with
-LAPACK's potrf/potrs directly, the routines under scipy's cholesky and
-cho_solve, whose per-call checks cost more than the work at these sizes. For
-the same reason a fit builds the likelihood's difference planes and identity
-once (_nll_constants), each evaluation adds the jitter to the diagonal and
-folds its gradient planes in place, and the fit keeps the last theta it
-evaluated, so the check after each restart at the point L-BFGS-B has just
-evaluated costs nothing; the bits are those of a fresh evaluation.
-
-L-BFGS-B runs through _lbfgsb, which drives scipy's private
-reverse-communication routine scipy.optimize._lbfgsb.setulb (with the
-signature of scipy 1.17, the floor pyproject.toml sets) with the loop and
-defaults of scipy.optimize.minimize. At these sizes the objects minimize
-builds around each run and each evaluation cost about as much as the
-likelihood; the driver gives minimize's iterates bit for bit without them.
-The tests keep minimize as the reference, so a scipy release that changes the
-routine fails them rather than moving the fits.
+likelihood in log-parameter space, factorized and solved with LAPACK's
+potrf/potrs directly. L-BFGS-B runs through _lbfgsb: the loop and defaults of
+scipy.optimize.minimize over scipy's private routine
+scipy.optimize._lbfgsb.setulb (with the signature of scipy 1.17, the floor
+pyproject.toml sets), which gives minimize's iterates bit for bit.
+test_lbfgsb_driver_matches_scipy_minimize_bit_for_bit keeps minimize as the
+reference, so a scipy release that changes the routine fails it rather than
+moving the fits.
 """
 
 from __future__ import annotations

@@ -47,7 +47,6 @@ import numpy as np
 from .acquisition import (
     PosteriorBundle,
     ei,
-    ei_pf,
     ei_pf_factors,
     ei_pf_grad,
     greedy_batch_eic,
@@ -78,8 +77,11 @@ class TwoStepConfig:
     """Knobs for the stochastic-gradient search over batches.
 
     n_restarts/n_sga_steps control the outer multistart ascent, n_grad_samples
-    fantasies feed each gradient step, and the inner problem is re-solved every
-    inner_solve_period-th fantasy (two-time-scale). Step t moves by
+    fantasies feed each gradient step, and the inner problem is solved for
+    every inner_solve_period-th fantasy only; each fantasy in between is
+    paired with the x2 solved for the last solved one before it, an unrelated
+    scrambled-Sobol draw. The LR gradient needs each fantasy's own argmax, so
+    a period above 1 biases it (ROADMAP.md, item 13). Step t moves by
     step_a / (step_A + t)**step_gamma, per dimension, scaled by domain width.
     Restart screening uses n_value_samples fantasies; the surviving candidates
     are re-scored with n_final_value_samples. The inner search for x2 runs
@@ -219,6 +221,12 @@ class _Block:
         return np.concatenate([L for L, _ in parts]), np.concatenate([j for _, j in parts])
 
 
+def _conditioned(st: dict, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The fantasy-conditioned stage-1 (mu1, s1) at the rows of _stage1's
+    value terms st, row r conditioned on the whitened residual U[r]."""
+    return st["mean"] + np.einsum("rq,rq->r", st["cross"], U), st["s1"]
+
+
 class FantasyEngine:
     """Shared machinery for fantasy sampling, the score and stage-1 math.
 
@@ -255,7 +263,13 @@ class FantasyEngine:
 
         Z is (count, n_blocks*q), shared by every batch, or (E, count,
         n_blocks*q); the fantasies come out batch-major."""
-        return self._finish_batch(*self._values(Z))
+        Y, e = self._values(Z)
+        # Cinv is symmetric, so each row of U is Cinv (y - mu0).
+        U = [
+            np.einsum("fpq,fq->fp", blk.Cinv[e], Yb - blk.mu0[e])
+            for Yb, blk in zip(Y, self.blocks)
+        ]
+        return _FantasyBatch(Y, self._f1(Y), U, e)
 
     def _values(self, Z: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
         """The fantasies of batch_from_normals, one (count, q) array per
@@ -274,14 +288,6 @@ class FantasyEngine:
         for Yg in Y[1:]:
             feasible &= Yg <= 0
         return np.minimum(self.f0, np.min(np.where(feasible, Y[0], np.inf), axis=1))
-
-    def _finish_batch(self, Y: list[np.ndarray], e: np.ndarray) -> _FantasyBatch:
-        # Cinv is symmetric, so each row of U is Cinv (y - mu0).
-        U = [
-            np.einsum("fpq,fq->fp", blk.Cinv[e], Yb - blk.mu0[e])
-            for Yb, blk in zip(Y, self.blocks)
-        ]
-        return _FantasyBatch(Y, self._f1(Y), U, e)
 
     def sample(self, count: int, seed) -> _FantasyBatch:
         """count fantasies at every batch, all batches from the same normals."""
@@ -316,33 +322,29 @@ class FantasyEngine:
         batch e[r] only. The stage-1 moments are affine in the fantasy:
         conditioning on a fantasy with whitened residual u gives mean mu0 +
         cross . u and the standard deviation s1, which does not depend on the
-        fantasy. The value half gives the model's rows at P (GPModel.rows)
-        plus the own-batch row arrays cross = Sigma0(P, X1), s1, B = cross
-        Cinv and K_own = k(P, X1). The gradient half, with grads, extends
-        them with the model's row gradients (GPModel.row_grads: dmean, A,
-        dvar) and the x2-derivatives dcross and ds1. terms, the value terms
-        of an earlier call at these rows, skip the value half; the model's
-        rows alone skip its data part. Every row's numbers are independent of
-        the other rows, so the accepted rows of a value pass (take_rows) give
-        the bits of a fresh call on them."""
+        fantasy. The value half gives the model's rows at P (GPModel.rows,
+        unless terms already holds them) plus the own-batch row arrays cross
+        = Sigma0(P, X1), s1, B = cross Cinv and K_own = k(P, X1). The
+        gradient half, with grads, extends the value terms given as terms
+        with the model's row gradients (GPModel.row_grads: dmean, A, dvar)
+        and the x2-derivatives dcross and ds1. Every row's numbers are
+        independent of the other rows, so the accepted rows of a value pass
+        (take_rows) give the bits of a fresh call on them."""
         kern = blk.model.kernel
         X1 = self.X1[e]  # (rows, q, d)
-        if terms is None:
-            terms = blk.model.rows(P)
-        if "s1" not in terms:
-            K_own = kernel_paired(kern, P[:, None, :], X1)  # (rows, q)
-            cross = K_own - np.einsum("rn,rqn->rq", terms["V"], blk.V1[e])
-            B = np.einsum("rq,rpq->rp", cross, blk.Cinv[e])  # Cinv symmetric
-            s1 = np.sqrt(np.maximum(terms["var"] - np.einsum("rq,rq->r", B, cross), 0.0))
-            terms.update(cross=cross, s1=s1, B=B, K_own=K_own)
-        if not grads:
-            return terms
-        # dcoef: sum_n A1[e, i, n] dk(x2, d_n)/dx2 for every batch point i
-        out = blk.model.row_grads(P, terms, blk.A1[e])
-        dcross = kernel_grad_paired(kern, P[:, None, :], X1, out["K_own"]) - out["dcoef"]
-        dvar1 = out["dvar"] - 2.0 * np.einsum("rqd,rq->rd", dcross, out["B"])
-        out.update(dcross=dcross, ds1=sd_grad(out["s1"], dvar1))
-        return out
+        if grads:
+            # dcoef: sum_n A1[e, i, n] dk(x2, d_n)/dx2 for every batch point i
+            out = blk.model.row_grads(P, terms, blk.A1[e])
+            dcross = kernel_grad_paired(kern, P[:, None, :], X1, out["K_own"]) - out["dcoef"]
+            dvar1 = out["dvar"] - 2.0 * np.einsum("rqd,rq->rd", dcross, out["B"])
+            out.update(dcross=dcross, ds1=sd_grad(out["s1"], dvar1))
+            return out
+        terms = blk.model.rows(P) if terms is None else terms
+        K_own = kernel_paired(kern, P[:, None, :], X1)  # (rows, q)
+        cross = K_own - np.einsum("rn,rqn->rq", terms["V"], blk.V1[e])
+        B = np.einsum("rq,rpq->rp", cross, blk.Cinv[e])  # Cinv symmetric
+        s1 = np.sqrt(np.maximum(terms["var"] - np.einsum("rq,rq->r", B, cross), 0.0))
+        return dict(terms, cross=cross, s1=s1, B=B, K_own=K_own)
 
     def stage1_x1_grads(self, b: int, X2: np.ndarray, U: np.ndarray, e: np.ndarray):
         """Stage-1 mean and standard deviation of block b at rows of X2, row f
@@ -353,7 +355,7 @@ class FantasyEngine:
         blk = self.blocks[b]
         st = self._stage1(blk, X2, e, False)  # the value half: no x2-derivative is read
         A, B = blk.model.solve_rows(st["V"]), st["B"]  # B = Cinv cross, (rows, q)
-        mu1 = st["mean"] + np.einsum("rq,rq->r", st["cross"], U)
+        mu1, s1 = _conditioned(st, U)
         # First-argument derivative of the state-0 covariance between each
         # batch point and each row: dc[f, i, j] = d Sigma0(x_i, X2_f) / d x_ij.
         dc = kernel_grad_paired(blk.model.kernel, self.X1[e], X2[:, None, :], st["K_own"])
@@ -368,47 +370,55 @@ class FantasyEngine:
             - B[:, :, None] * blk.dmu0[e]
         )
         dvar1 = -2.0 * dc * B[:, :, None] + 2.0 * B[:, :, None] * rv_b
-        return mu1, st["s1"], dmu1, sd_grad(st["s1"], dvar1)
+        return mu1, s1, dmu1, sd_grad(s1, dvar1)
+
+    def _integrand(self, f1: np.ndarray, moments: list) -> tuple[np.ndarray, list]:
+        """alpha = (f0 - f1*) + EI(f1* - mu1, s1^2) x prod PF from the stage-1
+        (mu1, s1) of every block, objective first, and the ei_pf factors
+        from which ei_pf_grad continues."""
+        (mu, s), *cons = moments
+        values, factors = ei_pf_factors((f1 - mu, s), cons)
+        return (self.f0 - f1) + values, factors
 
     def alpha_rows(
         self, P: np.ndarray, idx: np.ndarray, batch: _FantasyBatch, grads: bool = False, terms=None
     ):
         """Two-step integrand alpha at query rows P, row r belonging to
         fantasy idx[r]. With grads=True also returns d alpha / d x2 rows and a
-        degeneracy mask. terms, the value terms of _stage1 per block at these
-        rows from an earlier pass, skip the value half of every block."""
+        degeneracy mask. terms is the record of a value pass: an empty dict
+        is filled with the value terms of _stage1 per block ("stage1") and
+        the ei_pf factors ("factors"). A filled record, or its rows taken
+        with take_rows, runs only the gradient halves, for grads=True;
+        without one, grads=True runs the value half first."""
         P = np.atleast_2d(P)
         idx = np.asarray(idx, dtype=int)
-        e = batch.e[idx]
-        moments, derivs = [], []
-        for b, blk in enumerate(self.blocks):
-            st = None if terms is None else terms[b]
-            if st is None or grads:
-                st = self._stage1(blk, P, e, grads, st)
-            U = batch.U[b][idx]
-            moments.append((st["mean"] + np.einsum("rq,rq->r", st["cross"], U), st["s1"]))
-            if grads:
-                dmu1 = st["dmean"] + np.einsum("rqd,rq->rd", st["dcross"], U)
-                derivs.append((dmu1, st["ds1"]))
-        f1 = batch.f1[idx]
-        (mu, s), *cons = moments
-        if not grads:
-            return (self.f0 - f1) + ei_pf((f1 - mu, s), cons)
+        e, f1 = batch.e[idx], batch.f1[idx]
+        U = [Ub[idx] for Ub in batch.U]
+        record = {} if terms is None else terms
+        if not record:
+            record["stage1"] = [self._stage1(blk, P, e, False) for blk in self.blocks]
+            moments = [_conditioned(st, Ub) for st, Ub in zip(record["stage1"], U)]
+            values, record["factors"] = self._integrand(f1, moments)
+            if not grads:
+                return values
+        derivs = []
+        for blk, st, Ub in zip(self.blocks, record["stage1"], U):
+            st = self._stage1(blk, P, e, True, st)
+            derivs.append((st["dmean"] + np.einsum("rqd,rq->rd", st["dcross"], Ub), st["ds1"]))
         (dmu, ds), *dcons = derivs
-        values, grad, degen = ei_pf_grad(ei_pf_factors((f1 - mu, s), cons)[1], [(-dmu, ds), *dcons])
+        values, grad, degen = ei_pf_grad(record["factors"], [(-dmu, ds), *dcons])
         return (self.f0 - f1) + values, grad, degen
 
     def _alpha_pass(self, batch: _FantasyBatch, idx: np.ndarray, X: np.ndarray):
         """The evaluate of the inner solve's ascent (projected_ascent) at rows
-        X of fantasies idx: one value pass of _stage1 per block, alpha_rows
-        on those terms, and grad(keep), the x2-gradients of alpha_rows at
-        X[keep] from the kept rows of the same terms."""
-        e = batch.e[idx]
-        terms = [self._stage1(blk, X, e, False) for blk in self.blocks]
-        values = self.alpha_rows(X, idx, batch, terms=terms)
+        X of fantasies idx: the value pass of alpha_rows, and grad(keep), the
+        x2-gradients of alpha_rows at X[keep] from the kept rows of that
+        pass's record."""
+        record = {}
+        values = self.alpha_rows(X, idx, batch, terms=record)
 
         def grad(keep):
-            kept = [take_rows(t, keep) for t in terms]
+            kept = {key: [take_rows(t, keep) for t in part] for key, part in record.items()}
             return self.alpha_rows(X[keep], idx[keep], batch, True, kept)[1]
 
         return values, grad
@@ -431,9 +441,7 @@ class FantasyEngine:
             mu1 = st["mean"].reshape(self.E, len(probes))[batch.e]
             mu1 = mu1 + np.einsum("fpq,fq->fp", cross, batch.U[b])
             moments.append((mu1, st["s1"].reshape(self.E, len(probes))[batch.e]))
-        f1 = batch.f1[:, None]
-        (mu, s), *cons = moments
-        return (self.f0 - f1) + ei_pf((f1 - mu, s), cons)
+        return self._integrand(batch.f1[:, None], moments)[0]
 
     # -- likelihood-ratio gradient -------------------------------------------
 
@@ -450,12 +458,10 @@ class FantasyEngine:
             raise ValueError(
                 f"X2 must have shape (batch.n, d) = ({count}, {self.d}); got {X2.shape}"
             )
-        (mu, s, dmu, ds), *cons = [
-            self.stage1_x1_grads(b, X2, batch.U[b], batch.e) for b in range(self.n_blocks)
-        ]
-        _, factors = ei_pf_factors((batch.f1 - mu, s), [c[:2] for c in cons])
-        values, dalpha, _ = ei_pf_grad(factors, [(-dmu, ds), *(c[2:] for c in cons)])
-        alpha_vals = (self.f0 - batch.f1) + values
+        rows = [self.stage1_x1_grads(b, X2, batch.U[b], batch.e) for b in range(self.n_blocks)]
+        alpha_vals, factors = self._integrand(batch.f1, [r[:2] for r in rows])
+        (_, _, dmu, ds), *cons = rows
+        _, dalpha, _ = ei_pf_grad(factors, [(-dmu, ds), *(c[2:] for c in cons)])
         return alpha_vals[:, None, None] * self.score(batch) + dalpha
 
     # -- inner maximization ----------------------------------------------------
@@ -615,15 +621,18 @@ def optimize(
     candidate and usually sits in the narrow peak the hypercube misses).
     Restarts advance in lock step, stacked in one FantasyEngine per step.
     Each step draws one scrambled QMC block of fantasies (shared across
-    restarts), re-solves the inner problem on every inner_solve_period-th
-    fantasy while reusing the latest solution of the same restart in
-    between, averages each restart's likelihood-ratio gradients and takes a
-    projected step. Both the start and the endpoint of every restart are
-    screened by a QMC value estimate, all 2R in one stacked call, each with
-    its own seed (so a trajectory that wanders off a good start cannot drag
-    the answer down with it), and the top three are re-scored together on
-    one larger shared sample; the first maximum wins. When no restart's
-    gradient is ever nonzero, it warns and returns the myopic start.
+    restarts) and solves the inner problem for every inner_solve_period-th
+    fantasy, each also started from the x2 its restart solved last in the
+    step before. A fantasy in between is paired with the x2 of the last
+    solved fantasy before it, an unrelated draw, not its own argmax, which
+    the LR gradient needs (ROADMAP.md, item 13). Each restart then averages
+    its likelihood-ratio gradients and takes a projected step. Both the
+    start and the endpoint of every restart are screened by a QMC value
+    estimate, all 2R in one stacked call, each with its own seed (so a
+    trajectory that wanders off a good start cannot drag the answer down with
+    it), and the top three are re-scored together on one larger shared
+    sample; the first maximum wins. When no restart's gradient is ever
+    nonzero, it warns and returns the myopic start.
     """
     bundle.require_incumbent()
     bounds = np.atleast_2d(np.asarray(bounds, dtype=float))

@@ -25,6 +25,7 @@ from twostep_cbo.gp import (
     kernel_grad_first_from,
     kernel_matrix,
 )
+from twostep_cbo.lookahead import _FantasyBatch
 
 SQRT_2PI = float(np.sqrt(2.0 * np.pi))
 
@@ -158,10 +159,15 @@ def kernel_grad_first(params, A, B):
 
 def batch_from_values(engine, Y):
     """A FantasyEngine's fantasies from their values: per block, (count, q)
-    rows shared by every batch or (E, count, q); batch-major like
-    engine.batch_from_normals."""
+    rows shared by every batch or (E, count, q); batch-major, with f1* and
+    the whitened residuals formed as engine.batch_from_normals forms them."""
     stacked = [engine._stacked(np.atleast_2d(Yb)) for Yb in Y]
-    return engine._finish_batch([Yb for Yb, _ in stacked], stacked[0][1])
+    Y, e = [Yb for Yb, _ in stacked], stacked[0][1]
+    U = [
+        np.einsum("fpq,fq->fp", blk.Cinv[e], Yb - blk.mu0[e])
+        for Yb, blk in zip(Y, engine.blocks)
+    ]
+    return _FantasyBatch(Y, engine._f1(Y), U, e)
 
 
 def posterior_joint(model, X):

@@ -380,7 +380,7 @@ def test_batch_eic_mc_reads_f1_without_whitening(monkeypatch):
         engine = FantasyEngine(bundle, X)
         f1 = engine.sample_f1(64, (seed, 1302))
         np.testing.assert_array_equal(f1, engine.sample(64, (seed, 1302)).f1)
-        monkeypatch.setattr(FantasyEngine, "_finish_batch", None)
+        monkeypatch.setattr(FantasyEngine, "batch_from_normals", None)
         est, _ = batch_eic_mc(bundle, X, n_samples=64, seed=(seed, 1302))
         monkeypatch.undo()
         np.testing.assert_array_equal(est, np.mean((engine.f0 - f1).reshape(3, 64), axis=1))

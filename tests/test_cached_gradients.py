@@ -88,14 +88,20 @@ def test_inner_solve_meets_the_kernel_once_per_value_row(monkeypatch):
     engine = FantasyEngine(bundle, random_x1(3, bounds, 2, bundle))
     batch = engine.sample(6, (3, 93))
     state = _count_data_kernel_rows(monkeypatch, engine.models)
-    value_rows = [0]
+    value_rows, factor_rows = [0], [0]
     original_alpha_rows = FantasyEngine.alpha_rows
     original_ascent = lookahead.projected_ascent
+    original_factors = acquisition.ei_pf_factors
 
     def counting_alpha_rows(self, P, idx, batch, grads=False, *args, **kwargs):
         if not grads:
             value_rows[0] += len(np.atleast_2d(P))
         return original_alpha_rows(self, P, idx, batch, grads, *args, **kwargs)
+
+    def counting_factors(improvement, *args, **kwargs):
+        if state["on"]:
+            factor_rows[0] += np.size(improvement[0])
+        return original_factors(improvement, *args, **kwargs)
 
     def counted_ascent(*args, **kwargs):
         state["on"] = True  # the probe sweep before the ascent is not counted
@@ -106,9 +112,13 @@ def test_inner_solve_meets_the_kernel_once_per_value_row(monkeypatch):
 
     monkeypatch.setattr(FantasyEngine, "alpha_rows", counting_alpha_rows)
     monkeypatch.setattr(lookahead, "projected_ascent", counted_ascent)
+    for module in (acquisition, lookahead):
+        monkeypatch.setattr(module, "ei_pf_factors", counting_factors)
     engine.solve_inner_batch(batch, bounds, TwoStepConfig(inner_steps=20))
     assert value_rows[0] > 0
     assert state["rows"] == engine.n_blocks * value_rows[0]
+    # EI x PF is formed once per value row: the gradients continue from it
+    assert factor_rows[0] == value_rows[0]
 
 
 def test_lr_gradients_make_no_data_kernel_gradient_call(monkeypatch):
