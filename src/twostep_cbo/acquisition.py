@@ -262,14 +262,14 @@ def projected_ascent(evaluate, P, bounds, first_move, steps):
     gradients at the rows X[keep] (keep a boolean mask over the rows of X)
     from the terms that pass already holds, so an accepted candidate is
     never evaluated a second time. The ascent calls grad once on the
-    starting rows and once per step on the accepted candidates. Steps are
-    taken in box-width units: the first moves first_move of the box along the
-    largest gradient component, an accepted step grows by 1.6 and a rejected
-    one halves, and a row retires once its proposed move falls below 1e-8 of
-    the box. Both rules are free of the scale of the values, so the ascent
-    reaches the same points whatever their units; a row whose gradient is
-    zero, or too small to divide by, proposes no move and retires after its
-    first iteration. Candidates are clipped to the box. Returns the final
+    starting rows and once per step but the last on the accepted candidates.
+    Steps are taken in box-width units: the first moves first_move of the box
+    along the largest gradient component, an accepted step grows by 1.6 and a
+    rejected one halves, and a row retires once its proposed move falls below
+    1e-8 of the box. Both rules are free of the scale of the values, so the
+    ascent reaches the same points whatever their units; a row whose gradient
+    is zero, or too small to divide by, proposes no move and retires after
+    its first iteration. Candidates are clipped to the box. Returns the final
     points and their values.
 
     The active rows' points, gradients, steps and values are kept compact,
@@ -285,7 +285,7 @@ def projected_ascent(evaluate, P, bounds, first_move, steps):
     step = first_move / np.where(g_inf > np.finfo(float).tiny, g_inf, 1.0)
     rows = np.arange(len(P))
     aU, agU, astep, avals = U, gU, step, vals  # the active rows, compact
-    for _ in range(steps):
+    for step_no in range(steps):
         if rows.size == 0:
             break
         cand = aU + astep[:, None] * agU
@@ -295,6 +295,8 @@ def projected_ascent(evaluate, P, bounds, first_move, steps):
         if hit.any():
             np.copyto(avals, cand_vals, where=hit)
             np.copyto(aU, cand, where=hit[:, None])
+            if step_no == steps - 1:
+                break  # the last step's gradients would never be read
             agU[hit] = grad(hit) * wid
         astep *= np.where(hit, 1.6, 0.5)
         keep = astep * _row_max_abs(agU) >= 1e-8

@@ -58,6 +58,8 @@ from scipy import linalg
 from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.optimize._lbfgsb import setulb
 
+from .sampling import sobol_unit
+
 JITTER_INITIAL = 1e-8
 JITTER_MAX = 1e-2
 SIGMA_FLOOR = 1e-10
@@ -517,8 +519,6 @@ def fit_hyperparameters(
 
     lo = np.concatenate([[np.log(1e-4 * vy)], np.log(1e-3 * widths)])
     hi = np.concatenate([[np.log(1e4 * vy)], np.log(10.0 * widths)])
-    from .sampling import sobol_unit
-
     starts = lo + sobol_unit(d + 1, max(restarts, 1), seed) * (hi - lo)
     if warm_start is not None:
         theta_w = np.concatenate(

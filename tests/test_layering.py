@@ -2,6 +2,9 @@
 command line reaches the program through the harness and the problems only."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -34,3 +37,13 @@ def test_low_layers_import_no_package_module_but_sampling(module):
 def test_cli_imports_only_the_harness_and_problems():
     tree = ast.parse((SRC / "cli.py").read_text())
     assert _package_imports(tree) <= {"harness", "problems"}
+
+
+def test_package_import_leaves_scipy_stats_unloaded():
+    """scipy.stats costs about as much to load as the rest of the package's
+    dependencies together; the samplers reproduce its bits without it."""
+    path = filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    code = "import sys, twostep_cbo, twostep_cbo.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

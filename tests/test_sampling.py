@@ -1,9 +1,11 @@
 """QMC helper checks: determinism, balance, stratification."""
 
 import numpy as np
+import pytest
 from scipy import stats
+from scipy.stats import qmc
 
-from twostep_cbo.sampling import halton_design, latin_hypercube, sobol_normal, sobol_unit
+from twostep_cbo.sampling import _as_rng, halton_design, latin_hypercube, sobol_normal, sobol_unit
 
 BOUNDS = np.array([[0.0, 6.0], [-1.0, 1.0]])
 
@@ -84,3 +86,83 @@ def test_seed_sequence_reuse_matches_fresh_sequence():
         fresh = draw(np.random.SeedSequence((4, 7)))
         assert np.array_equal(first, fresh)
         assert np.array_equal(second, fresh)
+
+
+# -- bit-for-bit agreement with scipy.stats.qmc, the reference the samplers
+# reproduce without importing it ---------------------------------------------
+
+DIMS = list(range(1, 13)) + [45]
+COUNTS = (0, 1, 3, 16, 100, 2048, 8192)
+SEEDS = (  # factories, so the package and scipy each get a fresh seed object
+    lambda: 17,
+    lambda: np.random.SeedSequence((3, 4)),
+    lambda: np.random.default_rng(29),
+)
+
+
+def _box(d):
+    return np.column_stack([-0.5 * np.arange(1, d + 1), 1.5 * np.arange(1, d + 1)])
+
+
+def _scaled(u, bounds):
+    return bounds[:, 0] + u * (bounds[:, 1] - bounds[:, 0])
+
+
+def _scipy_sobol(dim, count, seed):
+    if count <= 0:
+        return np.zeros((0, dim))
+    sampler = qmc.Sobol(d=dim, scramble=True, seed=_as_rng(seed))
+    return sampler.random_base2(m=int(np.ceil(np.log2(count))))[:count]
+
+
+def _scipy_lhs(count, bounds, seed):
+    return _scaled(qmc.LatinHypercube(d=len(bounds), seed=_as_rng(seed)).random(count), bounds)
+
+
+def _scipy_halton(count, bounds):
+    return _scaled(qmc.Halton(d=len(bounds), scramble=False).random(count + 1)[1:], bounds)
+
+
+def _same(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("dim", DIMS)
+def test_sobol_unit_matches_scipy_bit_for_bit(dim):
+    for count in COUNTS:
+        for seed in SEEDS:
+            assert _same(sobol_unit(dim, count, seed()), _scipy_sobol(dim, count, seed()))
+
+
+@pytest.mark.parametrize("d", DIMS)
+def test_latin_hypercube_matches_scipy_bit_for_bit(d):
+    for count in COUNTS:
+        for seed in SEEDS:
+            assert _same(latin_hypercube(count, _box(d), seed()), _scipy_lhs(count, _box(d), seed()))
+
+
+@pytest.mark.parametrize("d", DIMS)
+def test_halton_design_matches_scipy_bit_for_bit(d):
+    for count in COUNTS:
+        assert _same(halton_design(count, _box(d)), _scipy_halton(count, _box(d)))
+
+
+def test_generator_seed_spawns_a_new_child_per_call_as_scipy_does():
+    ours, theirs = np.random.default_rng(8), np.random.default_rng(8)
+    first = sobol_unit(3, 16, ours)
+    assert _same(first, _scipy_sobol(3, 16, theirs))
+    second = sobol_unit(3, 16, ours)
+    assert _same(second, _scipy_sobol(3, 16, theirs))
+    assert not np.array_equal(first, second)
+    box = _box(3)
+    first, second = latin_hypercube(9, box, ours), latin_hypercube(9, box, ours)
+    assert _same(first, _scipy_lhs(9, box, theirs))
+    assert _same(second, _scipy_lhs(9, box, theirs))
+    assert not np.array_equal(first, second)
+
+
+def test_sobol_unit_rejects_dimensions_above_scipys_limit():
+    with pytest.raises(ValueError):
+        qmc.Sobol(d=qmc.Sobol.MAXDIM + 1, seed=0)
+    with pytest.raises(ValueError, match="Maximum supported dimensionality"):
+        sobol_unit(qmc.Sobol.MAXDIM + 1, 4, 0)
