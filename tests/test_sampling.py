@@ -1,4 +1,5 @@
-"""QMC helper checks: determinism, balance, stratification."""
+"""QMC helper checks: determinism, balance, stratification, and the bits of
+scipy.stats.qmc, which the samplers reproduce without importing it."""
 
 import numpy as np
 import pytest

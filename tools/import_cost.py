@@ -27,7 +27,7 @@ ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_STEPS = ("numpy", "scipy.linalg,scipy.special", "scipy.optimize", "twostep_cbo")
 
 CHILD = """
-import importlib, json, sys, time
+import importlib, sys, time
 times = []
 for step in sys.argv[1:]:
     start = time.perf_counter()
@@ -36,6 +36,7 @@ for step in sys.argv[1:]:
     times.append(time.perf_counter() - start)
 scipy_subpackages = sorted({m.split(".")[1] for m in sys.modules
                             if m.startswith("scipy.") and not m.split(".")[1].startswith("_")})
+import json  # after the steps, which may time it
 print(json.dumps({"times": times, "scipy": scipy_subpackages}))
 """
 
