@@ -68,6 +68,8 @@ DUPLICATE_TOL = 1e-8
 # the jitter, so its derivative describes the jitter, not the model: the sigma
 # gradient of posterior_grads is zeroed there.
 NEAR_DATA_TOL = np.sqrt(DUPLICATE_TOL)
+# Query rows per block of posterior_many without terms.
+_POSTERIOR_ROWS = 1 << 10
 
 
 class FactorizationError(RuntimeError):
@@ -313,7 +315,10 @@ class GPModel:
         the subtraction loses only the bits of |x - d_n| against that."""
         _, _, data, centre = self._gemm_operands
         P = _row_products(C.reshape(prod(C.shape[:-1]), -1), data).reshape(C.shape[:-1] + (-1,))
-        return (P[..., :-1] - (X - centre) * P[..., -1:]) / self.kernel.leading(C.ndim - 2)[1] ** 2
+        out = (X - centre) * P[..., -1:]
+        np.subtract(P[..., :-1], out, out=out)
+        out /= self.kernel.leading(C.ndim - 2)[1] ** 2
+        return out
 
     def row_grads(self, X: np.ndarray, terms: dict, coef: np.ndarray | None = None) -> dict:
         """The gradient half of rows: its terms at rows of X plus dmean, A =
@@ -323,9 +328,12 @@ class GPModel:
         kernel_grad_sum, from the same call. A subset of the value terms
         (take_rows) gives the bits of a fresh call on its rows."""
         K, A = terms["K"], self.solve_rows(terms["V"])
-        C = np.stack([self.weights[..., None, :] * K, A * K], axis=-2)
+        k = 2 if coef is None else 2 + coef.shape[-2]
+        C = np.empty(K.shape[:-1] + (k, K.shape[-1]))
+        np.multiply(self.weights[..., None, :], K, out=C[..., 0, :])
+        np.multiply(A, K, out=C[..., 1, :])
         if coef is not None:
-            C = np.concatenate([C, coef * K[..., None, :]], axis=-2)
+            np.multiply(coef, K[..., None, :], out=C[..., 2:, :])
         g = self.kernel_grad_sum(X[:, None, :], C)
         out = dict(terms, dmean=g[..., 0, :], A=A, dvar=-2.0 * g[..., 1, :])
         if coef is not None:
@@ -345,12 +353,20 @@ class GPModel:
         to zero at points coinciding with a training input; the jitter used for
         factorization stability would otherwise leak in at that scale. With
         with_terms also the terms they came from (rows plus dist), from which
-        posterior_grads continues.
+        posterior_grads continues. Without them the rows go through in blocks
+        of at most _POSTERIOR_ROWS; every row is its own while the data hold
+        at most 31 points (the row contract), so the blocks keep the bits of
+        one call, and past that a row may move by an ulp.
         """
         X = np.atleast_2d(X)
-        terms = self._value_terms(X)
-        mean, var = _moments(terms)
-        return (mean, var, terms) if with_terms else (mean, var)
+        if with_terms:
+            terms = self._value_terms(X)
+            return (*_moments(terms), terms)
+        blocks = [
+            _moments(self._value_terms(X[a : a + _POSTERIOR_ROWS]))
+            for a in range(0, len(X) or 1, _POSTERIOR_ROWS)
+        ]
+        return tuple(np.concatenate(part, axis=-1) for part in zip(*blocks))
 
     def condition_on_fantasy(self, X1: np.ndarray, y1: np.ndarray) -> "GPModel":
         """Model conditioned on hypothetical observations (X1, y1); kernel unchanged."""

@@ -70,6 +70,11 @@ from .gp import (
 from .sampling import halton_design, latin_hypercube, sobol_normal
 
 SEPARATION_TOL = 1e-8
+# Block sizes of the large fantasy passes: ascent rows per block of
+# solve_inner_batch and (fantasy, probe) cells per chunk of probe_values.
+_INNER_ROWS = 1 << 13
+_PROBE_CELLS = 1 << 12
+_N_PICKS = 3  # probe picks per fantasy in the inner solve
 
 
 @dataclass(frozen=True)
@@ -234,7 +239,8 @@ class FantasyEngine:
     stack of one, or a stack (E, q, d). Every method is vectorized over
     fantasies and over query rows. Each fantasy carries the batch it was drawn
     at (_FantasyBatch.e) and each query row the index of its fantasy, so the
-    fantasies of every batch run through the same calls in lock step.
+    fantasies of every batch run through the same calls in lock step; the
+    inner solve and its probe sweep take them in blocks of bounded size.
     """
 
     def __init__(self, bundle: PosteriorBundle, X1: np.ndarray):
@@ -262,25 +268,30 @@ class FantasyEngine:
         """Map standard normal rows through the posterior of each batch.
 
         Z is (count, n_blocks*q), shared by every batch, or (E, count,
-        n_blocks*q); the fantasies come out batch-major."""
-        Y, e = self._values(Z)
+        n_blocks*q); the fantasies come out batch-major. Y and U are formed
+        by one product over the batch axis per block, with no per-fantasy
+        copy of a batch's factors, and each fantasy keeps the bits of a
+        product with its own batch's factors."""
+        Y = self._values(Z)
+        count = Y[0].shape[1]
         # Cinv is symmetric, so each row of U is Cinv (y - mu0).
         U = [
-            np.einsum("fpq,fq->fp", blk.Cinv[e], Yb - blk.mu0[e])
+            np.einsum("epq,efq->efp", blk.Cinv, Yb - blk.mu0[:, None, :]).reshape(-1, self.q)
             for Yb, blk in zip(Y, self.blocks)
         ]
-        return _FantasyBatch(Y, self._f1(Y), U, e)
+        Y = [Yb.reshape(-1, self.q) for Yb in Y]
+        return _FantasyBatch(Y, self._f1(Y), U, np.repeat(np.arange(self.E), count))
 
-    def _values(self, Z: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
-        """The fantasies of batch_from_normals, one (count, q) array per
-        block, and the batch of each."""
-        Z, e = self._stacked(Z)
+    def _values(self, Z: np.ndarray) -> list[np.ndarray]:
+        """The fantasies of batch_from_normals, one (E, count, q) array per
+        block."""
+        Z = np.asarray(Z, dtype=float)
+        spec = "fq,epq->efp" if Z.ndim == 2 else "efq,epq->efp"
         q = self.q
-        Y = []
-        for b, blk in enumerate(self.blocks):
-            Zb = Z[:, b * q : (b + 1) * q]
-            Y.append(blk.mu0[e] + np.einsum("fq,fpq->fp", Zb, blk.Lc[e]))
-        return Y, e
+        return [
+            blk.mu0[:, None, :] + np.einsum(spec, Z[..., b * q : (b + 1) * q], blk.Lc)
+            for b, blk in enumerate(self.blocks)
+        ]
 
     def _f1(self, Y: list[np.ndarray]) -> np.ndarray:
         """f1* of each fantasy: the incumbent or its best feasible value."""
@@ -297,8 +308,8 @@ class FantasyEngine:
     def sample_f1(self, count: int, seed) -> np.ndarray:
         """f1* of the fantasies that sample(count, seed) draws, without the
         rest of their record (no whitened residuals)."""
-        Y, _ = self._values(sobol_normal(self.n_blocks * self.q, count, seed))
-        return self._f1(Y)
+        Y = self._values(sobol_normal(self.n_blocks * self.q, count, seed))
+        return self._f1([Yb.reshape(-1, self.q) for Yb in Y])
 
     def score(self, batch: _FantasyBatch) -> np.ndarray:
         """Gradient of log p(y; X1) with respect to the fantasy's batch X1,
@@ -430,18 +441,29 @@ class FantasyEngine:
         The same numbers as alpha_rows on the probes tiled across the
         fantasies, but the data terms (GPModel.rows) are computed once per
         probe and the own-batch terms once per (batch, probe); each fantasy
-        enters only through mu1 = mu0 + cross . u."""
+        enters only through mu1 = mu0 + cross . u. Those terms are expanded
+        over the fantasies in chunks of at most _PROBE_CELLS (fantasy,
+        probe) cells. Every cell is formed alone, so the chunks keep the bits
+        of one expansion."""
         flat, e_flat = self._stacked(probes)
         tile = np.tile(np.arange(len(probes)), self.E)
-        moments = []
-        for b, blk in enumerate(self.blocks):
-            data = take_rows(blk.model.rows(probes), tile)
-            st = self._stage1(blk, flat, e_flat, False, data)
-            cross = st["cross"].reshape(self.E, len(probes), self.q)[batch.e]
-            mu1 = st["mean"].reshape(self.E, len(probes))[batch.e]
-            mu1 = mu1 + np.einsum("fpq,fq->fp", cross, batch.U[b])
-            moments.append((mu1, st["s1"].reshape(self.E, len(probes))[batch.e]))
-        return self._integrand(batch.f1[:, None], moments)[0]
+        shape = (self.E, len(probes))
+        terms = []
+        for blk in self.blocks:
+            st = self._stage1(blk, flat, e_flat, False, take_rows(blk.model.rows(probes), tile))
+            cross = st["cross"].reshape(shape + (self.q,))
+            terms.append((cross, st["mean"].reshape(shape), st["s1"].reshape(shape)))
+        out = np.empty((batch.n, len(probes)))
+        size = max(1, _PROBE_CELLS // len(probes))
+        for a in range(0, batch.n, size):
+            f = slice(a, a + size)
+            e = batch.e[f]
+            moments = [
+                (mean[e] + np.einsum("fpq,fq->fp", cross[e], U[f]), s1[e])
+                for (cross, mean, s1), U in zip(terms, batch.U)
+            ]
+            out[f] = self._integrand(batch.f1[f, None], moments)[0]
+        return out
 
     # -- likelihood-ratio gradient -------------------------------------------
 
@@ -474,9 +496,15 @@ class FantasyEngine:
         warm: np.ndarray | None = None,
     ):
         """Projected backtracking ascent of alpha over x2 in the box, one
-        solve per fantasy, all fantasies of every batch in lock step. Returns
-        (X2, values, degenerate). warm holds one extra start per fantasy,
-        (batch.n, d).
+        solve per fantasy. Returns (X2, values, degenerate). warm holds one
+        extra start per fantasy, (batch.n, d).
+
+        The fantasies run in blocks of whole fantasies with at most
+        _INNER_ROWS ascent rows (one fantasy when its starts alone exceed
+        it), each block in lock step through its own probe sweep, picks and
+        ascent (_solve_fantasies). Every row's numbers are its own while the
+        data hold at most 31 points (the gp row contract), so the blocks keep
+        the bits of one lock-step solve; past that a value may move by an ulp.
 
         The ascent is projected_ascent, whose step rules are free of the
         scale of alpha, with a first move of 0.15 of the box and
@@ -492,21 +520,32 @@ class FantasyEngine:
         """
         bounds = np.atleast_2d(bounds)
         wid = bounds[:, 1] - bounds[:, 0]
-        count = batch.n
         starts = halton_design(config.inner_restarts, bounds)
+        design = halton_design(min(64 * bounds.shape[0], 256), bounds)
+        radius = 3.0 * np.max(wid) / len(design) ** (1.0 / bounds.shape[0])
+        near = np.sqrt(sq_dist(design[:, None, :], design[None, :, :])) <= radius
+        size = max(1, _INNER_ROWS // (len(starts) + _N_PICKS + (warm is not None)))
+        parts = []
+        for a in range(0, batch.n, size):
+            f = slice(a, a + size)
+            block = batch.subset(f), None if warm is None else warm[f]
+            parts.append(self._solve_fantasies(*block, bounds, config, starts, design, near))
+        return tuple(np.concatenate(part) for part in zip(*parts))
+
+    def _solve_fantasies(self, batch, warm, bounds, config, starts, design, near):
+        """solve_inner_batch on one block of fantasies: the probe sweep over
+        design, whose neighbourhoods near masks, then the ascent from starts,
+        the picks and warm."""
+        count = batch.n
         # Screening pass: a value-only sweep over a denser design, shared by
         # every batch, picks the top few probes per fantasy as extra starts,
         # so narrow basins between close-together training points still get
         # found. Each pick suppresses its neighborhood before the next one;
         # without that, a single wide basin fills every slot and steep spikes
         # elsewhere stay unvisited.
-        n_keep = 3
-        design = halton_design(min(64 * bounds.shape[0], 256), bounds)
         pv = self.probe_values(design, batch)
-        radius = 3.0 * np.max(wid) / len(design) ** (1.0 / bounds.shape[0])
-        near = np.sqrt(sq_dist(design[:, None, :], design[None, :, :])) <= radius
         picks = []
-        for _ in range(n_keep):
+        for _ in range(_N_PICKS):
             j = np.argmax(pv, axis=1)
             picks.append(j)
             pv = np.where(near[j], -np.inf, pv)
@@ -525,10 +564,9 @@ class FantasyEngine:
             steps=config.inner_steps,
         )
         winners = np.arange(count) * k + np.argmax(vals.reshape(count, k), axis=1)
-        X2 = P[winners]
         best_vals = vals[winners]
         improvement = best_vals - (self.f0 - batch.f1)
-        return X2, best_vals, improvement <= 1e-15
+        return P[winners], best_vals, improvement <= 1e-15
 
 
 # -- public operations ---------------------------------------------------------

@@ -170,6 +170,19 @@ def batch_from_values(engine, Y):
     return _FantasyBatch(Y, engine._f1(Y), U, e)
 
 
+def gathered_batch(engine, Z):
+    """engine.batch_from_normals(Z) by a gather of each fantasy's own copy
+    of its batch's factors (Lc, mu0, and Cinv in batch_from_values): the
+    reference for the engine's products over the batch axis."""
+    Z, e = engine._stacked(Z)
+    q = engine.q
+    Y = [
+        (blk.mu0[e] + np.einsum("fq,fpq->fp", Z[:, b * q : (b + 1) * q], blk.Lc[e]))
+        for b, blk in enumerate(engine.blocks)
+    ]
+    return batch_from_values(engine, [Yb.reshape(engine.E, -1, q) for Yb in Y])
+
+
 def posterior_joint(model, X):
     """Joint posterior mean vector and covariance matrix of a GPModel over
     rows of X, from one many-column triangular solve; warns on rows closer
