@@ -139,22 +139,17 @@ def _grid_chunks(bounds: np.ndarray, resolution: int):
     `_SCAN_ROWS` rows, each a view of one reused column-major buffer.
 
     The leading d - 2 axes are iterated one value at a time; the slab of the
-    last two axes (of the only axis when d = 1) is split by the row cap. A
-    slab that fits in one chunk is written once.
+    last two axes (of the only axis when d = 1) is split by the row cap.
     """
     axes = [np.linspace(lo, hi, resolution) for lo, hi in bounds]
     lead = max(len(axes) - 2, 0)
     slab = np.stack([m.ravel() for m in np.meshgrid(*axes[lead:], indexing="ij")], axis=1)
     buf = np.empty((min(slab.shape[0], _SCAN_ROWS), len(axes)), order="F")
-    whole = slab.shape[0] <= _SCAN_ROWS
-    if whole:
-        buf[:, lead:] = slab
     for head in itertools.product(*axes[:lead]):
         buf[:, :lead] = head
         for a in range(0, slab.shape[0], _SCAN_ROWS):
             X = buf[: min(_SCAN_ROWS, slab.shape[0] - a)]
-            if not whole:
-                X[:, lead:] = slab[a : a + _SCAN_ROWS]
+            X[:, lead:] = slab[a : a + _SCAN_ROWS]
             yield X
 
 

@@ -61,7 +61,7 @@ def _equal(got, ref):
 
 @pytest.mark.parametrize("rows", [1, 13])
 @pytest.mark.parametrize("case", CASES)
-def test_inner_solve_fantasiess_keep_the_bits(monkeypatch, case, rows):
+def test_inner_solve_fantasies_keep_the_bits(monkeypatch, case, rows):
     """rows = 1 puts each fantasy in a block of its own; 13 rows hold two
     fantasies of 5 or 6 starts, so the 48 fantasies span 24 blocks."""
     bundle, bounds, X1, engine, batch = _case(*case)

@@ -1,7 +1,7 @@
 """Time and peak memory of a default-size re-score, one fresh process per bundle.
 
-    python3 tools/rescore_cost.py [--workload acq_p3_q2 ...] [--seed 1] [--samples N]
-    python3 tools/rescore_cost.py --optimize [--workload ...] [--seed 1]
+    python3 tools/rescore_cost.py [--workload acq_p3_q2 ...] [--samples N]
+    python3 tools/rescore_cost.py --optimize [--workload ...]
 
 The re-score is what ``lookahead.optimize`` runs last: ``estimate_value`` on
 3 stacked batches, all on one seed, with ``n_final_value_samples`` fantasies
@@ -28,6 +28,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 BUNDLES = ("acq_p1_q1", "acq_p3_q2")
+SEED = 1  # of the batches, the fantasies and optimize
 
 CHILD = """
 import json, resource, sys, time
@@ -68,18 +69,17 @@ print(json.dumps(out))
 def parse_args(argv):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--workload", action="append", choices=BUNDLES, help="default: both")
-    ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--samples", type=int, default=0, help="default: n_final_value_samples")
     ap.add_argument("--optimize", action="store_true", help="run default-config optimize instead")
     return ap.parse_args(argv)
 
 
-def measure(workload: str, seed: int, samples: int, run_optimize: bool) -> dict:
+def measure(workload: str, samples: int, run_optimize: bool) -> dict:
     """One operation in a fresh interpreter; its JSON line as a dict. samples
     0 takes the default config's n_final_value_samples."""
     env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")])
-    args = [workload, str(seed), str(samples), "1" if run_optimize else "0"]
+    args = [workload, str(SEED), str(samples), "1" if run_optimize else "0"]
     proc = subprocess.run(
         [sys.executable, "-c", CHILD, *args], env=env, capture_output=True, text=True, check=True
     )
@@ -89,7 +89,7 @@ def measure(workload: str, seed: int, samples: int, run_optimize: bool) -> dict:
 def main(argv=None) -> int:
     args = parse_args(argv)
     for workload in args.workload or BUNDLES:
-        print(json.dumps(measure(workload, args.seed, args.samples, args.optimize)), flush=True)
+        print(json.dumps(measure(workload, args.samples, args.optimize)), flush=True)
     return 0
 
 
