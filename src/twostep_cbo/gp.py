@@ -43,22 +43,54 @@ pyproject.toml sets), which gives minimize's iterates bit for bit.
 test_lbfgsb_driver_matches_scipy_minimize_bit_for_bit keeps minimize as the
 reference, so a scipy release that changes the routine fails it rather than
 moving the fits.
+
+The compiled module is loaded from its file (_scipy_extension): importing
+it from scipy.optimize runs that package's init, about 0.17 s and 17 MB that
+the loop and the acquisitions never use. This relies on scipy 1.17's layout,
+scipy/optimize/_lbfgsb<extension suffix>, at the floor pyproject.toml sets; a
+missing file fails the import of gp, as importing setulb from the package
+would. The module goes into sys.modules under its own name, so a later import
+of scipy.optimize takes it rather than a second copy. Tests:
+test_scipy_optimize_and_the_fit_share_one_copy_of_lbfgsb,
+test_package_import_leaves_scipy_stats_unloaded and
+test_loop_and_two_step_acquisition_leave_scipy_optimize_unloaded.
 """
 
 from __future__ import annotations
 
+import os
+import sys
 import warnings
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from importlib.machinery import EXTENSION_SUFFIXES
+from importlib.util import module_from_spec, spec_from_file_location
 from math import prod
 from operator import attrgetter
 
 import numpy as np
+import scipy
 from scipy import linalg
 from scipy.linalg.lapack import dpotrf, dpotrs
-from scipy.optimize._lbfgsb import setulb
 
 from .sampling import sobol_unit
+
+
+def _scipy_extension(name: str):
+    """The compiled scipy module name, loaded from its file without the init
+    of its package and kept in sys.modules under name; the module there if any."""
+    if name not in sys.modules:
+        stem = os.path.join(os.path.dirname(scipy.__file__), *name.split(".")[1:])
+        paths = [stem + suffix for suffix in EXTENSION_SUFFIXES if os.path.exists(stem + suffix)]
+        if not paths:
+            raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+        spec = spec_from_file_location(name, paths[0])
+        sys.modules[name] = module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    return sys.modules[name]
+
+
+setulb = _scipy_extension("scipy.optimize._lbfgsb").setulb
 
 JITTER_INITIAL = 1e-8
 JITTER_MAX = 1e-2

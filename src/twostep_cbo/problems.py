@@ -25,7 +25,6 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import minimize
 
 FEASIBILITY_TOL = 1e-9
 # SLSQP's default absolute finite-difference step
@@ -215,6 +214,14 @@ def _polish_by_basin(problem, resolution, grid_vals, cells, extra, polish):
         if end[0] < val:
             val, pt = end
     return val, pt
+
+
+def minimize(*args, **kwargs):
+    """scipy.optimize.minimize, imported on the first call: the oracles'
+    polish is the package's only user of scipy.optimize."""
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(*args, **kwargs)
 
 
 def _fd_jac(fun: Callable[[np.ndarray], np.ndarray], upper: np.ndarray):

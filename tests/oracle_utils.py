@@ -199,6 +199,26 @@ def posterior_joint(model, X):
     return Kxd @ model.weights, 0.5 * (cov + cov.T)
 
 
+# -- rows past 31 data points --------------------------------------------------------
+
+# From 32 data points on, the NT GEMM of the row path (gp._row_products) can add
+# a row's products in another order when other rows share the call, so a row
+# moves by ulps of its terms, and solves against the jittered kernel matrix
+# (A = K^{-1} k(D, x)) amplify that by its conditioning: about 1e-8 of the
+# signal variance on a 64-point fixture. ROW_RTOL is fixed at 1e-6, relative
+# and in units of the signal variance, so it holds that drift with room and
+# still fails a row taken from another row or stale terms by orders of
+# magnitude.
+ROW_RTOL = 1e-6
+
+
+def assert_rows_close(got, want, signal_variance, err_msg=""):
+    """got within ROW_RTOL of want, relative and in units of signal_variance."""
+    np.testing.assert_allclose(
+        got, want, rtol=ROW_RTOL, atol=ROW_RTOL * np.max(signal_variance), err_msg=err_msg
+    )
+
+
 # -- seeded instances ----------------------------------------------------------------
 
 

@@ -11,7 +11,7 @@ meet each row against the data once: no accepted row is evaluated again.
 import numpy as np
 import pytest
 
-from oracle_utils import make_gp_instance, random_x1
+from oracle_utils import assert_rows_close, make_gp_instance, random_x1
 from twostep_cbo import acquisition, gp, lookahead, loop
 from twostep_cbo.acquisition import PosteriorBundle, _eic_pass, eic_grad, eic_many, maximize_eic
 from twostep_cbo.gp import GPModel, KernelParams
@@ -65,6 +65,56 @@ def test_mean_polish_pass_gradients_equal_a_fresh_mean_rows():
         for keep in _keeps(seed, len(X)):
             fresh = model.mean_row_grads(X[keep], model.mean_rows(X[keep]))
             np.testing.assert_array_equal(grad(keep), -fresh["dmean"])
+
+
+# The three pass tests above at 32 to 64 data points, where a row's bits can
+# move with the rows that share its GEMM: within ROW_RTOL (oracle_utils) in
+# units of the objective's signal variance.
+SIZES_PAST_31 = [32, 47, 64]
+
+
+def _instance_past_31(n):
+    bundle, bounds = make_gp_instance(n, d=2, n_constraints=2, n_lo=n, n_hi=n)
+    return bundle, bounds, bundle.objective.kernel.signal_variance
+
+
+@pytest.mark.parametrize("n", SIZES_PAST_31)
+def test_engine_pass_gradients_stay_close_to_a_fresh_alpha_rows_past_31_points(n):
+    bundle, bounds, sv = _instance_past_31(n)
+    engine = FantasyEngine(bundle, random_x1(n, bounds, 2, bundle))
+    batch = engine.sample(5, (n, 91))
+    X = halton_design(40, bounds)
+    idx = np.random.default_rng((n, 92)).integers(0, batch.n, len(X))
+    values, grad = engine._alpha_pass(batch, idx, X)
+    assert_rows_close(values, engine.alpha_rows(X, idx, batch), sv)
+    every = engine.alpha_rows(X, idx, batch, True)[1]
+    for keep in _keeps(n, len(X)):
+        fresh = engine.alpha_rows(X[keep], idx[keep], batch, True)[1]
+        assert_rows_close(grad(keep), fresh, sv)
+        assert_rows_close(fresh, every[keep], sv)
+
+
+@pytest.mark.parametrize("n", SIZES_PAST_31)
+def test_eic_pass_gradients_stay_close_to_a_fresh_eic_grad_past_31_points(n):
+    bundle, bounds, sv = _instance_past_31(n)
+    data = bundle.objective.train_inputs[:2]
+    X = np.vstack([halton_design(40, bounds), data, data + 1e-5])
+    values, grad = _eic_pass(bundle, X)
+    assert_rows_close(values, eic_many(bundle, X), sv)
+    for keep in _keeps(n, len(X)):
+        assert_rows_close(grad(keep), eic_grad(bundle, X[keep])[1], sv)
+
+
+@pytest.mark.parametrize("n", SIZES_PAST_31)
+def test_mean_polish_pass_gradients_stay_close_to_a_fresh_mean_rows_past_31_points(n):
+    bundle, bounds, sv = _instance_past_31(n)
+    model = bundle.objective
+    X = halton_design(40, bounds)
+    values, grad = _neg_mean_pass(model, X)
+    assert_rows_close(values, -model.mean_rows(X)["mean"], sv)
+    for keep in _keeps(n, len(X)):
+        fresh = model.mean_row_grads(X[keep], model.mean_rows(X[keep]))
+        assert_rows_close(grad(keep), -fresh["dmean"], sv)
 
 
 def _count_data_kernel_rows(monkeypatch, models):

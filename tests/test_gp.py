@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracle_utils import (
+    assert_rows_close,
     batch_from_values,
     kernel_grad_first,
     log_marginal_likelihood,
@@ -666,6 +667,23 @@ def test_row_terms_keep_their_bits_at_workload_sizes(n, d):
         part = model.row_grads(X[keep], model.rows(X[keep]))
         for key, value in part.items():
             np.testing.assert_array_equal(value, full[key][keep], err_msg=key)
+
+
+@pytest.mark.parametrize("n,d", [(32, 2), (40, 2), (43, 4), (64, 2), (64, 4)])
+def test_row_terms_stay_within_row_rtol_past_31_points(n, d):
+    """The subsets of test_row_terms_keep_their_bits_at_workload_sizes at 32
+    to 64 points, where a row's bits can move with the rows that share its
+    GEMM: every term within ROW_RTOL (oracle_utils) of the full call."""
+    rng = np.random.default_rng((n, d, 72))
+    D = 6.0 * rng.random((n, d))
+    sv = 1.1
+    model = GPModel.fit(D, np.sin(D).sum(axis=1), KernelParams(sv, rng.uniform(1.0, 3.0, d)))
+    X = 6.0 * rng.random((1280, d))
+    full = model.row_grads(X, model.rows(X))
+    for keep in (rng.random(len(X)) < 0.3, np.arange(len(X)) < 37, np.arange(len(X)) == 700):
+        part = model.row_grads(X[keep], model.rows(X[keep]))
+        for key, value in part.items():
+            assert_rows_close(value, full[key][keep], sv, err_msg=key)
 
 
 # GPModel.kernel_grad_sum against the kernel gradient it replaces: the

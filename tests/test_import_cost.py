@@ -21,3 +21,11 @@ def test_main_prints_one_row_per_step_and_the_total(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert [line.split()[0] for line in lines[1:4]] == ["json", "csv", "total"]
     assert lines[-1] == "scipy subpackages loaded: none"
+
+
+def test_the_package_imports_scipy_linalg_and_special_but_not_optimize():
+    """gp loads scipy.optimize's compiled L-BFGS-B module alone, which does
+    not count as the package."""
+    _, loaded = import_cost.measure(["twostep_cbo"], runs=1)
+    assert {"linalg", "special"} <= set(loaded)
+    assert "optimize" not in loaded

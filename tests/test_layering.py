@@ -39,11 +39,67 @@ def test_cli_imports_only_the_harness_and_problems():
     assert _package_imports(tree) <= {"harness", "problems"}
 
 
-def test_package_import_leaves_scipy_stats_unloaded():
-    """scipy.stats costs about as much to load as the rest of the package's
-    dependencies together; the samplers reproduce its bits without it."""
+def _fresh(code: str) -> list[str]:
+    """The lines that code prints in a fresh interpreter on this package."""
     path = filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-    code = "import sys, twostep_cbo, twostep_cbo.cli; print('scipy.stats' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    return out.stdout.split()
+
+
+@pytest.mark.parametrize("package", ["scipy.stats", "scipy.optimize"])
+def test_package_import_leaves_scipy_stats_unloaded(package):
+    """scipy.stats costs about as much to load as the rest of the package's
+    dependencies together; the samplers reproduce its bits without it. Of
+    scipy.optimize the fit needs only the compiled L-BFGS-B routine, which gp
+    loads from its file without the package."""
+    code = f"import sys, twostep_cbo, twostep_cbo.cli; print({package!r} in sys.modules)"
+    assert _fresh(code) == ["False"]
+
+
+HOT_PATHS = """
+import sys
+from twostep_cbo import lookahead, loop, problems
+p1 = problems.get_problem("p1")
+loop.run(p1, "eic", 5, 1, 3, seed=0, f_star=-1.888751)
+history = loop.initialize(p1, 4, 0)
+bundle, _ = loop.fit_bundle(history, p1, 0, 0)
+tiny = lookahead.TwoStepConfig(
+    n_restarts=1, n_sga_steps=2, n_grad_samples=4, inner_restarts=1, inner_steps=5,
+    n_value_samples=8, n_final_value_samples=16,
+)
+lookahead.optimize(bundle, p1.bounds, 1, tiny, 0)
+print("scipy.optimize" in sys.modules)
+problems.domain_max_oracle(p1, resolution=20, n_polish=2)
+print("scipy.optimize" in sys.modules)
+"""
+
+
+def test_loop_and_two_step_acquisition_leave_scipy_optimize_unloaded():
+    """An EIC replication and a two-step acquisition (with their fits) run
+    without scipy.optimize; the oracles' polish imports it on its first call."""
+    assert _fresh(HOT_PATHS) == ["False", "True"]
+
+
+ONE_COPY = """
+import sys
+import numpy as np
+{first}
+{second}
+from twostep_cbo import gp
+print(gp.setulb is sys.modules["scipy.optimize._lbfgsb"].setulb)
+res = scipy.optimize.minimize(lambda x: ((x - 1.0) ** 2).sum(), np.zeros(2), method="L-BFGS-B")
+print(bool(res.success) and np.allclose(res.x, 1.0))
+X = np.linspace(0.0, 1.0, 6)[:, None]
+print(isinstance(gp.fit_hyperparameters(X, np.sin(3.0 * X[:, 0])), gp.KernelParams))
+"""
+
+
+@pytest.mark.parametrize("package_first", [True, False])
+def test_scipy_optimize_and_the_fit_share_one_copy_of_lbfgsb(package_first):
+    """gp puts the L-BFGS-B extension it loads under its own name in
+    sys.modules, or takes the one scipy.optimize loaded: either import order
+    leaves one module, and both minimize and the fit run on it."""
+    imports = ["import twostep_cbo", "import scipy.optimize"]
+    first, second = imports if package_first else imports[::-1]
+    assert _fresh(ONE_COPY.format(first=first, second=second)) == ["True"] * 3

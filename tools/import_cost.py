@@ -5,12 +5,14 @@
 Each of N fresh interpreters imports the steps in order and times each one,
 so a step is charged only for the modules that no earlier step loaded. A
 step is a module or a comma-separated group of modules. The default steps
-are numpy, scipy.linalg with scipy.special, scipy.optimize, and then the
-package itself, which is charged for whatever it loads beyond them. The
+are numpy, scipy.linalg with scipy.special, and then the package itself,
+which is charged for whatever it loads beyond them (the package loads only
+the compiled L-BFGS-B module of scipy.optimize, not the package). The
 package is imported from ``src/`` of this repository, with BLAS pinned to one
 thread as ``perfbench/run.py`` pins it. The table gives each step's median
 and quartiles over the N interpreters, then the total, and lists the scipy
-subpackages loaded once every step has run.
+subpackages whose own package was imported once every step has run; a
+module loaded from its file alone does not list its package.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-DEFAULT_STEPS = ("numpy", "scipy.linalg,scipy.special", "scipy.optimize", "twostep_cbo")
+DEFAULT_STEPS = ("numpy", "scipy.linalg,scipy.special", "twostep_cbo")
 
 CHILD = """
 import importlib, sys, time
@@ -34,8 +36,8 @@ for step in sys.argv[1:]:
     for name in step.split(","):
         importlib.import_module(name)
     times.append(time.perf_counter() - start)
-scipy_subpackages = sorted({m.split(".")[1] for m in sys.modules
-                            if m.startswith("scipy.") and not m.split(".")[1].startswith("_")})
+names = [m.split(".") for m in sys.modules]
+scipy_subpackages = sorted(n[1] for n in names if len(n) == 2 and n[0] == "scipy" and n[1][0] != "_")
 import json  # after the steps, which may time it
 print(json.dumps({"times": times, "scipy": scipy_subpackages}))
 """
@@ -43,7 +45,7 @@ print(json.dumps({"times": times, "scipy": scipy_subpackages}))
 
 def measure(steps: list[str], runs: int) -> tuple[list[list[float]], list[str]]:
     """Per-step times of each fresh interpreter, and the scipy subpackages
-    the last one had loaded."""
+    the last one had imported."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = "1"
