@@ -30,9 +30,11 @@ Row contract. Every product of the row path is one GEMM per model with the
 second operand transposed (_row_products; one row is padded to two, away
 from gemv), so a row's bits rest on the BLAS. On the OpenBLAS build measured
 (ROADMAP.md, item 14), a row keeps its bits whatever rows share the call for
-up to 31 data points; from 32 on it can move by an ulp.
-test_row_terms_keep_their_bits_at_workload_sizes guards this on the BLAS the
-tests run on.
+up to 31 data points; from 32 on it can move by ulps, and A (row_grads) by
+more, as its solve amplifies them. test_row_terms_keep_their_bits_at_workload_sizes
+guards the bits on the BLAS the tests run on, and
+test_row_terms_stay_within_row_rtol_past_31_points holds every term within
+1e-6, relative and of the signal variance, at 32 to 64 points.
 
 Hyperparameters are fit by multistart L-BFGS-B on the log marginal
 likelihood in log-parameter space, factorized and solved with LAPACK's
@@ -45,12 +47,13 @@ reference, so a scipy release that changes the routine fails it rather than
 moving the fits.
 
 The compiled module is loaded from its file (_scipy_extension): importing
-it from scipy.optimize runs that package's init, about 0.17 s and 17 MB that
-the loop and the acquisitions never use. This relies on scipy 1.17's layout,
-scipy/optimize/_lbfgsb<extension suffix>, at the floor pyproject.toml sets; a
-missing file fails the import of gp, as importing setulb from the package
-would. The module goes into sys.modules under its own name, so a later import
-of scipy.optimize takes it rather than a second copy. Tests:
+it from scipy.optimize runs that package's init, which loads sparse, spatial
+and fft among others (0.1 s and 16 MB per process in BENCH_25.json), and the
+loop and the acquisitions use nothing else of it. This relies on scipy 1.17's
+layout, scipy/optimize/_lbfgsb<extension suffix>, at the floor pyproject.toml
+sets; a missing file fails the import of gp, as importing setulb from the
+package would. The module goes into sys.modules under its own name, so a
+later import of scipy.optimize takes it rather than a second copy. Tests:
 test_scipy_optimize_and_the_fit_share_one_copy_of_lbfgsb,
 test_package_import_leaves_scipy_stats_unloaded and
 test_loop_and_two_step_acquisition_leave_scipy_optimize_unloaded.

@@ -85,9 +85,10 @@ ONE_COPY = """
 import sys
 import numpy as np
 {first}
+lbfgsb = sys.modules["scipy.optimize._lbfgsb"]
 {second}
 from twostep_cbo import gp
-print(gp.setulb is sys.modules["scipy.optimize._lbfgsb"].setulb)
+print(sys.modules["scipy.optimize._lbfgsb"] is lbfgsb and gp.setulb is lbfgsb.setulb)
 res = scipy.optimize.minimize(lambda x: ((x - 1.0) ** 2).sum(), np.zeros(2), method="L-BFGS-B")
 print(bool(res.success) and np.allclose(res.x, 1.0))
 X = np.linspace(0.0, 1.0, 6)[:, None]
@@ -98,8 +99,8 @@ print(isinstance(gp.fit_hyperparameters(X, np.sin(3.0 * X[:, 0])), gp.KernelPara
 @pytest.mark.parametrize("package_first", [True, False])
 def test_scipy_optimize_and_the_fit_share_one_copy_of_lbfgsb(package_first):
     """gp puts the L-BFGS-B extension it loads under its own name in
-    sys.modules, or takes the one scipy.optimize loaded: either import order
-    leaves one module, and both minimize and the fit run on it."""
+    sys.modules, or takes the one scipy.optimize loaded: whichever comes
+    first, the second takes its module, and both minimize and the fit run."""
     imports = ["import twostep_cbo", "import scipy.optimize"]
     first, second = imports if package_first else imports[::-1]
     assert _fresh(ONE_COPY.format(first=first, second=second)) == ["True"] * 3

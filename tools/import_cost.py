@@ -6,8 +6,8 @@ Each of N fresh interpreters imports the steps in order and times each one,
 so a step is charged only for the modules that no earlier step loaded. A
 step is a module or a comma-separated group of modules. The default steps
 are numpy, scipy.linalg with scipy.special, and then the package itself,
-which is charged for whatever it loads beyond them (the package loads only
-the compiled L-BFGS-B module of scipy.optimize, not the package). The
+which is charged for whatever it loads beyond them (of scipy.optimize it
+loads only the compiled L-BFGS-B module, not the package). The
 package is imported from ``src/`` of this repository, with BLAS pinned to one
 thread as ``perfbench/run.py`` pins it. The table gives each step's median
 and quartiles over the N interpreters, then the total, and lists the scipy
