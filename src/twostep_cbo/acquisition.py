@@ -25,10 +25,12 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import special
 
-from .gp import GPModel, SIGMA_FLOOR, _nearest, take_rows
+from .gp import GPModel, SIGMA_FLOOR, _nearest, _scipy_extension, take_rows
 from .sampling import latin_hypercube
+
+# scipy.special.ndtr itself, from its compiled module without the package.
+ndtr = _scipy_extension("scipy.special._special_ufuncs").ndtr
 
 
 class MissingIncumbentError(RuntimeError):
@@ -42,7 +44,7 @@ def _phi(z):
 
 
 def _Phi(z):
-    return special.ndtr(z)
+    return ndtr(z)
 
 
 def _sd(variance):

@@ -46,14 +46,21 @@ test_lbfgsb_driver_matches_scipy_minimize_bit_for_bit keeps minimize as the
 reference, so a scipy release that changes the routine fails it rather than
 moving the fits.
 
-The compiled module is loaded from its file (_scipy_extension): importing
-it from scipy.optimize runs that package's init, which loads sparse, spatial
-and fft among others (0.1 s and 16 MB per process in BENCH_25.json), and the
-loop and the acquisitions use nothing else of it. This relies on scipy 1.17's
-layout, scipy/optimize/_lbfgsb<extension suffix>, at the floor pyproject.toml
-sets; a missing file fails the import of gp, as importing setulb from the
-package would. The module goes into sys.modules under its own name, so a
-later import of scipy.optimize takes it rather than a second copy. Tests:
+Three compiled scipy modules are loaded from their files (_scipy_extension):
+scipy/optimize/_lbfgsb and scipy/linalg/_flapack here, whose potrf, potrs
+and trtrs the fit and the factorizations call with the arguments of
+scipy.linalg's cholesky, cho_solve and solve_triangular, and
+scipy/special/_special_ufuncs in acquisition, whose ndtr is scipy.special's.
+Importing them from their packages runs the packages' inits: scipy.optimize
+loads sparse, spatial and fft among others (0.1 s and 16 MB per process in
+BENCH_25.json), and scipy.linalg and scipy.special load numpy.f2py,
+numpy.testing and numpy.ma (0.27 s together by tools/import_cost.py); the
+loop and the acquisitions use nothing else of them. LAPACK reports no error
+on a matrix holding NaN, so jittered_cholesky and GPModel.fit raise
+ValueError on inf or NaN in their inputs, as scipy's wrappers did. This relies on scipy 1.17's layout, at the floor
+pyproject.toml sets; a missing file fails the import of gp, as importing
+from the package would. Each module goes into sys.modules under its own name,
+so a later import of its package takes it rather than a second copy. Tests:
 test_scipy_optimize_and_the_fit_share_one_copy_of_lbfgsb,
 test_package_import_leaves_scipy_stats_unloaded and
 test_loop_and_two_step_acquisition_leave_scipy_optimize_unloaded.
@@ -73,8 +80,6 @@ from operator import attrgetter
 
 import numpy as np
 import scipy
-from scipy import linalg
-from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .sampling import sobol_unit
 
@@ -94,6 +99,8 @@ def _scipy_extension(name: str):
 
 
 setulb = _scipy_extension("scipy.optimize._lbfgsb").setulb
+_flapack = _scipy_extension("scipy.linalg._flapack")
+dpotrf, dpotrs, dtrtrs = _flapack.dpotrf, _flapack.dpotrs, _flapack.dtrtrs
 
 JITTER_INITIAL = 1e-8
 JITTER_MAX = 1e-2
@@ -279,8 +286,8 @@ class GPModel:
         if X.shape[1] != params.dim:
             raise ValueError("input dimension does not match kernel lengthscales")
         L, jit = jittered_cholesky(kernel_matrix(params, X, X), params.signal_variance)
-        w = linalg.cho_solve((L, True), y)
-        L_inv = linalg.solve_triangular(L, np.eye(len(L)), lower=True)
+        w = dpotrs(L, _finite(y), lower=1)[0]
+        L_inv = dtrtrs(L, np.eye(len(L)), lower=1)[0]
         return cls(params, X, y, L, L_inv, w, jit)
 
     @classmethod
@@ -444,20 +451,27 @@ class GPModel:
 def jittered_cholesky(C: np.ndarray, scale: float) -> tuple[np.ndarray, float]:
     """Lower Cholesky of C + jit*I with jitter escalation relative to scale.
 
-    Returns (L, jitter_used). Raises FactorizationError past the cap.
+    Returns (L, jitter_used), L in Fortran order. Raises ValueError on a
+    matrix holding inf or NaN and FactorizationError past the cap.
     """
     n = C.shape[0]
     jit = JITTER_INITIAL * scale
     cap = JITTER_MAX * scale
     while True:
-        try:
-            return linalg.cholesky(C + jit * np.eye(n), lower=True), jit
-        except linalg.LinAlgError:
-            jit *= 10.0
-            if jit > cap * (1 + 1e-12):
-                raise FactorizationError(
-                    f"covariance not factorizable at jitter {cap:g}"
-                ) from None
+        L, info = dpotrf(_finite(C + jit * np.eye(n)), lower=1, clean=1)
+        if info == 0:
+            return L, jit
+        jit *= 10.0
+        if jit > cap * (1 + 1e-12):
+            raise FactorizationError(f"covariance not factorizable at jitter {cap:g}")
+
+
+def _finite(a: np.ndarray) -> np.ndarray:
+    """a, or ValueError where it holds inf or NaN, on which LAPACK's routines
+    report no error."""
+    if not np.isfinite(a).all():
+        raise ValueError("array must not contain infs or NaNs")
+    return a
 
 
 def _nll_constants(X):

@@ -8,6 +8,14 @@ versioned CSV plus a JSON metadata sidecar carrying the resolved config and
 the oracle provenance, so aggregation can refuse to mix incompatible runs.
 Ground-truth optima are cached in an INI file keyed by problem, oracle kind,
 resolution, polish count and seed.
+
+The bytes of results.csv rest on the seeds, the host and the BLAS build: the
+GP's row terms keep their bits whatever rows share a call only up to 31 data
+points on the OpenBLAS build measured (the row contract in gp), and past that
+they are held only to a relative 1e-6 of the signal variance (ROW_RTOL in
+tests/oracle_utils.py). meta.json records numpy's and scipy's versions, their
+BLAS versions and the CPU count, so a byte comparison across builds can be
+refused rather than failed.
 """
 
 from __future__ import annotations
@@ -23,6 +31,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import loop
 from .acquisition import PosteriorBundle, batch_eic_mc
@@ -242,6 +251,23 @@ def resolve_workers(cli_value: int | None = None) -> int:
     return os.cpu_count() or 1
 
 
+def environment() -> dict:
+    """numpy's and scipy's versions, their BLAS versions and the CPU count
+    (resolve_workers), which the bytes of results.csv rest on besides the
+    seeds."""
+
+    def blas_version(module):
+        return module.show_config(mode="dicts")["Build Dependencies"]["blas"].get("version")
+
+    return {
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "numpy_blas": blas_version(np),
+        "scipy_blas": blas_version(scipy),
+        "cpus": resolve_workers(),
+    }
+
+
 def run_experiment(
     config: RunConfig,
     workers: int | None = None,
@@ -331,6 +357,7 @@ def run_experiment(
         "n_replications": config.n_replications,
         "failures": failures,
         "wall_seconds": elapsed,
+        "environment": environment(),
     }
     with open(out / "meta.json", "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)

@@ -13,6 +13,10 @@ order. Sobol uses Joe & Kuo's direction numbers (SIAM J. Sci. Comput. 2008),
 read from the _sobol_direction_numbers.npz that scipy ships, with Matousek's
 linear matrix scrambling and a digital shift (J. Complexity 1998).
 tests/test_sampling.py checks every sampler against scipy.stats.qmc.
+The inverse normal CDF is scipy.special.ndtri, imported on the first draw:
+its compiled module runs the init of scipy.special, which loads numpy.f2py,
+numpy.testing and numpy.ma, so a process that draws no normals (the EIC
+loop, the oracles) never pays for it.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ from math import isqrt
 
 import numpy as np
 import scipy
-from scipy import special
 
 _UNIT_EPS = 1e-12
 _BITS = 30  # scipy's default Sobol resolution: points are multiples of 2**-30
@@ -86,8 +89,10 @@ def sobol_unit(dim: int, count: int, seed) -> np.ndarray:
 
 def sobol_normal(dim: int, count: int, seed) -> np.ndarray:
     """(count, dim) standard normal matrix from scrambled Sobol points."""
+    from scipy.special import ndtri  # the package's init, on the first draw
+
     u = np.clip(sobol_unit(dim, count, seed), _UNIT_EPS, 1.0 - _UNIT_EPS)
-    return special.ndtri(u)
+    return ndtri(u)
 
 
 def latin_hypercube(count: int, bounds: np.ndarray, seed) -> np.ndarray:

@@ -17,9 +17,10 @@ import pytest
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
-# These read zero by design: the engine factorizes its batches through one
-# batched np.linalg.cholesky and solves by products with GPModel.chol_inv, so
-# it reaches scipy's routines and jittered_cholesky only when a batch needs
+# These read zero by design: gp calls LAPACK from scipy's compiled _flapack,
+# never through scipy.linalg's wrappers; the engine factorizes its batches
+# through one batched np.linalg.cholesky and solves by products with
+# GPModel.chol_inv, so it reaches jittered_cholesky only when a batch needs
 # more than the initial jitter, which no acquisition on these bundles does.
 ZERO_BY_DESIGN = {
     "scipy.linalg.solve_triangular.calls",

@@ -822,6 +822,22 @@ def test_jittered_cholesky_escalates_then_fails():
         jittered_cholesky(C, scale=1.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_jittered_cholesky_rejects_a_non_finite_matrix(bad):
+    """LAPACK's potrf factorizes a matrix holding NaN without an error; the
+    matrix is checked first, as scipy.linalg.cholesky checks it."""
+    C = np.eye(3)
+    C[2, 1] = C[1, 2] = bad
+    with pytest.raises(ValueError):
+        jittered_cholesky(C, scale=1.0)
+
+
+def test_fit_rejects_a_non_finite_target():
+    X = np.linspace(0.0, 1.0, 4)[:, None]
+    with pytest.raises(ValueError):
+        GPModel.fit(X, [0.0, np.nan, 1.0, 2.0], KernelParams(1.0, np.ones(1)))
+
+
 def test_fit_rejects_mismatched_shapes():
     with pytest.raises(ValueError):
         GPModel.fit(np.zeros((3, 1)), np.zeros(2), KernelParams(1.0, np.ones(1)))

@@ -23,9 +23,8 @@ def test_main_prints_one_row_per_step_and_the_total(capsys):
     assert lines[-1] == "scipy subpackages loaded: none"
 
 
-def test_the_package_imports_scipy_linalg_and_special_but_not_optimize():
-    """gp loads scipy.optimize's compiled L-BFGS-B module alone, which does
-    not count as the package."""
+def test_the_package_imports_no_scipy_subpackage_it_calls_into():
+    """gp loads the compiled modules of scipy.optimize, scipy.linalg and
+    scipy.special alone, which does not count as their packages."""
     _, loaded = import_cost.measure(["twostep_cbo"], runs=1)
-    assert {"linalg", "special"} <= set(loaded)
-    assert "optimize" not in loaded
+    assert not {"linalg", "special", "optimize"} & set(loaded)

@@ -47,12 +47,15 @@ def _fresh(code: str) -> list[str]:
     return out.stdout.split()
 
 
-@pytest.mark.parametrize("package", ["scipy.stats", "scipy.optimize"])
+@pytest.mark.parametrize(
+    "package", ["scipy.stats", "scipy.optimize", "scipy.linalg", "scipy.special"]
+)
 def test_package_import_leaves_scipy_stats_unloaded(package):
     """scipy.stats costs about as much to load as the rest of the package's
     dependencies together; the samplers reproduce its bits without it. Of
-    scipy.optimize the fit needs only the compiled L-BFGS-B routine, which gp
-    loads from its file without the package."""
+    scipy.optimize the fit needs only the compiled L-BFGS-B routine, of
+    scipy.linalg three LAPACK routines and of scipy.special the ufunc ndtr,
+    which gp loads from their files without the packages."""
     code = f"import sys, twostep_cbo, twostep_cbo.cli; print({package!r} in sys.modules)"
     assert _fresh(code) == ["False"]
 
@@ -60,25 +63,33 @@ def test_package_import_leaves_scipy_stats_unloaded(package):
 HOT_PATHS = """
 import sys
 from twostep_cbo import lookahead, loop, problems
+
+def loaded(*names):
+    print(",".join(str(name in sys.modules) for name in names))
+
 p1 = problems.get_problem("p1")
 loop.run(p1, "eic", 5, 1, 3, seed=0, f_star=-1.888751)
 history = loop.initialize(p1, 4, 0)
 bundle, _ = loop.fit_bundle(history, p1, 0, 0)
+loaded("scipy.linalg", "scipy.special", "scipy.optimize")
 tiny = lookahead.TwoStepConfig(
     n_restarts=1, n_sga_steps=2, n_grad_samples=4, inner_restarts=1, inner_steps=5,
     n_value_samples=8, n_final_value_samples=16,
 )
 lookahead.optimize(bundle, p1.bounds, 1, tiny, 0)
-print("scipy.optimize" in sys.modules)
+loaded("scipy.linalg", "scipy.special", "scipy.optimize")
 problems.domain_max_oracle(p1, resolution=20, n_polish=2)
-print("scipy.optimize" in sys.modules)
+loaded("scipy.optimize")
 """
 
 
 def test_loop_and_two_step_acquisition_leave_scipy_optimize_unloaded():
     """An EIC replication and a two-step acquisition (with their fits) run
-    without scipy.optimize; the oracles' polish imports it on its first call."""
-    assert _fresh(HOT_PATHS) == ["False", "True"]
+    without scipy.optimize or scipy.linalg, and the EIC replication without
+    scipy.special; the two-step acquisition's first draw imports
+    scipy.special for ndtri, and the oracles' polish imports scipy.optimize
+    on its first call."""
+    assert _fresh(HOT_PATHS) == ["False,False,False", "False,True,False", "True"]
 
 
 ONE_COPY = """
@@ -86,21 +97,30 @@ import sys
 import numpy as np
 {first}
 lbfgsb = sys.modules["scipy.optimize._lbfgsb"]
+flapack = sys.modules["scipy.linalg._flapack"]
+special_ufuncs = sys.modules["scipy.special._special_ufuncs"]
 {second}
-from twostep_cbo import gp
+from twostep_cbo import acquisition, gp
 print(sys.modules["scipy.optimize._lbfgsb"] is lbfgsb and gp.setulb is lbfgsb.setulb)
+print(sys.modules["scipy.linalg._flapack"] is flapack and scipy.linalg.lapack.dpotrf is gp.dpotrf)
+print(sys.modules["scipy.special._special_ufuncs"] is special_ufuncs
+      and scipy.special.ndtr is acquisition.ndtr)
 res = scipy.optimize.minimize(lambda x: ((x - 1.0) ** 2).sum(), np.zeros(2), method="L-BFGS-B")
 print(bool(res.success) and np.allclose(res.x, 1.0))
 X = np.linspace(0.0, 1.0, 6)[:, None]
 print(isinstance(gp.fit_hyperparameters(X, np.sin(3.0 * X[:, 0])), gp.KernelParams))
+C = np.array([[2.0, 1.0], [1.0, 2.0]])
+print(np.array_equal(gp.jittered_cholesky(C, 1.0)[0], scipy.linalg.cholesky(C + 1e-8 * np.eye(2), lower=True)))
+print(acquisition._Phi(0.5) == scipy.special.ndtr(0.5))
 """
 
 
 @pytest.mark.parametrize("package_first", [True, False])
 def test_scipy_optimize_and_the_fit_share_one_copy_of_lbfgsb(package_first):
-    """gp puts the L-BFGS-B extension it loads under its own name in
-    sys.modules, or takes the one scipy.optimize loaded: whichever comes
-    first, the second takes its module, and both minimize and the fit run."""
-    imports = ["import twostep_cbo", "import scipy.optimize"]
+    """gp puts each compiled extension it loads (L-BFGS-B, LAPACK, the
+    special ufuncs) under its own name in sys.modules, or takes the one its
+    scipy package loaded: whichever comes first, the second takes its
+    module, and scipy's functions and the package's give the same results."""
+    imports = ["import twostep_cbo", "import scipy.optimize, scipy.linalg, scipy.special"]
     first, second = imports if package_first else imports[::-1]
-    assert _fresh(ONE_COPY.format(first=first, second=second)) == ["True"] * 3
+    assert _fresh(ONE_COPY.format(first=first, second=second)) == ["True"] * 7

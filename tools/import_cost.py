@@ -5,11 +5,12 @@
 Each of N fresh interpreters imports the steps in order and times each one,
 so a step is charged only for the modules that no earlier step loaded. A
 step is a module or a comma-separated group of modules. The default steps
-are numpy, scipy.linalg with scipy.special, and then the package itself,
-which is charged for whatever it loads beyond them (of scipy.optimize it
-loads only the compiled L-BFGS-B module, not the package). The
-package is imported from ``src/`` of this repository, with BLAS pinned to one
-thread as ``perfbench/run.py`` pins it. The table gives each step's median
+are numpy, scipy, and then the package itself, which is charged for
+whatever it loads beyond them: of scipy.optimize, scipy.linalg and
+scipy.special it loads only the compiled modules it calls (L-BFGS-B, LAPACK
+and the special ufuncs), not the packages. The package is imported from
+``src/`` of this repository, with BLAS pinned to one thread as
+``perfbench/run.py`` pins it. The table gives each step's median
 and quartiles over the N interpreters, then the total, and lists the scipy
 subpackages whose own package was imported once every step has run; a
 module loaded from its file alone does not list its package.
@@ -26,7 +27,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-DEFAULT_STEPS = ("numpy", "scipy.linalg,scipy.special", "twostep_cbo")
+DEFAULT_STEPS = ("numpy", "scipy", "twostep_cbo")
 
 CHILD = """
 import importlib, sys, time
