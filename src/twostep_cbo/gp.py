@@ -54,7 +54,7 @@ scipy/special/_special_ufuncs in acquisition, whose ndtr is scipy.special's.
 Importing them from their packages runs the packages' inits: scipy.optimize
 loads sparse, spatial and fft among others (0.1 s and 16 MB per process in
 BENCH_25.json), and scipy.linalg and scipy.special load numpy.f2py,
-numpy.testing and numpy.ma (0.27 s together by tools/import_cost.py); the
+numpy.testing and numpy.ma (about 0.3 s by tools/import_cost.py); the
 loop and the acquisitions use nothing else of them. LAPACK reports no error
 on a matrix holding NaN, so jittered_cholesky and GPModel.fit raise
 ValueError on inf or NaN in their inputs, as scipy's wrappers did. This relies on scipy 1.17's layout, at the floor

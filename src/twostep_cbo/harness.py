@@ -252,9 +252,8 @@ def resolve_workers(cli_value: int | None = None) -> int:
 
 
 def environment() -> dict:
-    """numpy's and scipy's versions, their BLAS versions and the CPU count
-    (resolve_workers), which the bytes of results.csv rest on besides the
-    seeds."""
+    """The build record of meta.json: numpy's and scipy's versions, their
+    BLAS versions and the CPU count (resolve_workers)."""
 
     def blas_version(module):
         return module.show_config(mode="dicts")["Build Dependencies"]["blas"].get("version")

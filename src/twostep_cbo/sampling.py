@@ -15,8 +15,8 @@ linear matrix scrambling and a digital shift (J. Complexity 1998).
 tests/test_sampling.py checks every sampler against scipy.stats.qmc.
 The inverse normal CDF is scipy.special.ndtri, imported on the first draw:
 its compiled module runs the init of scipy.special, which loads numpy.f2py,
-numpy.testing and numpy.ma, so a process that draws no normals (the EIC
-loop, the oracles) never pays for it.
+numpy.testing and numpy.ma, so a process that draws no normals (the q = 1
+EIC loop, the oracles) never pays for it.
 """
 
 from __future__ import annotations
