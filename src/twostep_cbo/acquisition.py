@@ -271,8 +271,13 @@ def projected_ascent(evaluate, P, bounds, first_move, steps):
     1e-8 of the box. Both rules are free of the scale of the values, so the
     ascent reaches the same points whatever their units; a row whose gradient
     is zero, or too small to divide by, proposes no move and retires after
-    its first iteration. Candidates are clipped to the box. Returns the final
-    points and their values.
+    its first iteration. Candidates are clipped to the box. A row's gradient
+    changes only on an accepted move, so a row also retires once it could
+    never move again: its clipped candidate is its own point (its step only
+    shrinks), or its step is infinite and was rejected (halving leaves it
+    infinite, and the candidate with it). A huge finite step, grown from a
+    tiny first gradient, can still propose one rejected box corner for many
+    steps (ROADMAP.md, item 7). Returns the final points and their values.
 
     The active rows' points, gradients, steps and values are kept compact,
     in rows order, and written back only as rows retire, so a step does no
@@ -293,6 +298,9 @@ def projected_ascent(evaluate, P, bounds, first_move, steps):
         cand = aU + astep[:, None] * agU
         np.clip(cand, 0.0, 1.0, out=cand)
         cand_vals, grad = evaluate(lo + cand * wid, rows)
+        moved = cand[:, 0] != aU[:, 0]  # column by column, as _row_max_abs
+        for j in range(1, cand.shape[1]):
+            moved |= cand[:, j] != aU[:, j]
         hit = cand_vals > avals
         if hit.any():
             np.copyto(avals, cand_vals, where=hit)
@@ -302,6 +310,7 @@ def projected_ascent(evaluate, P, bounds, first_move, steps):
             agU[hit] = grad(hit) * wid
         astep *= np.where(hit, 1.6, 0.5)
         keep = astep * _row_max_abs(agU) >= 1e-8
+        keep &= moved & (hit | np.isfinite(astep))
         if not keep.all():
             done = ~keep
             U[rows[done]], vals[rows[done]] = aU[done], avals[done]

@@ -46,18 +46,20 @@ test_lbfgsb_driver_matches_scipy_minimize_bit_for_bit keeps minimize as the
 reference, so a scipy release that changes the routine fails it rather than
 moving the fits.
 
-Three compiled scipy modules are loaded from their files (_scipy_extension):
+Four compiled scipy modules are loaded from their files (_scipy_extension):
 scipy/optimize/_lbfgsb and scipy/linalg/_flapack here, whose potrf, potrs
 and trtrs the fit and the factorizations call with the arguments of
-scipy.linalg's cholesky, cho_solve and solve_triangular, and
-scipy/special/_special_ufuncs in acquisition, whose ndtr is scipy.special's.
-Importing them from their packages runs the packages' inits: scipy.optimize
-loads sparse, spatial and fft among others (0.1 s and 16 MB per process in
-BENCH_25.json), and scipy.linalg and scipy.special load numpy.f2py,
-numpy.testing and numpy.ma (about 0.3 s by tools/import_cost.py); the
-loop and the acquisitions use nothing else of them. LAPACK reports no error
-on a matrix holding NaN, so jittered_cholesky and GPModel.fit raise
-ValueError on inf or NaN in their inputs, as scipy's wrappers did. This relies on scipy 1.17's layout, at the floor
+scipy.linalg's cholesky, cho_solve and solve_triangular,
+scipy/special/_special_ufuncs in acquisition, whose ndtr is scipy.special's,
+and scipy/optimize/_slsqplib in problems, whose slsqp runs the constrained
+oracle's polish and is loaded on its first call. Importing them from their packages runs the packages'
+inits: scipy.optimize loads sparse, spatial, fft, linalg and special among
+others, and lifts a process holding this package from 35 to 77 MB, and
+scipy.linalg and scipy.special load numpy.f2py, numpy.testing and numpy.ma
+(about 0.3 s by tools/import_cost.py); the package uses nothing else of
+them. LAPACK reports no error on a matrix holding NaN, so jittered_cholesky
+and GPModel.fit raise ValueError on inf or NaN in their inputs, as scipy's
+wrappers did. This relies on scipy 1.17's layout, at the floor
 pyproject.toml sets; a missing file fails the import of gp, as importing
 from the package would. Each module goes into sys.modules under its own name,
 so a later import of its package takes it rather than a second copy. Tests:

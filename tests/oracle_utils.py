@@ -139,6 +139,7 @@ def ref_projected_ascent(evaluate, P, bounds, first_move, steps):
             break
         cand_U = np.clip(U[active] + step[active, None] * gU[active], 0.0, 1.0)
         cand_vals, grad = evaluate(lo + cand_U * wid, active)
+        moved = np.any(cand_U != U[active], axis=1)
         hit = cand_vals > vals[active]
         acc = active[hit]
         if acc.size:
@@ -148,7 +149,7 @@ def ref_projected_ascent(evaluate, P, bounds, first_move, steps):
         step[acc] *= 1.6
         step[active[~hit]] *= 0.5
         move = step[active] * np.max(np.abs(gU[active]), axis=1)
-        active = active[move >= 1e-8]
+        active = active[(move >= 1e-8) & moved & (hit | np.isfinite(step[active]))]
     return lo + U * wid, vals
 
 

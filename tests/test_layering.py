@@ -71,14 +71,15 @@ p1 = problems.get_problem("p1")
 loop.run(p1, "eic", 5, 1, 3, seed=0, f_star=-1.888751)
 history = loop.initialize(p1, 4, 0)
 bundle, _ = loop.fit_bundle(history, p1, 0, 0)
-loaded("scipy.linalg", "scipy.special", "scipy.optimize")
+loaded("scipy.linalg", "scipy.special", "scipy.optimize", "scipy.optimize._slsqplib")
 tiny = lookahead.TwoStepConfig(
     n_restarts=1, n_sga_steps=2, n_grad_samples=4, inner_restarts=1, inner_steps=5,
     n_value_samples=8, n_final_value_samples=16,
 )
 lookahead.optimize(bundle, p1.bounds, 1, tiny, 0)
-loaded("scipy.linalg", "scipy.special", "scipy.optimize")
+loaded("scipy.linalg", "scipy.special", "scipy.optimize", "scipy.optimize._slsqplib")
 problems.domain_max_oracle(p1, resolution=20, n_polish=2)
+problems.constrained_optimum_oracle(p1, resolution=20, n_polish=2)
 loaded("scipy.optimize")
 """
 
@@ -87,9 +88,11 @@ def test_loop_and_two_step_acquisition_leave_scipy_optimize_unloaded():
     """An EIC replication and a two-step acquisition (with their fits) run
     without scipy.optimize or scipy.linalg, and the EIC replication without
     scipy.special; the two-step acquisition's first draw imports
-    scipy.special for ndtri, and the oracles' polish imports scipy.optimize
-    on its first call."""
-    assert _fresh(HOT_PATHS) == ["False,False,False", "False,True,False", "True"]
+    scipy.special for ndtri. The oracles' polishes run on the compiled
+    L-BFGS-B and SLSQP routines alone, so scipy.optimize stays unloaded,
+    and the SLSQP module is loaded only by the first constrained polish."""
+    expected = ["False,False,False,False", "False,True,False,False", "False"]
+    assert _fresh(HOT_PATHS) == expected
 
 
 ONE_COPY = """
@@ -97,10 +100,11 @@ import sys
 import numpy as np
 {first}
 lbfgsb = sys.modules["scipy.optimize._lbfgsb"]
+slsqplib = sys.modules["scipy.optimize._slsqplib"]
 flapack = sys.modules["scipy.linalg._flapack"]
 special_ufuncs = sys.modules["scipy.special._special_ufuncs"]
 {second}
-from twostep_cbo import acquisition, gp
+from twostep_cbo import acquisition, gp, problems
 print(sys.modules["scipy.optimize._lbfgsb"] is lbfgsb and gp.setulb is lbfgsb.setulb)
 print(sys.modules["scipy.linalg._flapack"] is flapack and scipy.linalg.lapack.dpotrf is gp.dpotrf)
 print(sys.modules["scipy.special._special_ufuncs"] is special_ufuncs
@@ -112,15 +116,33 @@ print(isinstance(gp.fit_hyperparameters(X, np.sin(3.0 * X[:, 0])), gp.KernelPara
 C = np.array([[2.0, 1.0], [1.0, 2.0]])
 print(np.array_equal(gp.jittered_cholesky(C, 1.0)[0], scipy.linalg.cholesky(C + 1e-8 * np.eye(2), lower=True)))
 print(acquisition._Phi(0.5) == scipy.special.ndtr(0.5))
+f = lambda x: float(((x - 1.0) ** 2).sum())
+jac = lambda x: 2.0 * (x - 1.0)
+cons, cons_jac = lambda x: 1.0 - x[:1], lambda x: np.array([[-1.0, 0.0]])
+box = np.array([[-2.0, 2.0], [-2.0, 2.0]])
+x, fx = problems.minimize(f, np.zeros(2), jac, box, cons, cons_jac)
+res = scipy.optimize.minimize(
+    f, np.zeros(2), jac=jac, method="SLSQP", bounds=box,
+    constraints=dict(type="ineq", fun=cons, jac=cons_jac), options=dict(maxiter=200, ftol=1e-12),
+)
+print(bool(res.success) and np.array_equal(x, res.x) and fx == res.fun)
+print(sys.modules["scipy.optimize._slsqplib"] is slsqplib
+      and gp._scipy_extension("scipy.optimize._slsqplib") is slsqplib)
 """
 
 
 @pytest.mark.parametrize("package_first", [True, False])
 def test_scipy_optimize_and_the_fit_share_one_copy_of_lbfgsb(package_first):
-    """gp puts each compiled extension it loads (L-BFGS-B, LAPACK, the
-    special ufuncs) under its own name in sys.modules, or takes the one its
-    scipy package loaded: whichever comes first, the second takes its
-    module, and scipy's functions and the package's give the same results."""
-    imports = ["import twostep_cbo", "import scipy.optimize, scipy.linalg, scipy.special"]
+    """gp._scipy_extension puts each compiled extension the package loads
+    (L-BFGS-B, SLSQP, LAPACK, the special ufuncs) under its own name in
+    sys.modules, or takes the one its scipy package loaded: whichever comes
+    first, the second takes its module, and scipy's functions and the
+    package's give the same results."""
+    imports = [
+        # the SLSQP module is loaded on the oracle's first polish
+        "from twostep_cbo import problems\n"
+        "problems.constrained_optimum_oracle(problems.p1(), resolution=20, n_polish=2)",
+        "import scipy.optimize, scipy.linalg, scipy.special",
+    ]
     first, second = imports if package_first else imports[::-1]
-    assert _fresh(ONE_COPY.format(first=first, second=second)) == ["True"] * 7
+    assert _fresh(ONE_COPY.format(first=first, second=second)) == ["True"] * 9

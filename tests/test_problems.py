@@ -7,6 +7,7 @@ import pytest
 from scipy.optimize import approx_fprime, minimize
 
 from twostep_cbo import problems
+from twostep_cbo.gp import _lbfgsb
 from twostep_cbo.problems import (
     ConstrainedProblem,
     constrained_optimum_oracle,
@@ -17,6 +18,7 @@ from twostep_cbo.problems import (
     p3,
     problem_names,
 )
+from twostep_cbo.sampling import halton_design
 
 
 def test_registry():
@@ -279,6 +281,89 @@ def test_fd_jac_slsqp_follows_scipy_differences(name):
         np.testing.assert_array_equal(res.x, ref.x)
 
 
+def _polish_starts(prob):
+    """Starts for the polish drivers: the best feasible grid cells, points that
+    break a constraint, points on the box's faces and corners, and one past
+    the upper corner, which the drivers clip into the box."""
+    lo, hi = prob.bounds.T
+    _, cells = problems._grid_scan(prob, 30, 3)
+    X = halton_design(64, prob.bounds)
+    infeasible = X[np.max(prob.constraints(X), axis=1) > 0.0][:3]
+    assert len(infeasible) == 3
+    odd = np.arange(prob.dim) % 2 == 1
+    on_bound = [np.where(odd, lo, hi), np.where(odd, hi, lo), lo, np.where(odd, X[5], hi)]
+    return [*cells, *infeasible, *on_bound, hi + 1.0]
+
+
+def _logged(fun, points):
+    """fun, recording each point it is called at unless it repeats the last."""
+
+    def logged(x):
+        if not points or not np.array_equal(x, points[-1]):
+            points.append(x.copy())
+        return fun(x)
+
+    return logged
+
+
+def _same_points(a, b):
+    assert len(a) == len(b)
+    for x, y in zip(a, b):
+        np.testing.assert_array_equal(x, y)
+
+
+@pytest.mark.filterwarnings("ignore:Initial guess is not within the specified bounds")
+@pytest.mark.parametrize("name", ["p1", "p2", "p3"])
+def test_slsqp_driver_matches_scipy_minimize_bit_for_bit(name):
+    """problems.minimize runs the loop of scipy's SLSQP: on the oracle's own
+    objective, gradient and constraints it ends at minimize's point and value
+    bits, and evaluates the objective at the same points in the same order."""
+    prob = get_problem(name)
+    upper = prob.bounds[:, 1]
+    f = lambda x: float(prob.objective(np.atleast_2d(x))[0])
+    jac = problems._fd_jac(prob.objective, upper)
+    cons = lambda x: -prob.constraints(np.atleast_2d(x))[0]
+    cons_jac = problems._fd_jac(lambda X: -prob.constraints(X), upper)
+    for s in _polish_starts(prob):
+        driver, scipy_points = [], []
+        x, fx = problems.minimize(_logged(f, driver), s, jac, prob.bounds, cons, cons_jac)
+        res = minimize(
+            _logged(f, scipy_points),
+            s,
+            jac=jac,
+            method="SLSQP",
+            bounds=prob.bounds,
+            constraints={"type": "ineq", "fun": cons, "jac": cons_jac},
+            options={"maxiter": 200, "ftol": 1e-12},
+        )
+        np.testing.assert_array_equal(x, res.x)
+        assert fx == res.fun
+        _same_points(driver, scipy_points)
+
+
+@pytest.mark.filterwarnings("ignore:Initial guess is not within the specified bounds")
+@pytest.mark.parametrize("name", ["p1", "p2", "p3"])
+def test_domain_max_polish_matches_scipy_minimize_bit_for_bit(name):
+    """domain_max_oracle's polish, gp._lbfgsb fed the value and the _fd_jac
+    gradient of the negated objective, ends at the point of minimize's
+    L-BFGS-B, its value there is minimize's, and it evaluates the same
+    points in the same order."""
+    prob = get_problem(name)
+    lo, hi = prob.bounds.T.copy()
+    f = lambda x: -float(prob.objective(np.atleast_2d(x))[0])
+    jac = problems._fd_jac(lambda X: -prob.objective(X), hi)
+    for s in _polish_starts(prob):
+        driver, scipy_points = [], []
+        logged = _logged(f, driver)
+        x = _lbfgsb(lambda x: (logged(x), jac(x)), s, lo, hi)
+        res = minimize(
+            _logged(f, scipy_points), s, jac=jac, method="L-BFGS-B", bounds=prob.bounds
+        )
+        np.testing.assert_array_equal(x, res.x)
+        assert f(x) == res.fun
+        _same_points(driver, scipy_points)
+
+
 def test_optimum_oracle_unconstrained_linear():
     prob = _linear_problem(lambda X: np.full((X.shape[0], 1), -1.0))
     res = constrained_optimum_oracle(prob, resolution=501, n_polish=5)
@@ -372,10 +457,11 @@ def test_basins_of_hand_made_cells():
 
 def _record_starts(monkeypatch):
     starts = []
+    original = problems.minimize
 
     def recording(fun, x0, *args, **kwargs):
         starts.append(np.array(x0, dtype=float))
-        return minimize(fun, x0, *args, **kwargs)
+        return original(fun, x0, *args, **kwargs)
 
     monkeypatch.setattr(problems, "minimize", recording)
     return starts

@@ -69,3 +69,49 @@ def test_ascent_keeps_a_zero_gradient_row():
     X = _climb_parabola(1.0, starts)
     assert np.all(np.isfinite(X))
     assert X[0, 0] == 2.0
+
+
+def test_a_row_clipped_back_to_its_own_point_retires():
+    # Two rows climb x on [0, 1]: on the plateau x < 0.5 the slope is 1e-200,
+    # so the row starting there takes a first step of 1e199 box widths; past
+    # 0.5 the slope is 1 and that step throws it to the edge. From then on
+    # every candidate of either row is clipped back to 1.0, its own point.
+    # Each row spends one pass there, then retires.
+    tiny = 1e-200
+    calls = []
+
+    def evaluate(X, rows):
+        calls.append((rows.copy(), X[:, 0].copy()))
+        slope = X[:, 0] >= 0.5
+        vals = np.where(slope, X[:, 0] - 0.5 + 0.5 * tiny, tiny * X[:, 0])
+        return vals, lambda keep: np.where(slope[keep], 1.0, tiny)[:, None]
+
+    starts = np.array([[0.1], [0.7]])
+    X, vals = projected_ascent(evaluate, starts, np.array([[0.0, 1.0]]), 0.1, 20)
+    np.testing.assert_array_equal(X, [[1.0], [1.0]])
+    np.testing.assert_array_equal(vals, [0.5 + 0.5 * tiny] * 2)
+    for row in (0, 1):
+        seen = [x[rows == row] for rows, x in calls if row in rows]
+        at_edge = [i for i, x in enumerate(seen) if x[0] == 1.0]
+        # reached the edge, was proposed it once more, and was not seen again
+        assert at_edge == [len(seen) - 2, len(seen) - 1], (row, seen)
+
+
+def test_a_rejected_row_with_an_infinite_step_retires():
+    # A first move of 1e10 box widths over a slope of 1e-300 overflows the
+    # step to inf, so the candidate is the edge 1.0 whatever the step; the
+    # edge is worse, and halving inf leaves inf: the row would propose the
+    # same rejected edge at every step. It spends one pass there.
+    calls = []
+
+    def evaluate(X, rows):
+        calls.append(rows.copy())
+        x = X[:, 0]
+        vals = np.where(x < 0.5, 1e-300 * x, 0.5e-300 - (x - 0.5))
+        return vals, lambda keep: np.where(x[keep] < 0.5, 1e-300, -1.0)[:, None]
+
+    with np.errstate(over="ignore"):
+        X, vals = projected_ascent(evaluate, np.array([[0.1]]), np.array([[0.0, 1.0]]), 1e10, 20)
+    assert len(calls) == 2
+    np.testing.assert_array_equal(X, [[0.1]])
+    np.testing.assert_array_equal(vals, [1e-301])
