@@ -52,18 +52,18 @@ and trtrs the fit and the factorizations call with the arguments of
 scipy.linalg's cholesky, cho_solve and solve_triangular,
 scipy/special/_special_ufuncs in acquisition, whose ndtr is scipy.special's,
 and scipy/optimize/_slsqplib in problems, whose slsqp runs the constrained
-oracle's polish and is loaded on its first call. Importing them from their packages runs the packages'
-inits: scipy.optimize loads sparse, spatial, fft, linalg and special among
-others, and lifts a process holding this package from 35 to 77 MB, and
-scipy.linalg and scipy.special load numpy.f2py, numpy.testing and numpy.ma
-(about 0.3 s by tools/import_cost.py); the package uses nothing else of
-them. LAPACK reports no error on a matrix holding NaN, so jittered_cholesky
-and GPModel.fit raise ValueError on inf or NaN in their inputs, as scipy's
-wrappers did. This relies on scipy 1.17's layout, at the floor
-pyproject.toml sets; a missing file fails the import of gp, as importing
-from the package would. Each module goes into sys.modules under its own name,
-so a later import of its package takes it rather than a second copy. Tests:
-test_scipy_optimize_and_the_fit_share_one_copy_of_lbfgsb,
+oracle's polish and is loaded on its first call. Importing them from their
+packages runs the packages' inits: scipy.optimize loads sparse, spatial,
+fft, linalg and special among others and lifts a process holding this
+package from 35 to 77 MB; scipy.linalg and scipy.special load numpy.f2py,
+numpy.testing and numpy.ma (about 0.3 s by tools/import_cost.py). The
+package uses nothing else of them. LAPACK reports no error on a matrix
+holding NaN, so jittered_cholesky and GPModel.fit raise ValueError on inf or
+NaN in their inputs, as scipy's wrappers did. This relies on scipy 1.17's
+layout, at the floor pyproject.toml sets; a missing file fails the load, as
+importing from the package would. Each module goes into sys.modules under
+its own name, so a later import of its package takes it rather than a second
+copy. Tests: test_scipy_optimize_and_the_fit_share_one_copy_of_lbfgsb,
 test_package_import_leaves_scipy_stats_unloaded and
 test_loop_and_two_step_acquisition_leave_scipy_optimize_unloaded.
 """
