@@ -57,7 +57,8 @@ packages runs the packages' inits: scipy.optimize loads sparse, spatial,
 fft, linalg and special among others and lifts a process holding this
 package from 35 to 77 MB; scipy.linalg and scipy.special load numpy.f2py,
 numpy.testing and numpy.ma (about 0.3 s by tools/import_cost.py). The
-package uses nothing else of them. LAPACK reports no error on a matrix
+package uses nothing else of them, and sampling computes ndtri itself, so no
+module imports a scipy subpackage. LAPACK reports no error on a matrix
 holding NaN, so jittered_cholesky and GPModel.fit raise ValueError on inf or
 NaN in their inputs, as scipy's wrappers did. This relies on scipy 1.17's
 layout, at the floor pyproject.toml sets; a missing file fails the load, as

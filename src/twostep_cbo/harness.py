@@ -9,13 +9,14 @@ the oracle provenance, so aggregation can refuse to mix incompatible runs.
 Ground-truth optima are cached in an INI file keyed by problem, oracle kind,
 resolution, polish count and seed.
 
-The bytes of results.csv rest on the seeds, the host and the BLAS build: the
-GP's row terms keep their bits whatever rows share a call only up to 31 data
-points on the OpenBLAS build measured (the row contract in gp), and past that
-they are held only to a relative 1e-6 of the signal variance (ROW_RTOL in
-tests/oracle_utils.py). meta.json records numpy's and scipy's versions, their
-BLAS versions and the CPU count, so a byte comparison across builds can be
-refused rather than failed.
+The bytes of results.csv rest on the seeds, the host, the BLAS build and the
+C library: the GP's row terms keep their bits whatever rows share a call only
+up to 31 data points on the OpenBLAS build measured (the row contract in gp),
+and past that they are held only to a relative 1e-6 of the signal variance
+(ROW_RTOL in tests/oracle_utils.py); the fantasies' normals take libm's log
+(sampling._ndtri). meta.json records numpy's and scipy's versions, their BLAS
+versions, the C library and the CPU count, so a byte comparison across builds
+can be refused rather than failed.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import csv
 import dataclasses
 import json
 import os
+import platform
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
@@ -253,7 +255,9 @@ def resolve_workers(cli_value: int | None = None) -> int:
 
 def environment() -> dict:
     """The build record of meta.json: numpy's and scipy's versions, their
-    BLAS versions and the CPU count (resolve_workers)."""
+    BLAS versions, the C library whose libm gives the normal draws' log
+    (platform.libc_ver, e.g. "glibc 2.36") and the CPU count
+    (resolve_workers)."""
 
     def blas_version(module):
         return module.show_config(mode="dicts")["Build Dependencies"]["blas"].get("version")
@@ -263,6 +267,7 @@ def environment() -> dict:
         "scipy": scipy.__version__,
         "numpy_blas": blas_version(np),
         "scipy_blas": blas_version(scipy),
+        "libc": " ".join(platform.libc_ver()),
         "cpus": resolve_workers(),
     }
 

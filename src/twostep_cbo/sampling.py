@@ -13,15 +13,23 @@ order. Sobol uses Joe & Kuo's direction numbers (SIAM J. Sci. Comput. 2008),
 read from the _sobol_direction_numbers.npz that scipy ships, with Matousek's
 linear matrix scrambling and a digital shift (J. Complexity 1998).
 tests/test_sampling.py checks every sampler against scipy.stats.qmc.
-The inverse normal CDF is scipy.special.ndtri, imported on the first draw:
-its compiled module runs the init of scipy.special, which loads numpy.f2py,
-numpy.testing and numpy.ma, so a process that draws no normals (the q = 1
-EIC loop, the oracles) never pays for it.
+
+The inverse normal CDF is _ndtri, the Cephes ndtri (Moshier, Methods and
+Programs for Mathematical Functions, 1989) that scipy 1.17 compiles as
+scipy.special.ndtri, with the same operations in the same order, so its
+values carry the same bits. Its log is libm's, math.log on the tail values:
+numpy's SIMD log differs from libm's on a few inputs in a thousand, and
+ndtri's value with it. Importing scipy.special would run its package init,
+which loads numpy.f2py, numpy.testing and numpy.ma (about 0.2 s and 20 MB).
+Tests: test_ndtri_matches_scipy_bit_for_bit, test_ndtri_takes_libms_log,
+test_sobol_normal_matches_scipy_ndtri_bit_for_bit and
+test_sobol_normal_clip_stays_below_cephes_third_branch.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import os
 from functools import lru_cache
 from math import isqrt
@@ -32,6 +40,30 @@ import scipy
 _UNIT_EPS = 1e-12
 _BITS = 30  # scipy's default Sobol resolution: points are multiples of 2**-30
 _POW2 = 2 ** np.arange(_BITS, dtype=np.uint32)
+
+# Cephes ndtri's constants. Q0 and Q1 carry the leading 1 that Cephes' p1evl
+# implies: 1.0 * x + c is x + c, bit for bit.
+_S2PI = 2.50662827463100050242  # sqrt(2 pi)
+_EXPM2 = 0.13533528323661269189  # exp(-2)
+_P0 = (
+    -5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+    1.39312609387279679503e1, -1.23916583867381258016,
+)
+_Q0 = (
+    1.0, 1.95448858338141759834, 4.67627912898881538453, 8.63602421390890590575e1,
+    -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+    1.59056225126211695515e1, -1.18331621121330003142,
+)
+_P1 = (
+    4.05544892305962419923, 3.15251094599893866154e1, 5.71628192246421288162e1,
+    4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539,
+    -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4,
+)
+_Q1 = (
+    1.0, 1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+    1.50425385692907503408e1, 2.50464946208309415979, -1.42182922854787788574e-1,
+    -3.80806407691578277194e-2, -9.33259480895457427372e-4,
+)
 
 
 @lru_cache(maxsize=None)
@@ -88,11 +120,47 @@ def sobol_unit(dim: int, count: int, seed) -> np.ndarray:
 
 
 def sobol_normal(dim: int, count: int, seed) -> np.ndarray:
-    """(count, dim) standard normal matrix from scrambled Sobol points."""
-    from scipy.special import ndtri  # the package's init, on the first draw
+    """(count, dim) standard normal matrix: scrambled Sobol points clipped to
+    [_UNIT_EPS, 1 - _UNIT_EPS], so every value is finite, through _ndtri, which
+    gives scipy.special.ndtri's bits there with libm's log
+    (test_sobol_normal_matches_scipy_ndtri_bit_for_bit)."""
+    return _ndtri(np.clip(sobol_unit(dim, count, seed), _UNIT_EPS, 1.0 - _UNIT_EPS))
 
-    u = np.clip(sobol_unit(dim, count, seed), _UNIT_EPS, 1.0 - _UNIT_EPS)
-    return ndtri(u)
+
+def _polevl(x: np.ndarray, coef: tuple) -> np.ndarray:
+    """Horner's rule from coef[0], as Cephes' polevl."""
+    value = coef[0] * x + coef[1]
+    for c in coef[2:]:
+        value *= x
+        value += c
+    return value
+
+
+def _ndtri(u: np.ndarray) -> np.ndarray:
+    """The inverse normal CDF at u, with the bits of scipy 1.17's ndtri for u
+    in [_UNIT_EPS, 1 - _UNIT_EPS]. u above 1 - exp(-2) is flipped to
+    y = 1 - u. For y above exp(-2) the value is a rational function of
+    (y - 1/2)^2; in the tail it is one of 1/sqrt(-2 log y), negated unless u
+    was flipped. Cephes' third branch, for tail values of 8 or more, is left
+    out: the domain keeps them below 7.5
+    (test_sobol_normal_clip_stays_below_cephes_third_branch)."""
+    flip = u > 1.0 - _EXPM2
+    y = np.where(flip, 1.0 - u, u)
+    # The middle branch, y > exp(-2), everywhere; the tail overwrites its rows.
+    m = y - 0.5
+    m2 = m * m
+    x = (m + m * (m2 * _polevl(m2, _P0) / _polevl(m2, _Q0))) * _S2PI
+    tail = np.nonzero(y <= _EXPM2)
+    t = np.sqrt(-2.0 * _log(y[tail]))
+    z = 1.0 / t
+    t = t - _log(t) / t - z * _polevl(z, _P1) / _polevl(z, _Q1)
+    x[tail] = np.where(flip[tail], t, -t)
+    return x
+
+
+def _log(a: np.ndarray) -> np.ndarray:
+    """libm's log, elementwise (math.log), as Cephes calls it."""
+    return np.fromiter(map(math.log, a.tolist()), float, a.size)
 
 
 def latin_hypercube(count: int, bounds: np.ndarray, seed) -> np.ndarray:

@@ -92,7 +92,9 @@ def test_experiment_runs_end_to_end(tmp_path):
     meta, rows = harness.read_results(path.parent)
     assert meta["n_replications"] == 2
     assert meta["environment"] == harness.environment()
-    assert sorted(meta["environment"]) == ["cpus", "numpy", "numpy_blas", "scipy", "scipy_blas"]
+    assert sorted(meta["environment"]) == [
+        "cpus", "libc", "numpy", "numpy_blas", "scipy", "scipy_blas"
+    ]
     assert sorted({(r["replication"], r["n"]) for r in rows}) == [
         (rep, n) for rep in (0, 1) for n in (3, 4, 5)
     ]

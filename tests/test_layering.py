@@ -77,21 +77,23 @@ tiny = lookahead.TwoStepConfig(
     n_value_samples=8, n_final_value_samples=16,
 )
 lookahead.optimize(bundle, p1.bounds, 1, tiny, 0)
+lookahead.optimize(bundle, p1.bounds, 2, tiny, 0)
 loaded("scipy.linalg", "scipy.special", "scipy.optimize", "scipy.optimize._slsqplib")
 problems.domain_max_oracle(p1, resolution=20, n_polish=2)
 problems.constrained_optimum_oracle(p1, resolution=20, n_polish=2)
-loaded("scipy.optimize")
+loaded("scipy.optimize", "scipy.special")
 """
 
 
 def test_loop_and_two_step_acquisition_leave_scipy_optimize_unloaded():
-    """An EIC replication and a two-step acquisition (with their fits) run
-    without scipy.optimize or scipy.linalg, and the EIC replication without
-    scipy.special; the two-step acquisition's first draw imports
-    scipy.special for ndtri. The oracles' polishes run on the compiled
-    L-BFGS-B and SLSQP routines alone, so scipy.optimize stays unloaded,
-    and the SLSQP module is loaded only by the first constrained polish."""
-    expected = ["False,False,False,False", "False,True,False,False", "False"]
+    """An EIC replication and two-step acquisitions at q = 1 and q = 2 (with
+    their fits, and at q = 2 greedy_batch_eic's batch_eic_mc draw) run
+    without scipy.optimize, scipy.linalg or scipy.special: the fantasies'
+    normals come from sampling._ndtri, not scipy.special.ndtri. The oracles'
+    polishes run on the compiled L-BFGS-B and SLSQP routines alone, so
+    scipy.optimize and scipy.special stay unloaded, and the SLSQP module is
+    loaded only by the first constrained polish."""
+    expected = ["False,False,False,False", "False,False,False,False", "False,False"]
     assert _fresh(HOT_PATHS) == expected
 
 

@@ -1,12 +1,23 @@
 """QMC helper checks: determinism, balance, stratification, and the bits of
-scipy.stats.qmc, which the samplers reproduce without importing it."""
+scipy.stats.qmc and scipy.special.ndtri, which the samplers reproduce without
+importing them."""
 
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.special import ndtri
 from scipy.stats import qmc
 
-from twostep_cbo.sampling import _as_rng, halton_design, latin_hypercube, sobol_normal, sobol_unit
+from twostep_cbo.sampling import (
+    _EXPM2,
+    _UNIT_EPS,
+    _as_rng,
+    _ndtri,
+    halton_design,
+    latin_hypercube,
+    sobol_normal,
+    sobol_unit,
+)
 
 BOUNDS = np.array([[0.0, 6.0], [-1.0, 1.0]])
 
@@ -167,3 +178,42 @@ def test_sobol_unit_rejects_dimensions_above_scipys_limit():
         qmc.Sobol(d=qmc.Sobol.MAXDIM + 1, seed=0)
     with pytest.raises(ValueError, match="Maximum supported dimensionality"):
         sobol_unit(qmc.Sobol.MAXDIM + 1, 4, 0)
+
+
+# -- bit-for-bit agreement with scipy.special.ndtri --------------------------
+
+CLIP = (_UNIT_EPS, 1.0 - _UNIT_EPS)
+
+
+def test_ndtri_matches_scipy_bit_for_bit():
+    """On 2^20 seeded multiples of 2^-30 (the Sobol resolution) inside the
+    clip, both clip bounds, and exp(-2) and 1 - exp(-2), where the branches
+    meet, with their neighbours."""
+    grid = np.random.default_rng(20).integers(1, 2**30, size=2**20) * 2.0**-30
+    edges = [
+        np.nextafter(e, step) for e in (_EXPM2, 1.0 - _EXPM2) for step in (0.0, e, 1.0)
+    ]
+    u = np.concatenate([np.clip(grid, *CLIP), CLIP, edges])
+    assert _same(_ndtri(u), ndtri(u))
+
+
+def test_ndtri_takes_libms_log():
+    """numpy's log and libm's differ at this pin on the measured x86-64 build
+    (numpy 2.4's AVX-512 log, glibc 2.36), and an ndtri on np.log gives
+    another value there: the tail's log must be math.log."""
+    u = np.array([87894331 * 2.0**-30, 1.0 - 87894331 * 2.0**-30])
+    assert _same(_ndtri(u), ndtri(u))
+
+
+@pytest.mark.parametrize("dim", range(1, 9))
+def test_sobol_normal_matches_scipy_ndtri_bit_for_bit(dim):
+    for count in (1, 3, 16, 100, 2048, 8192):
+        for seed in SEEDS:
+            u = np.clip(sobol_unit(dim, count, seed()), *CLIP)
+            assert _same(sobol_normal(dim, count, seed()), ndtri(u))
+
+
+def test_sobol_normal_clip_stays_below_cephes_third_branch():
+    """_ndtri leaves out Cephes' branch for |x| >= 8; a smaller _UNIT_EPS
+    that reached it would fail here rather than change the bits unseen."""
+    assert np.all(np.abs(_ndtri(np.array(CLIP))) < 8.0)

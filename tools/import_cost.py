@@ -8,7 +8,8 @@ step is a module or a comma-separated group of modules. The default steps
 are numpy, scipy, and then the package itself, which is charged for
 whatever it loads beyond them: of scipy.optimize, scipy.linalg and
 scipy.special it loads only the compiled modules it calls (L-BFGS-B, SLSQP,
-LAPACK and the special ufuncs), not the packages. The package is imported from
+LAPACK and the special ufuncs), not the packages, on any code path: its
+inverse normal CDF is its own. The package is imported from
 ``src/`` of this repository, with BLAS pinned to one thread as
 ``perfbench/run.py`` pins it. The table gives each step's median
 and quartiles over the N interpreters, then the total, and lists the scipy
