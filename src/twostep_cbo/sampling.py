@@ -18,9 +18,10 @@ The inverse normal CDF is _ndtri, the Cephes ndtri (Moshier, Methods and
 Programs for Mathematical Functions, 1989) that scipy 1.17 compiles as
 scipy.special.ndtri, with the same operations in the same order, so its
 values carry the same bits. Its log is libm's, math.log on the tail values:
-numpy's SIMD log differs from libm's on a few inputs in a thousand, and
-ndtri's value with it. Importing scipy.special would run its package init,
-which loads numpy.f2py, numpy.testing and numpy.ma (about 0.2 s and 20 MB).
+numpy's SIMD log differs from libm's by an ulp on some inputs, and ndtri's
+value then with it. Importing scipy.special would run its package init,
+which loads numpy.f2py, numpy.testing and numpy.ma (about 0.2 s and 15 MB at
+the first draw).
 Tests: test_ndtri_matches_scipy_bit_for_bit, test_ndtri_takes_libms_log,
 test_sobol_normal_matches_scipy_ndtri_bit_for_bit and
 test_sobol_normal_clip_stays_below_cephes_third_branch.
@@ -32,7 +33,6 @@ import itertools
 import math
 import os
 from functools import lru_cache
-from math import isqrt
 
 import numpy as np
 import scipy
@@ -141,8 +141,8 @@ def _ndtri(u: np.ndarray) -> np.ndarray:
     in [_UNIT_EPS, 1 - _UNIT_EPS]. u above 1 - exp(-2) is flipped to
     y = 1 - u. For y above exp(-2) the value is a rational function of
     (y - 1/2)^2; in the tail it is one of 1/sqrt(-2 log y), negated unless u
-    was flipped. Cephes' third branch, for tail values of 8 or more, is left
-    out: the domain keeps them below 7.5
+    was flipped. Cephes' third branch, for sqrt(-2 log y) of 8 or more, is
+    left out: the domain keeps y at or above 1e-12, where it is below 7.44
     (test_sobol_normal_clip_stays_below_cephes_third_branch)."""
     flip = u > 1.0 - _EXPM2
     y = np.where(flip, 1.0 - u, u)
@@ -179,7 +179,7 @@ def _halton_unit(d: int, n: int) -> np.ndarray:
     """(n, d) unscrambled Halton points from index 0, one van der Corput
     sequence per prime base, digits summed as scipy sums them. Read-only."""
     primes = itertools.islice(
-        (k for k in itertools.count(2) if all(k % p for p in range(2, isqrt(k) + 1))), d
+        (k for k in itertools.count(2) if all(k % p for p in range(2, math.isqrt(k) + 1))), d
     )
     u = np.zeros((n, d))
     for j, base in enumerate(primes):

@@ -2,6 +2,8 @@
 scipy.stats.qmc and scipy.special.ndtri, which the samplers reproduce without
 importing them."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -214,6 +216,9 @@ def test_sobol_normal_matches_scipy_ndtri_bit_for_bit(dim):
 
 
 def test_sobol_normal_clip_stays_below_cephes_third_branch():
-    """_ndtri leaves out Cephes' branch for |x| >= 8; a smaller _UNIT_EPS
-    that reached it would fail here rather than change the bits unseen."""
-    assert np.all(np.abs(_ndtri(np.array(CLIP))) < 8.0)
+    """Cephes takes its third branch, which _ndtri leaves out, where
+    sqrt(-2 log y) >= 8 for y = min(u, 1 - u). Both clip bounds stay below
+    it, so a smaller _UNIT_EPS fails here rather than change the bits
+    unseen."""
+    for y in (_UNIT_EPS, 1.0 - (1.0 - _UNIT_EPS)):
+        assert math.sqrt(-2.0 * math.log(y)) < 8.0
