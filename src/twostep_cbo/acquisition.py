@@ -314,7 +314,9 @@ def projected_ascent(evaluate, P, bounds, first_move, steps):
         if not keep.all():
             done = ~keep
             U[rows[done]], vals[rows[done]] = aU[done], avals[done]
-            rows, aU, agU, astep, avals = (a[keep] for a in (rows, aU, agU, astep, avals))
+            kept = np.flatnonzero(keep)
+            active = (rows, aU, agU, astep, avals)
+            rows, aU, agU, astep, avals = (a.take(kept, axis=0) for a in active)
     U[rows], vals[rows] = aU, avals
     return lo + U * wid, vals
 

@@ -20,9 +20,13 @@ discontinuous f1*. Sampling, score and all posterior updates share
 one FantasyEngine, which caches the state-0 factorizations so that thousands
 of fantasies are processed with matrix products instead of refits. The
 state-0 posterior at batch points and query rows comes from GPModel.rows;
-the engine adds only the terms of each row's own batch, and its gradient
-half takes the batch's coefficient rows A1 through the same row_grads call,
-one GEMM per block with the bits the gp module describes. An engine
+the value pass of alpha_rows takes every block's data rows from one call
+on the bundle's stacked models (PosteriorBundle.stacked), each block's
+slice with the bits of its own call, and every per-row gather of a batch's
+arrays is one contiguous take. The engine adds only the terms of each
+row's own batch, block by block, and its gradient half takes the batch's
+coefficient rows A1 through the same row_grads call, one GEMM per block
+with the bits the gp module describes. An engine
 holds a stack of batches X1, factorized at once, and each batch matches an
 engine of its own within 1e-12: optimize runs all its restarts through one
 engine per SGA step and screens all its candidates through one engine; the
@@ -317,11 +321,11 @@ class FantasyEngine:
         e = batch.e
         out = np.zeros((batch.n, self.q, self.d))
         for U, blk in zip(batch.U, self.blocks):
-            quad = np.einsum("fibj,fb->fij", blk.Dk0[e], U)
+            quad = np.einsum("fibj,fb->fij", blk.Dk0.take(e, axis=0), U)
             trace = np.einsum("eib,eibj->eij", blk.Cinv, blk.Dk0)
-            out += blk.dmu0[e] * U[:, :, None]
+            out += blk.dmu0.take(e, axis=0) * U[:, :, None]
             out += U[:, :, None] * quad
-            out -= trace[e]
+            out -= trace.take(e, axis=0)
         return out
 
     # -- stage-1 posterior rows ----------------------------------------------
@@ -342,18 +346,18 @@ class FantasyEngine:
         independent of the other rows, so the accepted rows of a value pass
         (take_rows) give the bits of a fresh call on them."""
         kern = blk.model.kernel
-        X1 = self.X1[e]  # (rows, q, d)
+        X1 = self.X1.take(e, axis=0)  # (rows, q, d)
         if grads:
             # dcoef: sum_n A1[e, i, n] dk(x2, d_n)/dx2 for every batch point i
-            out = blk.model.row_grads(P, terms, blk.A1[e])
+            out = blk.model.row_grads(P, terms, blk.A1.take(e, axis=0))
             dcross = kernel_grad_paired(kern, P[:, None, :], X1, out["K_own"]) - out["dcoef"]
             dvar1 = out["dvar"] - 2.0 * np.einsum("rqd,rq->rd", dcross, out["B"])
             out.update(dcross=dcross, ds1=sd_grad(out["s1"], dvar1))
             return out
         terms = blk.model.rows(P) if terms is None else terms
         K_own = kernel_paired(kern, P[:, None, :], X1)  # (rows, q)
-        cross = K_own - np.einsum("rn,rqn->rq", terms["V"], blk.V1[e])
-        B = np.einsum("rq,rpq->rp", cross, blk.Cinv[e])  # Cinv symmetric
+        cross = K_own - np.einsum("rn,rqn->rq", terms["V"], blk.V1.take(e, axis=0))
+        B = np.einsum("rq,rpq->rp", cross, blk.Cinv.take(e, axis=0))  # Cinv symmetric
         s1 = np.sqrt(np.maximum(terms["var"] - np.einsum("rq,rq->r", B, cross), 0.0))
         return dict(terms, cross=cross, s1=s1, B=B, K_own=K_own)
 
@@ -369,16 +373,17 @@ class FantasyEngine:
         mu1, s1 = _conditioned(st, U)
         # First-argument derivative of the state-0 covariance between each
         # batch point and each row: dc[f, i, j] = d Sigma0(x_i, X2_f) / d x_ij.
-        dc = kernel_grad_paired(blk.model.kernel, self.X1[e], X2[:, None, :], st["K_own"])
-        dc = dc - np.einsum("fqnd,fn->fqd", blk.J_X1_D[e], A)
-        Dk0 = blk.Dk0[e]
+        X1 = self.X1.take(e, axis=0)
+        dc = kernel_grad_paired(blk.model.kernel, X1, X2[:, None, :], st["K_own"])
+        dc = dc - np.einsum("fqnd,fn->fqd", blk.J_X1_D.take(e, axis=0), A)
+        Dk0 = blk.Dk0.take(e, axis=0)
         rv_u = np.einsum("fibj,fb->fij", Dk0, U)
         rv_b = np.einsum("fibj,fb->fij", Dk0, B)
         dmu1 = (
             dc * U[:, :, None]
             - B[:, :, None] * rv_u
             - rv_b * U[:, :, None]
-            - B[:, :, None] * blk.dmu0[e]
+            - B[:, :, None] * blk.dmu0.take(e, axis=0)
         )
         dvar1 = -2.0 * dc * B[:, :, None] + 2.0 * B[:, :, None] * rv_b
         return mu1, s1, dmu1, sd_grad(s1, dvar1)
@@ -397,17 +402,22 @@ class FantasyEngine:
         """Two-step integrand alpha at query rows P, row r belonging to
         fantasy idx[r]. With grads=True also returns d alpha / d x2 rows and a
         degeneracy mask. terms is the record of a value pass: an empty dict
-        is filled with the value terms of _stage1 per block ("stage1") and
-        the ei_pf factors ("factors"). A filled record, or its rows taken
+        is filled with the value terms of _stage1 per block ("stage1"), its
+        data rows sliced from one GPModel.rows call on the bundle's stack,
+        and the ei_pf factors ("factors"). A filled record, or its rows taken
         with take_rows, runs only the gradient halves, for grads=True;
         without one, grads=True runs the value half first."""
         P = np.atleast_2d(P)
         idx = np.asarray(idx, dtype=int)
-        e, f1 = batch.e[idx], batch.f1[idx]
-        U = [Ub[idx] for Ub in batch.U]
+        e, f1 = batch.e.take(idx), batch.f1.take(idx)
+        U = [Ub.take(idx, axis=0) for Ub in batch.U]
         record = {} if terms is None else terms
         if not record:
-            record["stage1"] = [self._stage1(blk, P, e, False) for blk in self.blocks]
+            rows = self.bundle.stacked.rows(P)
+            record["stage1"] = [
+                self._stage1(blk, P, e, False, {key: t[b] for key, t in rows.items()})
+                for b, blk in enumerate(self.blocks)
+            ]
             moments = [_conditioned(st, Ub) for st, Ub in zip(record["stage1"], U)]
             values, record["factors"] = self._integrand(f1, moments)
             if not grads:
@@ -429,8 +439,9 @@ class FantasyEngine:
         values = self.alpha_rows(X, idx, batch, terms=record)
 
         def grad(keep):
+            keep = np.flatnonzero(keep)
             kept = {key: [take_rows(t, keep) for t in part] for key, part in record.items()}
-            return self.alpha_rows(X[keep], idx[keep], batch, True, kept)[1]
+            return self.alpha_rows(X.take(keep, axis=0), idx.take(keep), batch, True, kept)[1]
 
         return values, grad
 
@@ -459,7 +470,10 @@ class FantasyEngine:
             f = slice(a, a + size)
             e = batch.e[f]
             moments = [
-                (mean[e] + np.einsum("fpq,fq->fp", cross[e], U[f]), s1[e])
+                (
+                    mean.take(e, axis=0) + np.einsum("fpq,fq->fp", cross.take(e, axis=0), U[f]),
+                    s1.take(e, axis=0),
+                )
                 for (cross, mean, s1), U in zip(terms, batch.U)
             ]
             out[f] = self._integrand(batch.f1[f, None], moments)[0]
@@ -557,7 +571,7 @@ class FantasyEngine:
         idx = np.repeat(np.arange(count), k)
 
         P, vals = projected_ascent(
-            lambda X, rows: self._alpha_pass(batch, idx[rows], X),
+            lambda X, rows: self._alpha_pass(batch, idx.take(rows), X),
             P.reshape(-1, self.d),
             bounds,
             first_move=0.15,

@@ -10,8 +10,9 @@ LatinHypercube, Halton) without importing scipy.stats, whose import costs
 about as much as all other dependencies together. Each seeded one spawns a
 child of the seed's generator, as scipy does, and draws from it in scipy's
 order. Sobol uses Joe & Kuo's direction numbers (SIAM J. Sci. Comput. 2008),
-read from the _sobol_direction_numbers.npz that scipy ships, with Matousek's
-linear matrix scrambling and a digital shift (J. Complexity 1998).
+the dimensions a draw needs read from the _sobol_direction_numbers.npz that
+scipy ships, with Matousek's linear matrix scrambling and a digital shift
+(J. Complexity 1998).
 tests/test_sampling.py checks every sampler against scipy.stats.qmc.
 
 The inverse normal CDF is _ndtri, the Cephes ndtri (Moshier, Methods and
@@ -32,6 +33,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
+import zipfile
 from functools import lru_cache
 
 import numpy as np
@@ -66,12 +68,34 @@ _Q1 = (
 )
 
 
-@lru_cache(maxsize=None)
-def _sobol_table() -> tuple[np.ndarray, np.ndarray]:
-    """Joe & Kuo's primitive polynomials and initial direction numbers."""
+def _sobol_table(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Joe & Kuo's primitive polynomials and initial direction numbers of the
+    first dim dimensions, (dim,) and (dim, degree), read from the .npy
+    members of scipy's npz through their headers, without the rest of the
+    table (21,201 dimensions, 3.4 MB). vinit.npy is Fortran-ordered, so each
+    column needed is read for its first dim entries and the rest is skipped.
+    scipy's limit is the table's length in the header."""
     path = os.path.join(os.path.dirname(scipy.__file__), "stats", "_sobol_direction_numbers.npz")
-    with np.load(path) as table:
-        return table["poly"], table["vinit"]
+    with zipfile.ZipFile(path) as table:
+        with table.open("poly.npy") as f:
+            (limit,), _, dtype = _npy_header(f)
+            if dim > limit:
+                raise ValueError(f"Maximum supported dimensionality is {limit}.")
+            poly = np.frombuffer(f.read(dim * dtype.itemsize), dtype)
+        degree = int(poly.max(initial=1)).bit_length() - 1
+        with table.open("vinit.npy") as f:
+            (limit, _), _, dtype = _npy_header(f)
+            columns = []
+            for _ in range(degree):
+                columns.append(np.frombuffer(f.read(dim * dtype.itemsize), dtype))
+                f.seek((limit - dim) * dtype.itemsize, os.SEEK_CUR)
+    return poly, np.array(columns, dtype=np.int64).reshape(degree, dim).T
+
+
+def _npy_header(f) -> tuple:
+    """(shape, fortran_order, dtype) from the header of an open .npy file."""
+    major, minor = np.lib.format.read_magic(f)
+    return getattr(np.lib.format, f"read_array_header_{major}_{minor}")(f)
 
 
 @lru_cache(maxsize=64)
@@ -79,9 +103,7 @@ def _direction_bits(dim: int) -> np.ndarray:
     """(dim, 30, 30) unscrambled direction numbers as bits, most significant
     first: [i, j, k] is bit 29 - k of the j-th number of dimension i, built
     by the recurrence of Bratley & Fox (ACM TOMS 1988). Read-only."""
-    poly, vinit = _sobol_table()
-    if dim > len(poly):
-        raise ValueError(f"Maximum supported dimensionality is {len(poly)}.")
+    poly, vinit = _sobol_table(dim)
     v = np.ones((dim, _BITS), dtype=np.int64)
     for i in range(1, dim):
         p = int(poly[i])

@@ -25,6 +25,7 @@ from twostep_cbo.gp import JITTER_INITIAL, jittered_cholesky, kernel_matrix
 from twostep_cbo.lookahead import (
     FantasyEngine,
     _Block,
+    _conditioned,
     TwoStepConfig,
     alpha,
     estimate_value,
@@ -257,6 +258,42 @@ def test_stacked_cholesky_escalates_only_the_batches_that_need_it():
         assert jit_alone[0] == jit[k]
 
 
+def _per_block_alpha_rows(engine, P, idx, batch):
+    """alpha_rows with every block's data rows from a GPModel.rows call of
+    its own, the value pass before the bundle's stack served them: (values,
+    x2-gradients, degenerate mask)."""
+    e = batch.e[idx]
+    U = [Ub[idx] for Ub in batch.U]
+    stage1 = [engine._stage1(blk, P, e, False) for blk in engine.blocks]
+    moments = [_conditioned(st, Ub) for st, Ub in zip(stage1, U)]
+    values, factors = engine._integrand(batch.f1[idx], moments)
+    _, grad, degen = engine.alpha_rows(P, idx, batch, True, dict(stage1=stage1, factors=factors))
+    return values, grad, degen
+
+
+@pytest.mark.parametrize("n_constraints", [0, 1, 2])
+@pytest.mark.parametrize("q", [1, 2])
+@pytest.mark.parametrize("sizes", [{}, dict(n_lo=24, n_hi=31)])
+def test_stacked_value_pass_keeps_the_per_block_bits(sizes, q, n_constraints):
+    """alpha_rows takes every block's data rows from one call on the
+    bundle's stacked models; its values, x2-gradients and degenerate mask
+    are those of one GPModel.rows call per block, bit for bit, on a stack of
+    two batches and on rows that include data points."""
+    for seed in range(3):
+        bundle, bounds = make_gp_instance(seed, d=2, n_constraints=n_constraints, **sizes)
+        X1 = np.stack([random_x1(100 * k + seed, bounds, q, bundle) for k in range(2)])
+        engine = FantasyEngine(bundle, X1)
+        assert engine.n_blocks == 1 + n_constraints
+        batch = engine.sample(5, (seed, 1205))
+        P = np.vstack([halton_design(3 * batch.n, bounds), bundle.objective.train_inputs[:2]])
+        idx = np.arange(len(P)) % batch.n
+        values, grad, degen = _per_block_alpha_rows(engine, P, idx, batch)
+        np.testing.assert_array_equal(engine.alpha_rows(P, idx, batch), values)
+        got = engine.alpha_rows(P, idx, batch, grads=True)
+        for a, b in zip(got, (values, grad, degen)):
+            np.testing.assert_array_equal(a, b)
+
+
 def test_query_rows_meet_only_the_data_and_their_own_batch(monkeypatch):
     """No kernel call of the stage-1 rows spans more than the n data columns:
     a row's own batch comes from a paired product, so a stack of six batches
@@ -270,7 +307,7 @@ def test_query_rows_meet_only_the_data_and_their_own_batch(monkeypatch):
 
     def recording(params, A, B):
         K = kernel_matrix(params, A, B)
-        widths.append(K.shape[1])
+        widths.append(K.shape[-1])
         return K
 
     monkeypatch.setattr(gp, "kernel_matrix", recording)
