@@ -16,8 +16,7 @@ The model is a frozen dataclass holding the Cholesky factor L of the jittered
 kernel matrix and its inverse. GPModel.mean_rows is the one home of the
 posterior mean at query rows, which the loop's recommendation uses on its
 own; GPModel.rows adds the variance and serves posterior_many,
-posterior_grads (and through them the myopic EIC) and the fantasy engine,
-whose value pass calls it on the bundle's stack.
+posterior_grads (and through them the myopic EIC) and the fantasy engine.
 Both give value terms only. Their gradient halves (mean_row_grads,
 row_grads) extend those terms, so a maximizer takes the gradients of the
 candidates it accepts from the rows of its value pass (take_rows), and they
@@ -26,8 +25,9 @@ contract coefficient rows through the ARD kernel's input-derivative identity
 Learning, 2006). The row formulas broadcast over a leading model axis: a call
 on a stack of models on shared inputs (GPModel.stack) gives each model's
 slice the bits of its own call; one GPModel is the no-axis case. The
-stack's callers are eic_many, eic_grad, recommend and the engine's
-alpha_rows.
+stack's callers are eic_many, eic_grad, recommend, _maximize_feasibility
+and the engine's alpha_rows, whose value pass takes every block's rows
+from it.
 
 Row contract. Every product of the row path is one GEMM per model with the
 second operand transposed (_row_products; one row is padded to two, away
