@@ -26,11 +26,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .gp import GPModel, SIGMA_FLOOR, _nearest, _scipy_extension, take_rows
+from ._scipy_routines import ndtr
+from .gp import GPModel, SIGMA_FLOOR, _nearest, take_rows
 from .sampling import latin_hypercube
-
-# scipy.special.ndtr itself, from its compiled module without the package.
-ndtr = _scipy_extension("scipy.special._special_ufuncs").ndtr
 
 
 class MissingIncumbentError(RuntimeError):
@@ -41,10 +39,6 @@ def _phi(z):
     # density underflows to 0 beyond |z|=40; clipping avoids overflow in z*z
     z = np.clip(z, -40.0, 40.0)
     return np.exp(-0.5 * z * z) / np.sqrt(2.0 * np.pi)
-
-
-def _Phi(z):
-    return ndtr(z)
 
 
 def _sd(variance):
@@ -160,14 +154,14 @@ def ei_pf_factors(improvement, constraints=()):
     m, s = improvement
     ok = s > SIGMA_FLOOR
     u = np.where(ok, m / np.where(ok, s, 1.0), 0.0)
-    Phi, phi = _Phi(u), _phi(u)
+    Phi, phi = ndtr(u), _phi(u)
     f = np.where(ok, m * Phi + s * phi, np.maximum(m, 0.0))
     factors = [dict(m=m, ok=ok, Phi=Phi, phi=phi, f=f)]
     for mc, sc in constraints:
         okc = sc > SIGMA_FLOOR
         scs = np.where(okc, sc, 1.0)
         uc = np.where(okc, -mc / scs, 0.0)
-        factors.append(dict(m=mc, ok=okc, s=scs, u=uc, f=np.where(okc, _Phi(uc), mc <= 0)))
+        factors.append(dict(m=mc, ok=okc, s=scs, u=uc, f=np.where(okc, ndtr(uc), mc <= 0)))
     return factors[0]["f"] * _product(factors, 0), factors
 
 

@@ -41,72 +41,21 @@ test_row_terms_stay_within_row_rtol_past_31_points holds every term within
 
 Hyperparameters are fit by multistart L-BFGS-B on the log marginal
 likelihood in log-parameter space, factorized and solved with LAPACK's
-potrf/potrs directly. L-BFGS-B runs through _lbfgsb: the loop and defaults of
-scipy.optimize.minimize over scipy's private routine
-scipy.optimize._lbfgsb.setulb (with the signature of scipy 1.17, the floor
-pyproject.toml sets), which gives minimize's iterates bit for bit.
-test_lbfgsb_driver_matches_scipy_minimize_bit_for_bit keeps minimize as the
-reference, so a scipy release that changes the routine fails it rather than
-moving the fits.
-
-Four compiled scipy modules are loaded from their files (_scipy_extension):
-scipy/optimize/_lbfgsb and scipy/linalg/_flapack here, whose potrf, potrs
-and trtrs the fit and the factorizations call with the arguments of
-scipy.linalg's cholesky, cho_solve and solve_triangular,
-scipy/special/_special_ufuncs in acquisition, whose ndtr is scipy.special's,
-and scipy/optimize/_slsqplib in problems, whose slsqp runs the constrained
-oracle's polish and is loaded on its first call. Importing them from their
-packages runs the packages' inits: scipy.optimize loads sparse, spatial,
-fft, linalg and special among others and lifts a process holding this
-package from 35 to 77 MB; scipy.linalg and scipy.special load numpy.f2py,
-numpy.testing and numpy.ma (about 0.3 s by tools/import_cost.py). The
-package uses nothing else of them, and sampling computes ndtri itself, so no
-module imports a scipy subpackage. LAPACK reports no error on a matrix
-holding NaN, so jittered_cholesky and GPModel.fit raise ValueError on inf or
-NaN in their inputs, as scipy's wrappers did. This relies on scipy 1.17's
-layout, at the floor pyproject.toml sets; a missing file fails the load, as
-importing from the package would. Each module goes into sys.modules under
-its own name, so a later import of its package takes it rather than a second
-copy. Tests: test_scipy_optimize_and_the_fit_share_one_copy_of_lbfgsb,
-test_package_import_leaves_scipy_stats_unloaded and
-test_loop_and_two_step_acquisition_leave_scipy_optimize_unloaded.
+potrf/potrs directly; these are scipy's compiled routines (_scipy_routines).
 """
 
 from __future__ import annotations
 
-import os
-import sys
 import warnings
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from importlib.machinery import EXTENSION_SUFFIXES
-from importlib.util import module_from_spec, spec_from_file_location
 from math import prod
 from operator import attrgetter
 
 import numpy as np
-import scipy
 
+from ._scipy_routines import dpotrf, dpotrs, dtrtrs, lbfgsb as _lbfgsb
 from .sampling import sobol_unit
-
-
-def _scipy_extension(name: str):
-    """The compiled scipy module name, loaded from its file without the init
-    of its package and kept in sys.modules under name; the module there if any."""
-    if name not in sys.modules:
-        stem = os.path.join(os.path.dirname(scipy.__file__), *name.split(".")[1:])
-        paths = [stem + suffix for suffix in EXTENSION_SUFFIXES if os.path.exists(stem + suffix)]
-        if not paths:
-            raise ModuleNotFoundError(f"No module named {name!r}", name=name)
-        spec = spec_from_file_location(name, paths[0])
-        sys.modules[name] = module_from_spec(spec)
-        spec.loader.exec_module(sys.modules[name])
-    return sys.modules[name]
-
-
-setulb = _scipy_extension("scipy.optimize._lbfgsb").setulb
-_flapack = _scipy_extension("scipy.linalg._flapack")
-dpotrf, dpotrs, dtrtrs = _flapack.dpotrf, _flapack.dpotrs, _flapack.dtrtrs
 
 JITTER_INITIAL = 1e-8
 JITTER_MAX = 1e-2
@@ -517,41 +466,6 @@ def _nll_and_grad(theta, X, y, jit_rel, consts=None):
         plane *= S
         grad[1 + j] = -0.5 * plane.sum()
     return float(nll), grad
-
-
-def _lbfgsb(fun, x0, lo, hi):
-    """Minimize fun, which returns (value, gradient), over the finite box
-    [lo, hi] from x0 clipped into it, with L-BFGS-B; returns the last
-    iterate. It is the loop of minimize(fun, x0, jac=True, method="L-BFGS-B",
-    bounds=...) over setulb with minimize's defaults, and gives its iterates
-    bit for bit. fun gets a copy of each theta setulb asks for."""
-    m, maxiter, maxfun, maxls = 10, 15000, 15000, 20
-    factr = 2.2204460492503131e-09 / np.finfo(float).eps  # minimize's ftol, as it converts it
-    n = x0.size
-    x = np.clip(x0, lo, hi)
-    f = np.array(0.0)
-    g = np.zeros(n)
-    nbd = np.full(n, 2, np.int32)  # bounded below and above
-    wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
-    iwa = np.zeros(3 * n, np.int32)
-    task, ln_task, lsave = np.zeros(2, np.int32), np.zeros(2, np.int32), np.zeros(4, np.int32)
-    isave, dsave = np.zeros(44, np.int32), np.zeros(29)
-    nfev = nit = 0
-    while True:
-        setulb(
-            m, x, lo, hi, nbd, f, g, factr, 1e-5, wa, iwa, task, lsave, isave, dsave, maxls, ln_task
-        )
-        if task[0] == 3:  # wants f and g at x
-            f, g = fun(x.copy())
-            nfev += 1  # repeats too, unlike minimize: they part only past maxfun
-        elif task[0] == 1:  # a new iterate; stop as minimize does
-            nit += 1
-            if nit >= maxiter:
-                task[:] = 5, 504
-            elif nfev > maxfun:
-                task[:] = 5, 502
-        else:
-            return x
 
 
 def fit_hyperparameters(

@@ -12,11 +12,8 @@ local minima of the kept set head the basins, and a start is skipped once its
 basin has an accepted end point. Finite-difference gradients of the polish
 evaluate a point and its forward steps in one call.
 
-The polishes run scipy's compiled routines without the scipy.optimize
-package (gp's docstring), SLSQP through minimize and L-BFGS-B through
-gp._lbfgsb, and give scipy's minimize's iterates bit for bit, as
-test_slsqp_driver_matches_scipy_minimize_bit_for_bit and
-test_domain_max_polish_matches_scipy_minimize_bit_for_bit check.
+The polishes are scipy's SLSQP (minimize) and L-BFGS-B (lbfgsb) loops over
+its compiled routines, from _scipy_routines.
 
 Basins are only as fine as the grid: a basin with no kept cell that is a
 local minimum (narrower than a grid step, say) joins a neighbouring basin and
@@ -32,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from .gp import _lbfgsb, _scipy_extension
+from ._scipy_routines import lbfgsb, slsqp as minimize
 
 FEASIBILITY_TOL = 1e-9
 # SLSQP's default absolute finite-difference step
@@ -224,45 +221,6 @@ def _polish_by_basin(problem, resolution, grid_vals, cells, extra, polish):
     return val, pt
 
 
-def minimize(fun, x0, jac, bounds, cons, cons_jac):
-    """SLSQP (Kraft, DFVLR-FB 88-28, 1988) on fun, with gradient jac, over
-    the finite box bounds (d, 2) from x0 clipped into it, subject to
-    cons(x) >= 0 (m >= 1 values, Jacobian cons_jac): (last iterate, value).
-
-    The loop of scipy 1.17's minimize(method="SLSQP") with options maxiter
-    200 and ftol 1e-12 over its compiled scipy.optimize._slsqplib.slsqp, with
-    the same state, buffers and evaluations, so the same iterates bit for
-    bit. The module is loaded on the first call: a process that never
-    polishes does not map it.
-    """
-    slsqp = _scipy_extension("scipy.optimize._slsqplib").slsqp
-    lo, hi = bounds.T.copy()
-    x = np.clip(np.asarray(x0, dtype=float), lo, hi)
-    n = x.size
-    fx, g, d = fun(x), jac(x), np.atleast_1d(cons(x)).astype(float)
-    m = d.size
-    C = np.zeros((m, n), order="F")
-    C[:] = cons_jac(x)
-    # the routine's state (scipy's SLSQP_static_vars) and workspace, sized as
-    # minimize sizes them for inequality constraints alone
-    state = {
-        **dict.fromkeys(("alpha", "f0", "gs", "h1", "h2", "h3", "h4", "t", "t0"), 0.0),
-        **dict.fromkeys(("exact", "inconsistent", "reset", "iter", "line", "meq", "mode"), 0),
-        "acc": 1e-12, "tol": 10.0 * 1e-12, "itermax": 200, "m": m, "n": n,
-    }
-    buffer = np.zeros(n * (n + 1) // 2 + 3 * m * n + 9 * m + 8 * n * n + 35 * n + 28)
-    indices = np.zeros(m + 2 * n + 2, np.int32)
-    mult = np.zeros(m + 2 * n + 2)
-    while True:
-        slsqp(state, fx, g, C, d, x, mult, lo, hi, buffer, indices)
-        if state["mode"] == 1:  # wants f and c at x
-            fx, d[:] = fun(x), cons(x)
-        elif state["mode"] == -1:  # wants g and C at x
-            g, C[:] = jac(x), cons_jac(x)
-        else:
-            return x, fx
-
-
 def _fd_jac(fun: Callable[[np.ndarray], np.ndarray], upper: np.ndarray):
     """A `jac` for the polishes: the forward-difference derivative of the
     row function `fun` ((n, d) -> (n,) or (n, m)), from one call on x and its
@@ -333,7 +291,7 @@ def domain_max_oracle(
     """Maximum of the objective over the box, ignoring constraints.
 
     The `n_polish` best grid cells, best first, are polished with L-BFGS-B
-    (gp._lbfgsb; test_domain_max_polish_matches_scipy_minimize_bit_for_bit),
+    (lbfgsb; test_domain_max_polish_matches_scipy_minimize_bit_for_bit),
     each only while its basin (module docstring) has no finite end point; a
     basin the grid does not resolve is not polished. The grid value is a
     fallback.
@@ -345,7 +303,7 @@ def domain_max_oracle(
     jac = _fd_jac(negated.objective, hi)
 
     def polish(s):
-        x = _lbfgsb(lambda x: (fun(x), jac(x)), s, lo, hi)
+        x = lbfgsb(lambda x: (fun(x), jac(x)), s, lo, hi)
         return (fun(x), x) if np.all(np.isfinite(x)) else None
 
     neg_val, pt = _polish_by_basin(problem, resolution, grid_vals, starts, [], polish)

@@ -20,9 +20,8 @@ Programs for Mathematical Functions, 1989) that scipy 1.17 compiles as
 scipy.special.ndtri, with the same operations in the same order, so its
 values carry the same bits. Its log is libm's, math.log on the tail values:
 numpy's SIMD log differs from libm's by an ulp on some inputs, and ndtri's
-value then with it. Importing scipy.special would run its package init,
-which loads numpy.f2py, numpy.testing and numpy.ma (about 0.2 s and 15 MB at
-the first draw).
+value then with it. Importing scipy.special would run its package's init
+(_scipy_routines), about 0.2 s and 15 MB at the first draw.
 Tests: test_ndtri_matches_scipy_bit_for_bit, test_ndtri_takes_libms_log,
 test_sobol_normal_matches_scipy_ndtri_bit_for_bit and
 test_sobol_normal_clip_stays_below_cephes_third_branch.
@@ -37,7 +36,8 @@ import zipfile
 from functools import lru_cache
 
 import numpy as np
-import scipy
+
+from ._scipy_routines import scipy_file
 
 _UNIT_EPS = 1e-12
 _BITS = 30  # scipy's default Sobol resolution: points are multiples of 2**-30
@@ -75,8 +75,7 @@ def _sobol_table(dim: int) -> tuple[np.ndarray, np.ndarray]:
     table (21,201 dimensions, 3.4 MB). vinit.npy is Fortran-ordered, so each
     column needed is read for its first dim entries and the rest is skipped.
     scipy's limit is the table's length in the header."""
-    path = os.path.join(os.path.dirname(scipy.__file__), "stats", "_sobol_direction_numbers.npz")
-    with zipfile.ZipFile(path) as table:
+    with zipfile.ZipFile(scipy_file("stats", "_sobol_direction_numbers.npz")) as table:
         with table.open("poly.npy") as f:
             (limit,), _, dtype = _npy_header(f)
             if dim > limit:

@@ -24,7 +24,8 @@ def test_main_prints_one_row_per_step_and_the_total(capsys):
 
 
 def test_the_package_imports_no_scipy_subpackage_it_calls_into():
-    """gp loads the compiled modules of scipy.optimize, scipy.linalg and
-    scipy.special alone, which does not count as their packages."""
+    """_scipy_routines loads the compiled modules of scipy.optimize,
+    scipy.linalg and scipy.special alone, which does not count as their
+    packages."""
     _, loaded = import_cost.measure(["twostep_cbo"], runs=1)
     assert not {"linalg", "special", "optimize"} & set(loaded)

@@ -1,4 +1,5 @@
-"""The GP and sampling layers sit below the rest of the package, and the
+"""scipy's private routines sit behind one module at the bottom of the
+package, the GP and sampling layers above it and below the rest, and the
 command line reaches the program through the harness and the problems only."""
 
 import ast
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import twostep_cbo
+from twostep_cbo import _scipy_routines
 
 SRC = Path(twostep_cbo.__file__).parent
 
@@ -31,7 +33,38 @@ def _package_imports(tree):
 @pytest.mark.parametrize("module", ["gp.py", "sampling.py"])
 def test_low_layers_import_no_package_module_but_sampling(module):
     tree = ast.parse((SRC / module).read_text())
-    assert _package_imports(tree) <= {"sampling"}
+    assert _package_imports(tree) <= {"sampling", "_scipy_routines"}
+
+
+def _imports_scipy(tree) -> bool:
+    """Whether a module imports scipy or one of its modules, at any depth."""
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names += [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names.append(node.module)
+    return any(name.split(".")[0] == "scipy" for name in names)
+
+
+def test_scipy_is_imported_by_its_routines_module_and_the_harness_alone():
+    """Every private scipy name the package uses is reached through
+    _scipy_routines, which sits below every package module; the harness
+    imports scipy for the versions in meta.json."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in SRC.glob("*.py")}
+    assert {name for name, tree in trees.items() if _imports_scipy(tree)} == {
+        "_scipy_routines",
+        "harness",
+    }
+    assert _package_imports(trees["_scipy_routines"]) == set()
+
+
+def test_loading_a_missing_scipy_module_raises_and_registers_nothing():
+    name = "scipy.optimize._no_such_module"
+    with pytest.raises(ModuleNotFoundError, match=name) as raised:
+        _scipy_routines.load(name)
+    assert raised.value.name == name
+    assert name not in sys.modules
 
 
 def test_cli_imports_only_the_harness_and_problems():
@@ -55,7 +88,7 @@ def test_package_import_leaves_scipy_stats_unloaded(package):
     dependencies together; the samplers reproduce its bits without it. Of
     scipy.optimize the fit needs only the compiled L-BFGS-B routine, of
     scipy.linalg three LAPACK routines and of scipy.special the ufunc ndtr,
-    which gp loads from their files without the packages."""
+    which _scipy_routines loads from their files without the packages."""
     code = f"import sys, twostep_cbo, twostep_cbo.cli; print({package!r} in sys.modules)"
     assert _fresh(code) == ["False"]
 
@@ -106,8 +139,8 @@ slsqplib = sys.modules["scipy.optimize._slsqplib"]
 flapack = sys.modules["scipy.linalg._flapack"]
 special_ufuncs = sys.modules["scipy.special._special_ufuncs"]
 {second}
-from twostep_cbo import acquisition, gp, problems
-print(sys.modules["scipy.optimize._lbfgsb"] is lbfgsb and gp.setulb is lbfgsb.setulb)
+from twostep_cbo import _scipy_routines, acquisition, gp, problems
+print(sys.modules["scipy.optimize._lbfgsb"] is lbfgsb and _scipy_routines.setulb is lbfgsb.setulb)
 print(sys.modules["scipy.linalg._flapack"] is flapack and scipy.linalg.lapack.dpotrf is gp.dpotrf)
 print(sys.modules["scipy.special._special_ufuncs"] is special_ufuncs
       and scipy.special.ndtr is acquisition.ndtr)
@@ -117,7 +150,7 @@ X = np.linspace(0.0, 1.0, 6)[:, None]
 print(isinstance(gp.fit_hyperparameters(X, np.sin(3.0 * X[:, 0])), gp.KernelParams))
 C = np.array([[2.0, 1.0], [1.0, 2.0]])
 print(np.array_equal(gp.jittered_cholesky(C, 1.0)[0], scipy.linalg.cholesky(C + 1e-8 * np.eye(2), lower=True)))
-print(acquisition._Phi(0.5) == scipy.special.ndtr(0.5))
+print(acquisition.ndtr(0.5) == scipy.special.ndtr(0.5))
 f = lambda x: float(((x - 1.0) ** 2).sum())
 jac = lambda x: 2.0 * (x - 1.0)
 cons, cons_jac = lambda x: 1.0 - x[:1], lambda x: np.array([[-1.0, 0.0]])
@@ -129,17 +162,17 @@ res = scipy.optimize.minimize(
 )
 print(bool(res.success) and np.array_equal(x, res.x) and fx == res.fun)
 print(sys.modules["scipy.optimize._slsqplib"] is slsqplib
-      and gp._scipy_extension("scipy.optimize._slsqplib") is slsqplib)
+      and _scipy_routines.load("scipy.optimize._slsqplib") is slsqplib)
 """
 
 
 @pytest.mark.parametrize("package_first", [True, False])
 def test_scipy_optimize_and_the_fit_share_one_copy_of_lbfgsb(package_first):
-    """gp._scipy_extension puts each compiled extension the package loads
-    (L-BFGS-B, SLSQP, LAPACK, the special ufuncs) under its own name in
-    sys.modules, or takes the one its scipy package loaded: whichever comes
-    first, the second takes its module, and scipy's functions and the
-    package's give the same results."""
+    """Each compiled extension the package loads (L-BFGS-B, SLSQP, LAPACK,
+    the special ufuncs) is one module, whether _scipy_routines.load or its
+    scipy package loads it first: the extension puts itself in sys.modules,
+    the second takes it from there, and scipy's functions and the package's
+    give the same results."""
     imports = [
         # the SLSQP module is loaded on the oracle's first polish
         "from twostep_cbo import problems\n"
