@@ -9,17 +9,18 @@ scipy.linalg and scipy.special load numpy.f2py, numpy.testing and numpy.ma
 the one in sys.modules: these single-phase extensions put themselves there,
 so their package, imported later, takes the same module.
 
-- scipy/optimize/_lbfgsb: setulb, under lbfgsb
+- scipy/optimize/_lbfgsb: setulb, run by lbfgsb
   (test_lbfgsb_driver_matches_scipy_minimize_bit_for_bit).
-- scipy/optimize/_slsqplib: slsqp, under slsqp, loaded on its first call
-  (test_slsqp_driver_matches_scipy_minimize_bit_for_bit).
+- scipy/optimize/_slsqplib: slsqp, run by the driver slsqp and loaded on
+  its first call (test_slsqp_driver_matches_scipy_minimize_bit_for_bit).
 - scipy/linalg/_flapack: dpotrf, dpotrs and dtrtrs, which gp calls as
   scipy.linalg's cholesky, cho_solve and solve_triangular call them.
 - scipy/special/_special_ufuncs: ndtr, scipy.special.ndtr itself.
-- scipy/stats/_sobol_direction_numbers.npz, read by sampling (scipy_file).
+- scipy/stats/_sobol_direction_numbers.npz, read by sampling (scipy_file;
+  test_sobol_unit_matches_scipy_bit_for_bit).
 
 pyproject.toml pins scipy 1.17, whose private signatures and state layouts
-the drivers replay. Tests of the loading:
+the drivers replay. Tests of the loading and of the modules' functions:
 test_scipy_optimize_and_the_fit_share_one_copy_of_lbfgsb,
 test_package_import_leaves_scipy_stats_unloaded and
 test_loop_and_two_step_acquisition_leave_scipy_optimize_unloaded.
