@@ -47,7 +47,7 @@ potrf/potrs directly; these are scipy's compiled routines (_scipy_routines).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from math import prod
 from operator import attrgetter

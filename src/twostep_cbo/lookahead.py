@@ -16,25 +16,26 @@ likelihood-ratio form
 
 with the inner maximizer x2* held fixed (envelope argument) and the fantasy
 vector y held fixed, so differentiation never passes through the
-discontinuous f1*. Sampling, score and all posterior updates share
-one FantasyEngine, which caches the state-0 factorizations so that thousands
-of fantasies are processed with matrix products instead of refits. The
-state-0 posterior at batch points and query rows comes from GPModel.rows;
-the value pass of alpha_rows takes every block's data rows from one call
-on the bundle's stacked models (PosteriorBundle.stacked), each block's
-slice with the bits of its own call, and every per-row gather of a batch's
-arrays is one contiguous take. The engine adds only the terms of each
-row's own batch, block by block, and its gradient half takes the batch's
-coefficient rows A1 through the same row_grads call, one GEMM per block
-with the bits the gp module describes. An engine
+discontinuous f1*. Sampling, score and all posterior updates share one
+FantasyEngine, which caches the state-0 factorizations so that thousands of
+fantasies are processed with matrix products instead of refits. An engine
 holds a stack of batches X1, factorized at once, and each batch matches an
 engine of its own within 1e-12: optimize runs all its restarts through one
-engine per SGA step and screens all its candidates through one engine; the
-stage-1 moments are affine in the fantasy, so the value-only probe sweep of
-the inner solve computes the data terms once per probe and the own-batch
-terms once per (batch, probe). A slower
-reference path through GPModel.condition_on_fantasy backs the alpha() entry
-point and is cross-checked against the engine in the test suite.
+engine per SGA step and screens all its candidates through one engine. Its
+gradient terms are built on first use (_Block), so a value-only engine,
+batch_eic_mc's, pays for the draws alone; they come out batch-major, with
+the bits of a fantasy-major product. The state-0 posterior at batch points
+and query rows comes from GPModel.rows; the value pass of alpha_rows takes
+every block's data rows from one call on the bundle's stacked models
+(PosteriorBundle.stacked), each block's slice with the bits of its own call,
+and every per-row gather of a batch's arrays is one contiguous take. The
+engine adds only the terms of each row's own batch, block by block; its
+gradient half takes the batch's coefficient rows A1 through the same
+row_grads call, one GEMM per block. The stage-1 moments are affine in the
+fantasy, so the value-only probe sweep of the inner solve computes the data
+terms once per probe and the own-batch terms once per (batch, probe). A
+slower reference path through GPModel.condition_on_fantasy backs the alpha()
+entry point and is cross-checked against the engine in the test suite.
 
 Constraints flagged certainly feasible by the bundle are excluded from the
 fantasy vector, the score and the feasibility product, so a run
@@ -45,6 +46,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -184,35 +186,50 @@ class _FantasyBatch:
 
 class _Block:
     """Cached state-0 quantities of one GP block at a stack of batches X1,
-    shape (E, q, d), built at once: the model's rows at every batch point,
-    batched matmul and one batched Cholesky. Every array carries the batch as
-    its leading axis; no batch's numbers depend on the rest of the stack, so
-    each matches an engine of its own within 1e-12."""
+    shape (E, q, d), batch first; no batch's numbers depend on the rest of
+    the stack, so each matches an engine of its own within 1e-12. Built at
+    once is what sampling reads: the model's rows at X1, V1, mu0, K11 and
+    one batched Cholesky Lc. Cinv, A1 and dmu0 (row_grads on the stored
+    rows), J_X1_D and Dk0 are built on first use by the same expressions, so
+    with the same bits: a value-only engine builds no gradient term."""
 
     def __init__(self, model: GPModel, X1: np.ndarray):
-        self.model = model
-        kern = model.kernel
+        self.model, kern = model, model.kernel
         E, q, d = X1.shape
-        flat = X1.reshape(-1, d)
-        r = model.row_grads(flat, model.rows(flat))
-        # Rows of L^{-1} k(D, X1) and of K_D^{-1} k(D, X1), each (E, q, n).
-        self.V1 = r["V"].reshape(E, q, -1)
-        self.A1 = r["A"].reshape(E, q, -1)
-        # For Dk0 and the LR rows; through gp, so a wrapper set there sees it.
-        J = gp.kernel_grad_first_from(kern, flat, model.train_inputs, r["K"])
-        self.J_X1_D = J.reshape(E, q, -1, d)
-        self.mu0 = r["mean"].reshape(E, q)
-        self.dmu0 = r["dmean"].reshape(E, q, d)
-        pairs = (X1[:, :, None, :], X1[:, None, :, :])
-        K11 = kernel_paired(kern, *pairs)  # (E, q, q)
-        C0 = K11 - self.V1 @ np.swapaxes(self.V1, 1, 2)
+        self.flat, self.pairs = X1.reshape(-1, d), (X1[:, :, None, :], X1[:, None, :, :])
+        self._rows = model.rows(self.flat)
+        self.V1 = self._rows["V"].reshape(E, q, -1)  # rows of L^{-1} k(D, X1)
+        self.mu0 = self._rows["mean"].reshape(E, q)
+        self.K11 = kernel_paired(kern, *self.pairs)  # (E, q, q)
+        C0 = self.K11 - self.V1 @ np.swapaxes(self.V1, 1, 2)
         self.Lc, self.jit = self._cholesky(0.5 * (C0 + np.swapaxes(C0, 1, 2)), kern.signal_variance)
+
+    @cached_property
+    def Cinv(self) -> np.ndarray:
         Lc_inv = np.linalg.inv(self.Lc)  # inv(C0) itself would lose cond(C0) * eps
-        self.Cinv = np.swapaxes(Lc_inv, 1, 2) @ Lc_inv
+        return np.swapaxes(Lc_inv, 1, 2) @ Lc_inv
+
+    @cached_property
+    def _grads(self) -> tuple[np.ndarray, np.ndarray]:
+        r = self.model.row_grads(self.flat, self._rows)
+        return r["A"].reshape(self.V1.shape), r["dmean"].reshape(self.mu0.shape + (-1,))
+
+    A1 = property(lambda self: self._grads[0])  # rows of K_D^{-1} k(D, X1), (E, q, n)
+    dmu0 = property(lambda self: self._grads[1])  # (E, q, d)
+
+    @cached_property
+    def J_X1_D(self) -> np.ndarray:
+        # For Dk0 and the LR rows; through gp, so a wrapper set there sees it.
+        model = self.model
+        J = gp.kernel_grad_first_from(model.kernel, self.flat, model.train_inputs, self._rows["K"])
+        return J.reshape(self.V1.shape + self.flat.shape[1:])
+
+    @cached_property
+    def Dk0(self) -> np.ndarray:
         # First-argument derivative of the state-0 covariance between batch
         # points: Dk0[e, i, b, j] = d Sigma0(x_i, x_b) / d x_{i j}.
         A1_J = np.einsum("eind,ebn->eibd", self.J_X1_D, self.A1)
-        self.Dk0 = kernel_grad_paired(kern, *pairs, K11) - A1_J
+        return kernel_grad_paired(self.model.kernel, *self.pairs, self.K11) - A1_J
 
     @staticmethod
     def _cholesky(C: np.ndarray, scale: float) -> tuple[np.ndarray, np.ndarray]:
@@ -276,33 +293,42 @@ class FantasyEngine:
         by one product over the batch axis per block, with no per-fantasy
         copy of a batch's factors, and each fantasy keeps the bits of a
         product with its own batch's factors."""
-        Y = self._values(Z)
-        count = Y[0].shape[1]
+        W = self._values(Z)
+        Y = [np.ascontiguousarray(Wb) for Wb in W]  # a strided Y moves U's bits at q = 3
         # Cinv is symmetric, so each row of U is Cinv (y - mu0).
         U = [
             np.einsum("epq,efq->efp", blk.Cinv, Yb - blk.mu0[:, None, :]).reshape(-1, self.q)
             for Yb, blk in zip(Y, self.blocks)
         ]
-        Y = [Yb.reshape(-1, self.q) for Yb in Y]
-        return _FantasyBatch(Y, self._f1(Y), U, np.repeat(np.arange(self.E), count))
+        e = np.repeat(np.arange(self.E), W[0].shape[1])
+        return _FantasyBatch([Yb.reshape(-1, self.q) for Yb in Y], self._f1(W).ravel(), U, e)
 
     def _values(self, Z: np.ndarray) -> list[np.ndarray]:
-        """The fantasies of batch_from_normals, one (E, count, q) array per
-        block."""
+        """The fantasies of batch_from_normals, mu0 + Lc z, per block an
+        (E, count, q) view of a batch-major (E, q, count) array that one
+        einsum forms along the fantasies. At every q each value keeps the
+        bits of the fantasy-major product "fq,epq->efp" (the test suite's
+        reference); only the layout differs."""
         Z = np.asarray(Z, dtype=float)
-        spec = "fq,epq->efp" if Z.ndim == 2 else "efq,epq->efp"
-        q = self.q
-        return [
-            blk.mu0[:, None, :] + np.einsum(spec, Z[..., b * q : (b + 1) * q], blk.Lc)
-            for b, blk in enumerate(self.blocks)
-        ]
+        spec = "epq,fq->epf" if Z.ndim == 2 else "epq,efq->epf"
+        q, out = self.q, []
+        for b, blk in enumerate(self.blocks):
+            W = np.einsum(spec, blk.Lc, Z[..., b * q : (b + 1) * q])
+            W += blk.mu0[:, :, None]
+            out.append(W.swapaxes(1, 2))
+        return out
 
     def _f1(self, Y: list[np.ndarray]) -> np.ndarray:
-        """f1* of each fantasy: the incumbent or its best feasible value."""
-        feasible = np.ones(Y[0].shape, dtype=bool)
-        for Yg in Y[1:]:
-            feasible &= Yg <= 0
-        return np.minimum(self.f0, np.min(np.where(feasible, Y[0], np.inf), axis=1))
+        """f1* of each fantasy from its values per block, (..., q): the
+        incumbent or its best feasible value, taken one point at a time. A
+        minimum is exact, so every layout of Y gives the same bits."""
+        f1 = np.full(Y[0].shape[:-1], self.f0)
+        for i in range(Y[0].shape[-1]):
+            y = Y[0][..., i]
+            for Yg in Y[1:]:
+                y = np.where(Yg[..., i] <= 0, y, np.inf)
+            np.minimum(f1, y, out=f1)
+        return f1
 
     def sample(self, count: int, seed) -> _FantasyBatch:
         """count fantasies at every batch, all batches from the same normals."""
@@ -311,9 +337,8 @@ class FantasyEngine:
 
     def sample_f1(self, count: int, seed) -> np.ndarray:
         """f1* of the fantasies that sample(count, seed) draws, without the
-        rest of their record (no whitened residuals)."""
-        Y = self._values(sobol_normal(self.n_blocks * self.q, count, seed))
-        return self._f1([Yb.reshape(-1, self.q) for Yb in Y])
+        rest of their record (no whitened residuals, no copy of the draws)."""
+        return self._f1(self._values(sobol_normal(self.n_blocks * self.q, count, seed))).ravel()
 
     def score(self, batch: _FantasyBatch) -> np.ndarray:
         """Gradient of log p(y; X1) with respect to the fantasy's batch X1,

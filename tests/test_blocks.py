@@ -125,6 +125,25 @@ def test_draws_match_a_per_fantasy_gather(E, d, n_constraints, q):
     assert np.array_equal(engine.sample_f1(7, (E, 1403)), gathered_batch(engine, shared).f1)
 
 
+@pytest.mark.parametrize("q", [1, 2, 3, 4])
+@pytest.mark.parametrize("n_constraints", [0, 2])
+def test_values_keep_the_bits_of_a_fantasy_major_product(q, n_constraints):
+    """_values draws batch-major; every value must equal mu0 plus the
+    fantasy-major product of its normals with its batch's Lc, on shared and
+    per-batch normals."""
+    E = 5
+    bundle, bounds = make_gp_instance(q + 40, d=2, n_constraints=n_constraints)
+    X1 = np.stack([random_x1((q, k), bounds, q) for k in range(E)])
+    engine = FantasyEngine(bundle, X1)
+    dim = engine.n_blocks * q
+    shared = sobol_normal(dim, 33, (q, 1405))
+    per_batch = np.stack([sobol_normal(dim, 33, (q, 1406, k)) for k in range(E)])
+    for Z, spec in ((shared, "fq,epq->efp"), (per_batch, "efq,epq->efp")):
+        for b, (got, blk) in enumerate(zip(engine._values(Z), engine.blocks, strict=True)):
+            ref = blk.mu0[:, None, :] + np.einsum(spec, Z[..., b * q : (b + 1) * q], blk.Lc)
+            assert np.array_equal(got, ref)
+
+
 def test_stacked_value_estimate_holds_a_bounded_working_set():
     """3 stacked batches x 2,048 fantasies, 49,152 ascent rows: solved in
     one lock step, the tracemalloc peak was 135 MB; in blocks of 8,192 rows

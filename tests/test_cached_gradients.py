@@ -171,25 +171,51 @@ def test_inner_solve_meets_the_kernel_once_per_value_row(monkeypatch):
     assert factor_rows[0] == value_rows[0]
 
 
+def _count_gradient_calls(monkeypatch):
+    """Record the row count of every gp.kernel_grad_first_from call and the
+    number of GPModel.row_grads calls."""
+    counts = {"kernel_grad_rows": [], "row_grads": 0}
+    original_kernel_grad, original_row_grads = gp.kernel_grad_first_from, GPModel.row_grads
+
+    def counting_kernel_grad(params, A, *args, **kwargs):
+        counts["kernel_grad_rows"].append(len(np.atleast_2d(A)))
+        return original_kernel_grad(params, A, *args, **kwargs)
+
+    def counting_row_grads(self, *args, **kwargs):
+        counts["row_grads"] += 1
+        return original_row_grads(self, *args, **kwargs)
+
+    monkeypatch.setattr(gp, "kernel_grad_first_from", counting_kernel_grad)
+    monkeypatch.setattr(GPModel, "row_grads", counting_row_grads)
+    return counts
+
+
 def test_lr_gradients_make_no_data_kernel_gradient_call(monkeypatch):
-    """The LR rows take the value half of _stage1 and A: on a built engine,
-    lr_gradients meets no kernel gradient against the training inputs."""
+    """The LR rows take the value half of _stage1 and A: lr_gradients meets
+    the kernel gradient against the training inputs once per block, on the
+    engine's own E*q batch rows, and never on the LR rows."""
     bundle, bounds = make_gp_instance(3, d=2, n_constraints=2)
-    calls = [0]
-    original = gp.kernel_grad_first_from
-
-    def counting(*args, **kwargs):
-        calls[0] += 1
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(gp, "kernel_grad_first_from", counting)
+    counts = _count_gradient_calls(monkeypatch)
     engine = FantasyEngine(bundle, random_x1(3, bounds, 2, bundle))
-    assert calls[0] == engine.n_blocks  # the engine's own rows are counted
     batch = engine.sample(6, (3, 94))
-    calls[0] = 0
+    assert batch.n != engine.E * engine.q  # the two row counts differ
     G = engine.lr_gradients(batch, halton_design(batch.n, bounds))
-    assert calls[0] == 0
+    assert counts["kernel_grad_rows"] == [engine.E * engine.q] * engine.n_blocks
     assert G.shape == (batch.n, 2, 2) and np.all(np.isfinite(G))
+
+
+def test_value_only_engines_build_no_gradient_terms(monkeypatch):
+    """batch_eic_mc and greedy_batch_eic read only the draws: no kernel
+    gradient and no row_grads call. estimate_value's inner solve takes the
+    x2-gradients (row_grads) but no kernel gradient at the batch points."""
+    bundle, bounds = make_gp_instance(3, d=2, n_constraints=2)
+    X1 = np.stack([random_x1((3, k), bounds, 2, bundle) for k in range(3)])
+    counts = _count_gradient_calls(monkeypatch)
+    acquisition.batch_eic_mc(bundle, X1, n_samples=64, seed=5)
+    acquisition.greedy_batch_eic(bundle, bounds, 2, 5)
+    assert counts == {"kernel_grad_rows": [], "row_grads": 0}
+    lookahead.estimate_value(bundle, X1, bounds, TwoStepConfig(inner_steps=5), [0, 1, 2], 16)
+    assert counts["kernel_grad_rows"] == [] and counts["row_grads"] > 0
 
 
 def test_maximize_eic_meets_the_kernel_once_per_value_row(monkeypatch):
